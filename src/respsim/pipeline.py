@@ -128,6 +128,24 @@ def _infer_period_ms(t0s: Sequence[int], counts: Sequence[int], fallback: int) -
     return float(np.median(deltas))
 
 
+def _count_seq_gaps(seqs: list[int]) -> int:
+    """Sequence numbers missing between the lowest and highest received.
+
+    ``seq`` is 16 bits and wraps, so each value is first unwrapped against
+    the previous frame in receive order by its signed serial difference
+    (RFC 1982).  Duplicates count once, and reordered frames are no gap.
+    """
+    if not seqs:
+        return 0
+    prev = unwrapped = seqs[0]
+    seen = {unwrapped}
+    for seq in seqs[1:]:
+        unwrapped += (seq - prev + 0x8000) % 0x10000 - 0x8000
+        prev = seq
+        seen.add(unwrapped)
+    return max(seen) - min(seen) + 1 - len(seen)
+
+
 @dataclass
 class ExtractedSeries:
     fsr: list[FsrPoint]
@@ -208,10 +226,6 @@ def extract_series(
     fsr_points.sort(key=lambda p: p.t_ms)
     accel_points.sort(key=lambda p: p.t_ms)
 
-    seqs = sorted(f.seq for f in frames)
-    seq_gaps = sum(
-        max(0, b - a - 1) for a, b in zip(seqs, seqs[1:])
-    )
     return ExtractedSeries(
         fsr=fsr_points,
         accel=accel_points,
@@ -219,7 +233,7 @@ def extract_series(
         fsr_period_ms=fsr_period,
         accel_period_ms=accel_period,
         frame_counts=counts,
-        seq_gaps=seq_gaps,
+        seq_gaps=_count_seq_gaps([f.seq for f in frames]),
     )
 
 

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from respsim.firmware import ArrayStimulus, FirmwareEmulator
 from respsim.pipeline import (
@@ -24,6 +25,7 @@ from respsim.pipeline import (
     reconstruct_force,
     summarize,
 )
+from respsim.protocol import BatteryStatusPayload, FrameKind, TelemetryFrame
 from respsim.sensor import (
     AccelSample,
     AdcConfig,
@@ -351,6 +353,36 @@ def test_extract_series_reports_seq_gaps():
     thinned = [f for f in frames if f.seq % 7 != 3]
     series = extract_series(thinned)
     assert series.seq_gaps == len(frames) - len(thinned)
+
+
+def battery_frames(seqs):
+    """Battery frames with the given seq values, in receive order, 2 s apart."""
+    return [
+        TelemetryFrame(FrameKind.BATTERY_STATUS, seq, 0, BatteryStatusPayload(2000 * i, 3822, 100))
+        for i, seq in enumerate(seqs)
+    ]
+
+
+def test_seq_gaps_across_16_bit_wrap():
+    # seq 0 was lost while the counter wrapped from 0xFFFF
+    series = extract_series(battery_frames([65533, 65534, 65535, 1, 2]))
+    assert series.seq_gaps == 1
+
+
+def test_seq_gaps_ignore_reordering_and_duplicates():
+    assert extract_series(battery_frames([10, 12, 11, 12, 14])).seq_gaps == 1
+    assert extract_series(battery_frames([65535, 0, 65534, 1, 1])).seq_gaps == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    first=st.one_of(st.integers(0, 0xFFFF), st.integers(0xFC00, 0xFFFF)),
+    kept=st.sets(st.integers(0, 2000), min_size=1),
+)
+def test_seq_gaps_count_missing_frames_anywhere_in_the_counter(first, kept):
+    offsets = sorted(kept)
+    series = extract_series(battery_frames([(first + k) & 0xFFFF for k in offsets]))
+    assert series.seq_gaps == offsets[-1] - offsets[0] + 1 - len(offsets)
 
 
 def test_summarize_shape():
