@@ -11,15 +11,27 @@ Energy is accounted per tick from a power profile: a tick is ``radio``
 while frame transmission airtime is pending, ``active`` when any channel
 sampled, and ``idle`` otherwise.  The battery drains continuously, so a
 long enough run walks the reported percent all the way down.
+
+:meth:`FirmwareEmulator.tick` steps that schedule one tick at a time and is
+the reference.  :meth:`FirmwareEmulator.run` derives the same schedule in
+bulk instead: sampling instants from ranges, ADC codes from one array pass
+through the FSR chain, radio airtime walked only over the ticks that emit
+frames, and energy summed per battery period with ``np.cumsum``, which
+adds in the same sequence as the per-tick ``+=``.  The tests hold ``run``
+to a tick loop frame for frame, float for float.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol
 
+import numpy as np
+
 from . import protocol
-from .power import ActivityInterval, PowerProfile, PRESETS, UW_MS_PER_MWH
+from .power import ACTIVITY_STATES, ActivityInterval, PowerProfile, PRESETS, UW_MS_PER_MWH
 from .sensor import (
     AdcConfig,
     BatteryState,
@@ -33,8 +45,13 @@ from .sensor import (
     battery_sense_voltage,
     battery_voltage,
     divider_voltage,
+    fsr_codes,
     fsr_resistance,
 )
+
+# activity states as small integers: indices into ACTIVITY_STATES
+_STATE_CODE = {name: code for code, name in enumerate(ACTIVITY_STATES)}
+_ACTIVE, _RADIO = _STATE_CODE["active"], _STATE_CODE["radio"]
 
 
 class InvalidConfigError(ValueError):
@@ -61,8 +78,10 @@ class FirmwareConfig:
     def __post_init__(self) -> None:
         for name in ("fsr_rate_hz", "accel_rate_hz", "battery_period_ms",
                      "fsr_batch", "accel_batch", "tick_ms"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if value <= 0 or value % 1 != 0:
+                raise InvalidConfigError(f"{name} must be a positive whole number")
+            object.__setattr__(self, name, int(value))
 
     @property
     def fsr_period_ms(self) -> int:
@@ -146,6 +165,35 @@ class BatteryMeasurement:
     percent: int
 
 
+class Timeline:
+    """Merged activity intervals as run-length-encoded integer columns.
+
+    Interval ``i`` is state ``ACTIVITY_STATES[states[i]]`` over
+    ``[starts[i], ends[i])`` ms; neighbouring intervals differ in state.
+    """
+
+    def __init__(self) -> None:
+        self.states = array("b")
+        self.starts = array("q")
+        self.ends = array("q")
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    @classmethod
+    def from_ticks(cls, states: np.ndarray, tick_ms: int) -> "Timeline":
+        """Run-length encode one state code per tick, starting at t=0."""
+        timeline = cls()
+        if states.size:
+            first = np.flatnonzero(np.diff(states)) + 1
+            starts = np.concatenate(([0], first)).astype(np.int64)
+            ends = np.append(first, states.size).astype(np.int64)
+            timeline.states.frombytes(states[starts].tobytes())
+            timeline.starts.frombytes((starts * tick_ms).tobytes())
+            timeline.ends.frombytes((ends * tick_ms).tobytes())
+        return timeline
+
+
 class StimulusSource(Protocol):
     def force_n(self, t_ms: int) -> float: ...
     def accel_mg(self, t_ms: int) -> tuple[int, int, int]: ...
@@ -226,7 +274,7 @@ class FirmwareEmulator:
         self._tx_remaining_ms = 0
         self._fsr_buf: list[tuple[int, int]] = []
         self._accel_buf: list[tuple[int, tuple[int, int, int]]] = []
-        self._timeline: list[list] = []  # [state, start_ms, end_ms], merged
+        self._timeline = Timeline()
         self.battery_log: list[BatteryMeasurement] = []
         self._booted = True
         return self.state
@@ -271,7 +319,9 @@ class FirmwareEmulator:
     @property
     def activity_timeline(self) -> list[ActivityInterval]:
         self._require_boot()
-        return [ActivityInterval(s, a, b) for s, a, b in self._timeline]
+        tl = self._timeline
+        return [ActivityInterval(ACTIVITY_STATES[s], a, b)
+                for s, a, b in zip(tl.states, tl.starts, tl.ends)]
 
     # -- internals ----------------------------------------------------------
 
@@ -318,11 +368,15 @@ class FirmwareEmulator:
         return protocol.BatteryStatusPayload(t_ms, code, percent)
 
     def _record_activity(self, state: str, t_ms: int) -> None:
+        code = _STATE_CODE[state]
         end = t_ms + self.config.tick_ms
-        if self._timeline and self._timeline[-1][0] == state and self._timeline[-1][2] == t_ms:
-            self._timeline[-1][2] = end
+        tl = self._timeline
+        if tl.ends and tl.states[-1] == code and tl.ends[-1] == t_ms:
+            tl.ends[-1] = end
         else:
-            self._timeline.append([state, t_ms, end])
+            tl.states.append(code)
+            tl.starts.append(t_ms)
+            tl.ends.append(end)
 
     # -- stepping -----------------------------------------------------------
 
@@ -404,6 +458,12 @@ class FirmwareEmulator:
 
         ``duration_s`` must be a whole number of ticks.  The returned list
         is every frame the device would have sent, in transmit order.
+
+        The schedule is derived in bulk, not stepped: the stimulus is
+        queried once per sampling instant, and activity, energy and battery
+        readings follow from the ticks that emit frames.  Frames, battery
+        log, timeline, energy and the state left behind are those of
+        :meth:`boot`, then :meth:`tick` at every tick, then :meth:`flush`.
         """
         total_ms_exact = duration_s * 1000.0
         total_ms = int(round(total_ms_exact))
@@ -417,13 +477,91 @@ class FirmwareEmulator:
             )
         self.boot()
         cfg = self.config
+        fsr_t = range(0, total_ms, cfg.fsr_period_ms)
+        accel_t = range(0, total_ms, cfg.accel_period_ms)
+        codes = fsr_codes([stimulus.force_n(t) for t in fsr_t],
+                          self.model.fsr, self.model.divider, self.model.adc).tolist()
+        accel = []
+        for t in accel_t:
+            a = stimulus.accel_mg(t)
+            accel.append((int(a[0]), int(a[1]), int(a[2])))
+
+        # (instant, channel) of every frame; within a tick the firmware
+        # sends the FSR batch, then the accel batch, then battery status
+        fsr_n, accel_n = cfg.fsr_batch, cfg.accel_batch
+        events = sorted(
+            [(t, 0) for t in fsr_t[fsr_n - 1::fsr_n]]
+            + [(t, 1) for t in accel_t[accel_n - 1::accel_n]]
+            + [(t, 2) for t in range(0, total_ms, cfg.battery_period_ms)]
+        )
+        states = self._tick_activity(Counter(t for t, _ in events), total_ms)
+        self._timeline = Timeline.from_ticks(states, cfg.tick_ms)
+        draw = np.array([self.power_profile.power_uw(s) * cfg.tick_ms / UW_MS_PER_MWH
+                         for s in ACTIVITY_STATES])
+
         frames: list[protocol.TelemetryFrame] = []
-        for t in range(0, total_ms, cfg.tick_ms):
-            force = stimulus.force_n(t) if t % cfg.fsr_period_ms == 0 else None
-            accel = stimulus.accel_mg(t) if t % cfg.accel_period_ms == 0 else None
-            frames.extend(self.tick(force, accel))
+        fsr_next = accel_next = metered = 0
+        for t, channel in events:
+            if channel == 0:
+                end = fsr_next + fsr_n
+                self._fsr_buf.extend(zip(fsr_t[fsr_next:end], codes[fsr_next:end]))
+                fsr_next = end
+                frames.append(self._make_fsr_frame())
+            elif channel == 1:
+                end = accel_next + accel_n
+                self._accel_buf.extend(zip(accel_t[accel_next:end], accel[accel_next:end]))
+                accel_next = end
+                frames.append(self._make_accel_frame())
+            else:
+                k = t // cfg.tick_ms
+                self._add_energy(draw[states[metered:k]])
+                metered = k
+                payload = self._measure_battery(t)
+                frames.append(
+                    protocol.TelemetryFrame(
+                        protocol.FrameKind.BATTERY_STATUS, self._next_seq(), self._flags(), payload
+                    )
+                )
+        self._add_energy(draw[states[metered:]])
+        self._fsr_buf.extend(zip(fsr_t[fsr_next:], codes[fsr_next:]))
+        self._accel_buf.extend(zip(accel_t[accel_next:], accel[accel_next:]))
+        self._clock_ms = total_ms
         frames.extend(self.flush())
         return frames
+
+    def _tick_activity(self, emitted: dict[int, int], total_ms: int) -> np.ndarray:
+        """Activity code of every tick up to ``total_ms``, as :meth:`tick` decides it.
+
+        ``emitted`` maps each frame-emitting instant, in time order, to its
+        frame count.  Pending airtime grows only on those ticks and drains by
+        ``tick_ms`` per tick in between, so the queue is walked once per
+        emitting tick.  Leaves ``_tx_remaining_ms`` where the tick loop does,
+        negative when airtime is not a multiple of ``tick_ms``.
+        """
+        cfg = self.config
+        tick = cfg.tick_ms
+        states = np.zeros(total_ms // tick, dtype=np.int8)
+        for period in (cfg.fsr_period_ms, cfg.accel_period_ms, cfg.battery_period_ms):
+            states[::period // tick] = _ACTIVE
+        tx = 0
+        pos = 0  # first tick not yet walked
+        # a zero-frame entry at the last tick drains the queue to the end
+        for t, count in [*emitted.items(), (total_ms - tick, 0)]:
+            k = t // tick
+            if tx > 0:
+                radio = min(-(-tx // tick), k + 1 - pos)
+                states[pos:pos + radio] = _RADIO
+                tx -= radio * tick
+            tx += self.power_profile.tx_ms_per_frame * count
+            pos = k + 1
+        self._tx_remaining_ms = tx
+        return states
+
+    def _add_energy(self, draw: np.ndarray) -> None:
+        """Add per-tick energies to the total one after another, as ``+=`` does."""
+        if draw.size:
+            draw[0] += self._energy_mwh
+            self._energy_mwh = float(np.cumsum(draw)[-1])
 
 
 def encode_session(frames: list[protocol.TelemetryFrame]) -> bytes:

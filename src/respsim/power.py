@@ -42,8 +42,9 @@ class PowerProfile:
         for name in ("p_idle_uw", "p_active_uw", "p_radio_uw"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0")
-        if self.tx_ms_per_frame < 0:
-            raise ParameterError("tx_ms_per_frame must be >= 0")
+        if self.tx_ms_per_frame < 0 or self.tx_ms_per_frame % 1 != 0:
+            raise ParameterError("tx_ms_per_frame must be a whole number >= 0")
+        object.__setattr__(self, "tx_ms_per_frame", int(self.tx_ms_per_frame))
 
     def power_uw(self, state: str) -> float:
         if state == "idle":

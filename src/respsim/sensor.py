@@ -158,6 +158,34 @@ def adc_quantize(v: float, cfg: AdcConfig = AdcConfig()) -> int:
     return min(max(code, 0), cfg.full_scale)
 
 
+def fsr_codes(
+    forces_n,
+    model: FsrModel = FsrModel(),
+    divider: DividerConfig = DividerConfig(),
+    adc: AdcConfig = AdcConfig(),
+) -> np.ndarray:
+    """ADC codes for an array of forces through the whole FSR chain.
+
+    Element by element this equals
+    ``adc_quantize(divider_voltage(fsr_resistance(f, model), divider), adc)``:
+    every float operation runs in the same order as in the scalar chain,
+    so the codes are identical, not merely close.
+    """
+    f = np.asarray(forces_n, dtype=np.float64)
+    bad = ~(f >= 0)
+    if bad.any():
+        raise ParameterError(f"force_n must be >= 0, got {f[bad][0]}")
+    conducts = f > model.f_break_n
+    with np.errstate(over="ignore"):
+        r = model.k_ohm_n / np.where(conducts, f, 1.0)
+    r = np.where(conducts, np.minimum(np.maximum(r, model.r_min_ohm), model.r_max_ohm),
+                 model.r_max_ohm)
+    v = divider.v_dd * divider.r_fixed_ohm / (divider.r_fixed_ohm + r)
+    v = np.minimum(np.maximum(v, 0.0), adc.v_ref)
+    code = np.floor(v / adc.v_ref * adc.full_scale + 0.5).astype(np.int64)
+    return np.minimum(np.maximum(code, 0), adc.full_scale)
+
+
 def adc_to_voltage(code: int, cfg: AdcConfig = AdcConfig()) -> float:
     """Nominal input voltage for an ADC code (code centers)."""
     if not (0 <= code <= cfg.full_scale):

@@ -1,8 +1,12 @@
 """Firmware schedule: cadence counts, batching, flush, energy conservation."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from respsim.firmware import (
+    ArrayStimulus,
     ConstantStimulus,
     DeviceModel,
     FirmwareConfig,
@@ -12,9 +16,9 @@ from respsim.firmware import (
     StimulusError,
     encode_session,
 )
-from respsim.power import accumulate, uniform_profile
+from respsim.power import PowerProfile, accumulate, uniform_profile
 from respsim.protocol import FrameKind
-from respsim.sensor import OcvCurve
+from respsim.sensor import AccelSample, ForceSample, OcvCurve, ParameterError
 
 
 def kind_counts(frames):
@@ -133,6 +137,20 @@ def test_non_divisor_rate_is_invalid_config():
         FirmwareEmulator(FirmwareConfig(fsr_rate_hz=33)).boot()
 
 
+def test_whole_number_schedule_values_may_be_floats():
+    # YAML hands over 2.0 where 2 was meant; both must run the same schedule
+    as_floats = FirmwareEmulator(FirmwareConfig(tick_ms=2.0, battery_period_ms=1000.0),
+                                 power_profile=uniform_profile(400.0, tx_ms_per_frame=3.0))
+    as_ints = FirmwareEmulator(FirmwareConfig(tick_ms=2, battery_period_ms=1000),
+                               power_profile=uniform_profile(400.0, tx_ms_per_frame=3))
+    assert as_floats.run(ConstantStimulus(), 2.5) == as_ints.run(ConstantStimulus(), 2.5)
+    assert as_floats.activity_timeline == as_ints.activity_timeline
+    with pytest.raises(InvalidConfigError):
+        FirmwareConfig(fsr_batch=5.5)
+    with pytest.raises(ParameterError):
+        uniform_profile(400.0, tx_ms_per_frame=2.5)
+
+
 def test_bad_initial_soc_rejected():
     with pytest.raises(InvalidConfigError):
         FirmwareEmulator(initial_soc=1.5)
@@ -211,3 +229,109 @@ def test_fast_discharge_reaches_depleted():
     assert percents[0] == 100
     assert percents[-1] == 0
     assert all(b <= a for a, b in zip(percents, percents[1:]))
+
+
+# ---------------------------------------------------------------------------
+# run() against the tick loop
+# ---------------------------------------------------------------------------
+
+def tick_loop(emu, stimulus, duration_s):
+    """The reference: boot, tick every tick_ms with the stimulus, flush."""
+    emu.boot()
+    cfg = emu.config
+    frames = []
+    for t in range(0, round(duration_s * 1000), cfg.tick_ms):
+        force = stimulus.force_n(t) if t % cfg.fsr_period_ms == 0 else None
+        accel = stimulus.accel_mg(t) if t % cfg.accel_period_ms == 0 else None
+        frames.extend(emu.tick(force, accel))
+    frames.extend(emu.flush())
+    return frames
+
+
+class VaryingStimulus:
+    """A different force on consecutive FSR samples, a moving accel vector."""
+
+    def __init__(self, forces):
+        self.forces = forces
+
+    def force_n(self, t_ms):
+        return self.forces[t_ms // 40 % len(self.forces)]
+
+    def accel_mg(self, t_ms):
+        return (t_ms % 7 - 3, -(t_ms % 11), 1000 - t_ms % 13)
+
+
+@st.composite
+def emulator_setups(draw):
+    tick = draw(st.sampled_from([1, 2, 4, 5, 10, 20]))
+    config = FirmwareConfig(
+        fsr_batch=draw(st.integers(1, 8)),
+        accel_batch=draw(st.integers(1, 16)),
+        battery_period_ms=tick * draw(st.integers(1, 3000 // tick)),
+        tick_ms=tick,
+    )
+    # up to 1e9 uW, enough to empty the pack within a run
+    powers = draw(st.lists(st.floats(0.0, 1e9), min_size=3, max_size=3, unique=True))
+    kwargs = {
+        "config": config,
+        "power_profile": PowerProfile(*powers, tx_ms_per_frame=draw(st.integers(0, 7))),
+        "charging": draw(st.booleans()),
+        "initial_soc": draw(st.floats(0.0, 1.0)),
+    }
+    duration_s = tick * draw(st.integers(0, 6000 // tick)) / 1000
+    forces = draw(st.lists(st.floats(0.0, 300.0), min_size=1, max_size=20))
+    return kwargs, duration_s, forces
+
+
+def observed(emu, frames):
+    return {
+        "frames": frames,
+        "bytes": encode_session(frames),
+        "battery_log": emu.battery_log,
+        "timeline": emu.activity_timeline,
+        "state": emu.state,
+        "soc": emu.soc,
+        "energy_mwh": emu.energy_mwh,
+        "tx_remaining_ms": emu._tx_remaining_ms,
+        "buffers": (emu._fsr_buf, emu._accel_buf),
+    }
+
+
+# airtime of 3 ms on a 2 ms tick leaves the radio queue negative
+@example(({"config": FirmwareConfig(tick_ms=2, battery_period_ms=1000),
+           "power_profile": PowerProfile(10.0, 500.0, 5000.0, tx_ms_per_frame=3)},
+          2.37, [0.0, 4.0, 150.0]))
+@example(({}, 0.0, [4.0]))
+@settings(max_examples=40, deadline=None)
+@given(emulator_setups())
+def test_run_equals_tick_loop(setup):
+    kwargs, duration_s, forces = setup
+    stimulus = VaryingStimulus(forces)
+    bulk = FirmwareEmulator(**kwargs)
+    stepped = FirmwareEmulator(**kwargs)
+    expected = observed(stepped, tick_loop(stepped, stimulus, duration_s))
+    got = observed(bulk, bulk.run(stimulus, duration_s))
+    assert got == expected
+    assert got["energy_mwh"] == expected["energy_mwh"]  # exact, not approx
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_run_rejects_invalid_force_like_tick(bad):
+    emu = FirmwareEmulator()
+    emu.boot()
+    with pytest.raises(ParameterError):
+        emu.tick(bad, (0, 0, 1000))
+    force = [ForceSample(t, bad if t == 400 else 4.0) for t in range(0, 1000, 40)]
+    accel = [AccelSample(t, 0, 0, 1000) for t in range(0, 1000, 20)]
+    with pytest.raises(ParameterError):
+        FirmwareEmulator().run(ArrayStimulus(force, accel), 1.0)
+
+
+@pytest.mark.parametrize("missing", ["force", "accel"])
+def test_run_raises_when_array_stimulus_misses_an_instant(missing):
+    force = [ForceSample(t, 4.0) for t in range(0, 1000, 40)
+             if not (missing == "force" and t == 480)]
+    accel = [AccelSample(t, 0, 0, 1000) for t in range(0, 1000, 20)
+             if not (missing == "accel" and t == 480)]
+    with pytest.raises(StimulusError):
+        FirmwareEmulator().run(ArrayStimulus(force, accel), 1.0)

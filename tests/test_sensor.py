@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from respsim.sensor import (
     AdcConfig,
@@ -18,6 +19,7 @@ from respsim.sensor import (
     battery_sense_voltage,
     battery_voltage,
     divider_voltage,
+    fsr_codes,
     fsr_resistance,
     generate_accel,
     generate_breathing,
@@ -148,6 +150,46 @@ def test_adc_rejects_nan_and_bad_bits():
         AdcConfig(bits=0)
     with pytest.raises(ParameterError):
         AdcConfig(bits=17)
+
+
+# ---------------------------------------------------------------------------
+# FSR chain over arrays
+# ---------------------------------------------------------------------------
+
+def scalar_codes(forces, model=FsrModel(), adc=AdcConfig()):
+    return [adc_quantize(divider_voltage(fsr_resistance(f, model)), adc) for f in forces]
+
+
+def test_fsr_codes_equal_scalar_chain_at_edges():
+    m = FsrModel()
+    forces = [
+        0.0,
+        -0.0,
+        m.f_break_n,
+        math.nextafter(m.f_break_n, math.inf),
+        m.k_ohm_n / m.r_max_ohm,
+        m.k_ohm_n / m.r_min_ohm,   # 100 N: resistance reaches the r_min floor
+        250.0,
+        math.inf,
+    ]
+    assert fsr_codes(forces).tolist() == scalar_codes(forces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    forces=st.lists(st.floats(min_value=0.0, allow_infinity=True), max_size=40),
+    f_break=st.sampled_from([0.0, 0.01, 5.0]),
+    bits=st.integers(1, 16),
+)
+def test_fsr_codes_equal_scalar_chain(forces, f_break, bits):
+    model, adc = FsrModel(f_break_n=f_break), AdcConfig(bits=bits)
+    assert fsr_codes(forces, model, adc=adc).tolist() == scalar_codes(forces, model, adc)
+
+
+@pytest.mark.parametrize("bad", [-0.1, -math.inf, math.nan])
+def test_fsr_codes_reject_negative_and_nan(bad):
+    with pytest.raises(ParameterError):
+        fsr_codes([4.0, bad, 4.0])
 
 
 # ---------------------------------------------------------------------------
