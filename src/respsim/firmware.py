@@ -558,7 +558,10 @@ class FirmwareEmulator:
         return states
 
     def _add_energy(self, draw: np.ndarray) -> None:
-        """Add per-tick energies to the total one after another, as ``+=`` does."""
+        """Add per-tick energies to the total one after another, as ``+=`` does.
+
+        ``draw`` is overwritten with the running sums.
+        """
         if draw.size:
             draw[0] += self._energy_mwh
             self._energy_mwh = float(np.cumsum(draw)[-1])
