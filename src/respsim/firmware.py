@@ -23,7 +23,6 @@ to a tick loop frame for frame, float for float.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol
@@ -173,9 +172,9 @@ class Timeline:
     """
 
     def __init__(self) -> None:
-        self.states = array("b")
-        self.starts = array("q")
-        self.ends = array("q")
+        self.states: list[int] = []
+        self.starts: list[int] = []
+        self.ends: list[int] = []
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -186,11 +185,9 @@ class Timeline:
         timeline = cls()
         if states.size:
             first = np.flatnonzero(np.diff(states)) + 1
-            starts = np.concatenate(([0], first)).astype(np.int64)
-            ends = np.append(first, states.size).astype(np.int64)
-            timeline.states.frombytes(states[starts].tobytes())
-            timeline.starts.frombytes((starts * tick_ms).tobytes())
-            timeline.ends.frombytes((ends * tick_ms).tobytes())
+            timeline.states = states[np.concatenate(([0], first))].tolist()
+            timeline.starts = [0] + (first * tick_ms).tolist()
+            timeline.ends = timeline.starts[1:] + [states.size * tick_ms]
         return timeline
 
 
