@@ -493,8 +493,8 @@ class FirmwareEmulator:
         )
         states = self._tick_activity(Counter(t for t, _ in events), total_ms)
         self._timeline = Timeline.from_ticks(states, cfg.tick_ms)
-        draw = np.array([self.power_profile.power_uw(s) * cfg.tick_ms / UW_MS_PER_MWH
-                         for s in ACTIVITY_STATES])
+        tick_mwh = np.array([self.power_profile.power_uw(s) * cfg.tick_ms / UW_MS_PER_MWH
+                             for s in ACTIVITY_STATES])
 
         frames: list[protocol.TelemetryFrame] = []
         fsr_next = accel_next = metered = 0
@@ -511,7 +511,7 @@ class FirmwareEmulator:
                 frames.append(self._make_accel_frame())
             else:
                 k = t // cfg.tick_ms
-                self._add_energy(draw[states[metered:k]])
+                self._add_energy(tick_mwh[states[metered:k]])
                 metered = k
                 payload = self._measure_battery(t)
                 frames.append(
@@ -519,7 +519,7 @@ class FirmwareEmulator:
                         protocol.FrameKind.BATTERY_STATUS, self._next_seq(), self._flags(), payload
                     )
                 )
-        self._add_energy(draw[states[metered:]])
+        self._add_energy(tick_mwh[states[metered:]])
         self._fsr_buf.extend(zip(fsr_t[fsr_next:], codes[fsr_next:]))
         self._accel_buf.extend(zip(accel_t[accel_next:], accel[accel_next:]))
         self._clock_ms = total_ms
@@ -554,14 +554,14 @@ class FirmwareEmulator:
         self._tx_remaining_ms = tx
         return states
 
-    def _add_energy(self, draw: np.ndarray) -> None:
+    def _add_energy(self, tick_mwh: np.ndarray) -> None:
         """Add per-tick energies to the total one after another, as ``+=`` does.
 
-        ``draw`` is overwritten with the running sums.
+        ``tick_mwh`` is overwritten.
         """
-        if draw.size:
-            draw[0] += self._energy_mwh
-            self._energy_mwh = float(np.cumsum(draw)[-1])
+        if tick_mwh.size:
+            tick_mwh[0] += self._energy_mwh
+            self._energy_mwh = float(np.cumsum(tick_mwh)[-1])
 
 
 def encode_session(frames: list[protocol.TelemetryFrame]) -> bytes:
