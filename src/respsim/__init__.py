@@ -37,7 +37,7 @@ from .protocol import (
     split_stream,
 )
 from .firmware import FirmwareConfig, FirmwareEmulator, InvalidConfigError
-from .power import EnergyReport, PowerProfile, PRESETS, accumulate, battery_life_hours, drain
+from .power import EnergyReport, PowerProfile, PRESETS, accumulate, battery_life_hours
 from .pipeline import (
     analyze_session,
     battery_percent,
@@ -59,7 +59,7 @@ __all__ = [
     "TelemetryFrame", "accumulate", "adc_quantize", "analyze_session",
     "battery_life_hours", "battery_percent", "battery_sense_voltage",
     "battery_voltage", "decode", "detect_breaths", "detect_motion_artifacts",
-    "divider_voltage", "drain", "encode", "estimate_rate", "from_dict",
+    "divider_voltage", "encode", "estimate_rate", "from_dict",
     "fsr_resistance", "generate_accel", "generate_breathing", "load_config",
     "reconstruct_force", "run_session", "split_stream",
 ]

@@ -253,11 +253,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_power(args) -> int:
     cfg = _load_session_config(args)
-    selected_name = args.preset or cfg.power.preset
     if args.preset:
-        profile = PRESETS[args.preset]
+        selected_name, profile = args.preset, PRESETS[args.preset]
     else:
-        profile = cfg.power_profile()
+        selected_name, profile = cfg.power.preset, cfg.power_profile()
+        # custom draws keep power.preset's default name; reporting them under
+        # it would show the preset's published figure instead
+        if cfg.power.p_idle_uw is not None and selected_name in PRESETS:
+            selected_name = "custom"
 
     emulator = FirmwareEmulator(
         config=cfg.firmware,
@@ -269,17 +272,13 @@ def cmd_power(args) -> int:
     emulator.run(ConstantStimulus(), cfg.duration_s)
     timeline = emulator.activity_timeline
 
-    reports = {}
-    for name, preset in PRESETS.items():
-        reports[name] = accumulate(
-            preset, timeline,
-            capacity_mah=cfg.battery.capacity_mah, nominal_v=cfg.battery.nominal_v,
-        )
-    if selected_name not in reports:
-        reports[selected_name] = accumulate(
-            profile, timeline,
-            capacity_mah=cfg.battery.capacity_mah, nominal_v=cfg.battery.nominal_v,
-        )
+    profiles = dict(PRESETS)
+    profiles.setdefault(selected_name, profile)
+    reports = {
+        name: accumulate(p, timeline, capacity_mah=cfg.battery.capacity_mah,
+                         nominal_v=cfg.battery.nominal_v)
+        for name, p in profiles.items()
+    }
     selected = reports[selected_name]
 
     ms_by_state = selected.ms_by_state

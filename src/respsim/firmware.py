@@ -10,7 +10,10 @@ with the final-flush flag when a run ends.
 Energy is accounted per tick from a power profile: a tick is ``radio``
 while frame transmission airtime is pending, ``active`` when any channel
 sampled, and ``idle`` otherwise.  The battery drains continuously, so a
-long enough run walks the reported percent all the way down.
+long enough run walks the reported percent all the way down.  Those
+per-tick states are kept as a :class:`~respsim.power.Timeline`, which
+:attr:`FirmwareEmulator.activity_timeline` hands over as is for
+:func:`~respsim.power.accumulate` to read.
 
 :meth:`FirmwareEmulator.tick` steps that schedule one tick at a time and is
 the reference.  :meth:`FirmwareEmulator.run` derives the same schedule in
@@ -30,7 +33,7 @@ from typing import Protocol
 import numpy as np
 
 from . import protocol
-from .power import ACTIVITY_STATES, ActivityInterval, PowerProfile, PRESETS, UW_MS_PER_MWH
+from .power import ACTIVITY_STATES, PowerProfile, PRESETS, Timeline, UW_MS_PER_MWH
 from .sensor import (
     AdcConfig,
     BatteryState,
@@ -149,7 +152,6 @@ class DeviceState:
     clock_ms: int
     seq: int
     battery: BatteryState
-    accel_configured: bool
 
 
 @dataclass(frozen=True)
@@ -162,33 +164,6 @@ class BatteryMeasurement:
     sense_v: float
     adc_code: int
     percent: int
-
-
-class Timeline:
-    """Merged activity intervals as run-length-encoded integer columns.
-
-    Interval ``i`` is state ``ACTIVITY_STATES[states[i]]`` over
-    ``[starts[i], ends[i])`` ms; neighbouring intervals differ in state.
-    """
-
-    def __init__(self) -> None:
-        self.states: list[int] = []
-        self.starts: list[int] = []
-        self.ends: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    @classmethod
-    def from_ticks(cls, states: np.ndarray, tick_ms: int) -> "Timeline":
-        """Run-length encode one state code per tick, starting at t=0."""
-        timeline = cls()
-        if states.size:
-            first = np.flatnonzero(np.diff(states)) + 1
-            timeline.states = states[np.concatenate(([0], first))].tolist()
-            timeline.starts = [0] + (first * tick_ms).tolist()
-            timeline.ends = timeline.starts[1:] + [states.size * tick_ms]
-        return timeline
 
 
 class StimulusSource(Protocol):
@@ -310,15 +285,12 @@ class FirmwareEmulator:
             clock_ms=self._clock_ms,
             seq=self._seq,
             battery=battery,
-            accel_configured=True,
         )
 
     @property
-    def activity_timeline(self) -> list[ActivityInterval]:
+    def activity_timeline(self) -> Timeline:
         self._require_boot()
-        tl = self._timeline
-        return [ActivityInterval(ACTIVITY_STATES[s], a, b)
-                for s, a, b in zip(tl.states, tl.starts, tl.ends)]
+        return self._timeline
 
     # -- internals ----------------------------------------------------------
 
@@ -493,8 +465,7 @@ class FirmwareEmulator:
         )
         states = self._tick_activity(Counter(t for t, _ in events), total_ms)
         self._timeline = Timeline.from_ticks(states, cfg.tick_ms)
-        tick_mwh = np.array([self.power_profile.power_uw(s) * cfg.tick_ms / UW_MS_PER_MWH
-                             for s in ACTIVITY_STATES])
+        tick_mwh = self.power_profile.state_powers_uw() * cfg.tick_ms / UW_MS_PER_MWH
 
         frames: list[protocol.TelemetryFrame] = []
         fsr_next = accel_next = metered = 0

@@ -1,18 +1,25 @@
-"""Power profiles, energy accumulation, and battery-life projection.
+"""Power profiles, activity timelines, energy accumulation, and battery life.
 
 The device's published power figures disagree by an order of magnitude
 (400 microwatts in one place, 4.9 milliwatts in another), so both are kept
 as named presets — ``abstract-claim`` and ``intro-claim`` — and the audit
 report always projects battery life under each so the contradiction stays
 visible instead of silently picking a side.
+
+Device activity is a :class:`Timeline`: run-length-encoded integer columns
+of state codes and interval edges, as the firmware emulator records them.
+:func:`accumulate` integrates a profile over those columns with numpy,
+adding the per-interval energies in time order with ``np.cumsum`` so the
+sum is the one an interval-by-interval ``+=`` gives, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
 
-from .sensor import BatteryState, ParameterError
+import numpy as np
+
+from .sensor import ParameterError
 
 MS_PER_HOUR = 3_600_000.0
 # microwatt-milliseconds per milliwatt-hour: 1 mWh = 1000 uW * 3600 * 1000 ms
@@ -21,8 +28,31 @@ UW_MS_PER_MWH = 3.6e9
 ACTIVITY_STATES = ("idle", "active", "radio")
 
 
-class OverlapError(ValueError):
-    """Activity intervals overlap or run backwards in time."""
+@dataclass
+class Timeline:
+    """Merged activity intervals as run-length-encoded integer columns.
+
+    Interval ``i`` is state ``ACTIVITY_STATES[states[i]]`` over
+    ``[starts[i], ends[i])`` ms.  Intervals are time-ordered and contiguous,
+    and neighbouring intervals differ in state.
+    """
+
+    states: list[int] = field(default_factory=list)
+    starts: list[int] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    @classmethod
+    def from_ticks(cls, states: np.ndarray, tick_ms: int) -> "Timeline":
+        """Run-length encode one state code per tick, starting at t=0."""
+        if not states.size:
+            return cls()
+        first = np.flatnonzero(np.diff(states)) + 1
+        starts = [0] + (first * tick_ms).tolist()
+        return cls(states[np.concatenate(([0], first))].tolist(),
+                   starts, starts[1:] + [states.size * tick_ms])
 
 
 class ZeroPowerError(ValueError):
@@ -55,6 +85,10 @@ class PowerProfile:
             return self.p_radio_uw
         raise ParameterError(f"unknown activity state {state!r}")
 
+    def state_powers_uw(self) -> np.ndarray:
+        """Draw of every state in microwatts, indexed like ``ACTIVITY_STATES``."""
+        return np.array([self.power_uw(state) for state in ACTIVITY_STATES], dtype=float)
+
 
 def uniform_profile(p_uw: float, tx_ms_per_frame: int = 2) -> PowerProfile:
     """A profile drawing the same power in every state."""
@@ -67,25 +101,6 @@ PRESETS: dict[str, PowerProfile] = {
     "abstract-claim": uniform_profile(400.0),
     "intro-claim": uniform_profile(4900.0),
 }
-
-
-@dataclass(frozen=True)
-class ActivityInterval:
-    state: str
-    start_ms: int
-    end_ms: int
-
-    def __post_init__(self) -> None:
-        if self.state not in ACTIVITY_STATES:
-            raise ParameterError(f"unknown activity state {self.state!r}")
-        if self.end_ms <= self.start_ms:
-            raise OverlapError(
-                f"interval must run forward, got [{self.start_ms}, {self.end_ms})"
-            )
-
-    @property
-    def duration_ms(self) -> int:
-        return self.end_ms - self.start_ms
 
 
 @dataclass(frozen=True)
@@ -112,29 +127,23 @@ def battery_life_hours(
 
 def accumulate(
     profile: PowerProfile,
-    timeline: Sequence[ActivityInterval] | Iterable[ActivityInterval],
+    timeline: Timeline,
     capacity_mah: float = 450.0,
     nominal_v: float = 3.7,
 ) -> EnergyReport:
-    """Integrate a profile over an activity timeline into an energy report.
-
-    Intervals must be non-overlapping and time-ordered; gaps are allowed
-    and count as no draw (they also don't count toward the duration).
-    """
-    intervals = list(timeline)
-    last_end = None
-    energy_mwh = 0.0
-    total_ms = 0
-    ms_by_state = {state: 0 for state in ACTIVITY_STATES}
-    for iv in intervals:
-        if last_end is not None and iv.start_ms < last_end:
-            raise OverlapError(
-                f"interval [{iv.start_ms}, {iv.end_ms}) overlaps previous end {last_end}"
-            )
-        last_end = iv.end_ms
-        energy_mwh += profile.power_uw(iv.state) * iv.duration_ms / UW_MS_PER_MWH
-        total_ms += iv.duration_ms
-        ms_by_state[iv.state] += iv.duration_ms
+    """Integrate a profile over an activity timeline into an energy report."""
+    states = np.array(timeline.states, dtype=np.int8)
+    durations = np.array(timeline.ends, dtype=np.int64)
+    durations -= np.array(timeline.starts, dtype=np.int64)
+    # in place: fewer temporaries of the timeline's length raise peak memory
+    interval_mwh = profile.state_powers_uw()[states]
+    interval_mwh *= durations
+    interval_mwh /= UW_MS_PER_MWH
+    # sequential, like adding interval by interval; np.sum would add pairwise
+    energy_mwh = float(np.cumsum(interval_mwh)[-1]) if durations.size else 0.0
+    total_ms = int(durations.sum())
+    ms_by_state = {state: int(durations[states == code].sum())
+                   for code, state in enumerate(ACTIVITY_STATES)}
     duration_s = total_ms / 1000.0
     if total_ms > 0:
         average_uw = energy_mwh * UW_MS_PER_MWH / total_ms
@@ -151,20 +160,3 @@ def accumulate(
         projected_battery_life_h=life_h,
         ms_by_state=ms_by_state,
     )
-
-
-def drain(battery: BatteryState, energy_mwh: float, nominal_v: float = 3.7) -> BatteryState:
-    """Withdraw energy from a battery, clamping at empty.
-
-    The state of charge drops by ``energy_mwh / (capacity_mah * nominal_v)``
-    — at the default 450 mAh / 3.7 V pack, draining 1665 mWh takes soc from
-    1.0 exactly to 0.0 and marks the pack depleted.
-    """
-    if energy_mwh < 0:
-        raise ParameterError(f"energy_mwh must be >= 0, got {energy_mwh}")
-    if nominal_v <= 0:
-        raise ParameterError(f"nominal_v must be positive, got {nominal_v}")
-    soc = battery.soc - energy_mwh / (battery.capacity_mah * nominal_v)
-    if soc <= 0.0:
-        return replace(battery, soc=0.0, depleted=True)
-    return replace(battery, soc=soc)

@@ -81,22 +81,15 @@ def _crc8_table(poly: int) -> bytes:
 _CRC8_07 = _crc8_table(0x07)
 
 
-def crc8(data: bytes, poly: int = 0x07, init: int = 0x00) -> int:
-    """CRC-8 (MSB first, no reflection, no final xor).
+def crc8(data: bytes) -> int:
+    """CRC-8, polynomial 0x07 (MSB first, init 0, no reflection, no final xor).
 
-    Table-driven for the default polynomial — this sits on the decode hot
-    path — with a bitwise fallback for any other generator.
+    Table-driven: this sits on the decode hot path.
     """
-    crc = init
-    if poly == 0x07:
-        table = _CRC8_07
-        for byte in data:
-            crc = table[crc ^ byte]
-        return crc
+    crc = 0
+    table = _CRC8_07
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            crc = ((crc << 1) ^ poly) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        crc = table[crc ^ byte]
     return crc
 
 

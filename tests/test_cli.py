@@ -326,6 +326,27 @@ def test_power_custom_profile_duty_cycle(tmp_path, capsys):
     assert code == 0
     audit = json.loads((tmp_path / "audit.json").read_text())
     selected = audit["selected"]
-    avg = audit["reports"][selected]["average_power_uw"]
+    report = audit["reports"][selected]
+    # the selected report is the profile that drove the emulation, not the
+    # preset whose name the config's default power.preset still carries
+    ms = audit["ms_by_state"]
+    expected = (0 * ms["idle"] + 1000 * ms["active"] + 5000 * ms["radio"]) / 3.6e9
+    assert report["energy_mwh"] == pytest.approx(expected, rel=1e-12)
     # mostly idle at 0 uW: the duty-cycled average must sit far below active
-    assert 0 < avg < 1000
+    assert 0 < report["average_power_uw"] < 1000
+    # the preset rows keep the published figures
+    assert audit["reports"]["abstract-claim"]["average_power_uw"] == pytest.approx(400.0)
+    assert audit["reports"]["intro-claim"]["average_power_uw"] == pytest.approx(4900.0)
+
+
+def test_power_zero_duration(capsys, tmp_path):
+    out = str(tmp_path / "audit.json")
+    code, _, _ = run_cli(capsys, "power", "--duration", "0", "--out", out)
+    assert code == 0
+    audit = json.loads((tmp_path / "audit.json").read_text())
+    assert audit["duration_s"] == 0.0
+    assert audit["ms_by_state"] == {"idle": 0, "active": 0, "radio": 0}
+    for report in audit["reports"].values():
+        assert report["energy_mwh"] == 0.0
+        assert report["average_power_uw"] == 0.0
+        assert report["projected_battery_life_h"] == float("inf")

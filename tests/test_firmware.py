@@ -35,7 +35,6 @@ def test_boot_reports_full_charge():
     assert state.seq == 0
     assert state.battery.v_terminal == pytest.approx(4.2)
     assert state.battery.soc == 1.0
-    assert state.accel_configured
 
 
 def test_tick_before_boot_raises():
@@ -190,13 +189,13 @@ def test_timeline_covers_run_without_overlap():
     emu = FirmwareEmulator()
     emu.run(ConstantStimulus(), 3.0)
     timeline = emu.activity_timeline
-    assert timeline[0].start_ms == 0
-    assert timeline[-1].end_ms == 3000
-    for a, b in zip(timeline, timeline[1:]):
-        assert a.end_ms == b.start_ms
-        assert a.state != b.state          # merged: neighbors always differ
-    total = sum(iv.duration_ms for iv in timeline)
-    assert total == 3000
+    assert len(timeline) == len(timeline.states) == len(timeline.ends)
+    assert timeline.starts[0] == 0
+    assert timeline.ends[-1] == 3000
+    assert timeline.starts[1:] == timeline.ends[:-1]
+    assert all(a < b for a, b in zip(timeline.starts, timeline.ends))
+    # merged: neighbors always differ
+    assert all(a != b for a, b in zip(timeline.states, timeline.states[1:]))
 
 
 def test_radio_time_scales_with_frames():

@@ -1,25 +1,34 @@
-"""Energy accumulation, battery-life projection, and drain arithmetic."""
+"""Energy accumulation over activity timelines, and battery-life projection."""
+
+from itertools import accumulate as running_total
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from respsim.power import (
+    ACTIVITY_STATES,
     PRESETS,
-    ActivityInterval,
-    OverlapError,
+    UW_MS_PER_MWH,
     PowerProfile,
+    Timeline,
     ZeroPowerError,
     accumulate,
     battery_life_hours,
-    drain,
     uniform_profile,
 )
-from respsim.sensor import BatteryState, ParameterError
+from respsim.sensor import ParameterError
+
+
+def runs(*pairs):
+    """A timeline of ``(state, duration_ms)`` runs starting at t=0."""
+    ends = list(running_total(duration for _, duration in pairs))
+    return Timeline([ACTIVITY_STATES.index(state) for state, _ in pairs],
+                    [0] + ends[:-1], ends)
 
 
 def test_constant_400uw_for_one_hour_is_0p4_mwh():
     profile = uniform_profile(400.0)
-    timeline = [ActivityInterval("active", 0, 3_600_000)]
-    report = accumulate(profile, timeline)
+    report = accumulate(profile, runs(("active", 3_600_000)))
     assert report.energy_mwh == pytest.approx(0.4, rel=1e-12)
     assert report.average_power_uw == pytest.approx(400.0, rel=1e-12)
     assert report.duration_s == 3600.0
@@ -27,7 +36,7 @@ def test_constant_400uw_for_one_hour_is_0p4_mwh():
 
 def test_zero_power_zero_energy():
     profile = uniform_profile(0.0)
-    report = accumulate(profile, [ActivityInterval("idle", 0, 10_000)])
+    report = accumulate(profile, runs(("idle", 10_000)))
     assert report.energy_mwh == 0.0
     assert report.average_power_uw == 0.0
     assert report.projected_battery_life_h == float("inf")
@@ -36,31 +45,14 @@ def test_zero_power_zero_energy():
 def test_duty_cycle_average():
     # half the time at 4900 uW, half idle at 0: average 2450 uW
     profile = PowerProfile(p_idle_uw=0.0, p_active_uw=4900.0, p_radio_uw=4900.0)
-    timeline = [
-        ActivityInterval("active", 0, 30_000),
-        ActivityInterval("idle", 30_000, 60_000),
-    ]
-    report = accumulate(profile, timeline)
+    report = accumulate(profile, runs(("active", 30_000), ("idle", 30_000)))
     assert report.average_power_uw == pytest.approx(2450.0, rel=1e-12)
     assert report.ms_by_state == {"idle": 30_000, "active": 30_000, "radio": 0}
 
 
-def test_gaps_are_allowed_but_overlap_is_not():
-    profile = uniform_profile(100.0)
-    gappy = [ActivityInterval("idle", 0, 100), ActivityInterval("idle", 500, 600)]
-    assert accumulate(profile, gappy).duration_s == pytest.approx(0.2)
-    with pytest.raises(OverlapError):
-        accumulate(profile, [
-            ActivityInterval("idle", 0, 100),
-            ActivityInterval("idle", 50, 150),
-        ])
-    with pytest.raises(OverlapError):
-        ActivityInterval("idle", 100, 100)
-
-
 def test_interval_state_validation():
     with pytest.raises(ParameterError):
-        ActivityInterval("sleeping", 0, 10)
+        PowerProfile(1.0, 2.0, 3.0).power_uw("sleeping")
     with pytest.raises(ParameterError):
         PowerProfile(-1.0, 0.0, 0.0)
 
@@ -92,48 +84,48 @@ def test_presets_are_uniform_claims():
     assert PRESETS["abstract-claim"].power_uw("radio") == 400.0
     assert PRESETS["intro-claim"].power_uw("active") == 4900.0
     # a uniform profile reproduces its claim over any timeline shape
-    timeline = [
-        ActivityInterval("idle", 0, 123),
-        ActivityInterval("radio", 123, 130),
-        ActivityInterval("active", 200, 460),
-    ]
+    timeline = runs(("idle", 123), ("radio", 7), ("active", 330))
     for name, expected in (("abstract-claim", 400.0), ("intro-claim", 4900.0)):
         report = accumulate(PRESETS[name], timeline)
         assert report.average_power_uw == pytest.approx(expected, rel=1e-12)
 
 
-def test_drain_zero_energy_is_identity():
-    b = BatteryState()
-    after = drain(b, 0.0)
-    assert after.soc == b.soc
-    assert not after.depleted
+# ---------------------------------------------------------------------------
+# accumulate against the interval-by-interval loop
+# ---------------------------------------------------------------------------
+
+def reference_accumulate(profile, timeline):
+    """The reference: add each interval's energy and time with ``+=``, in order."""
+    energy_mwh = 0.0
+    total_ms = 0
+    ms_by_state = {state: 0 for state in ACTIVITY_STATES}
+    for code, start, end in zip(timeline.states, timeline.starts, timeline.ends):
+        state = ACTIVITY_STATES[code]
+        energy_mwh += profile.power_uw(state) * (end - start) / UW_MS_PER_MWH
+        total_ms += end - start
+        ms_by_state[state] += end - start
+    average_uw = energy_mwh * UW_MS_PER_MWH / total_ms if total_ms > 0 else 0.0
+    return energy_mwh, ms_by_state, total_ms / 1000.0, average_uw
 
 
-def test_drain_full_pack_energy_reaches_empty():
-    # 450 mAh * 3.7 V = 1665 mWh drains a full pack exactly to zero
-    after = drain(BatteryState(), 1665.0)
-    assert after.soc == 0.0
-    assert after.depleted
+@st.composite
+def timelines(draw):
+    # each run moves to one of the two other states, as a merged timeline does
+    steps = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 10**7)), max_size=300))
+    state = draw(st.integers(0, len(ACTIVITY_STATES) - 1))
+    pairs = []
+    for step, duration in steps:
+        pairs.append((ACTIVITY_STATES[state], duration))
+        state = (state + step) % len(ACTIVITY_STATES)
+    return runs(*pairs)
 
 
-def test_drain_clamps_below_empty():
-    after = drain(BatteryState(soc=0.1), 1665.0)
-    assert after.soc == 0.0
-    assert after.depleted
-
-
-def test_drain_half_pack():
-    after = drain(BatteryState(), 832.5)
-    assert after.soc == pytest.approx(0.5, rel=1e-12)
-    assert not after.depleted
-
-
-def test_drain_additivity():
-    one_shot = drain(BatteryState(), 600.0)
-    two_step = drain(drain(BatteryState(), 250.0), 350.0)
-    assert two_step.soc == pytest.approx(one_shot.soc, rel=1e-12)
-
-
-def test_drain_rejects_negative_energy():
-    with pytest.raises(ParameterError):
-        drain(BatteryState(), -1.0)
+@example(Timeline(), [400.0, 500.0, 600.0])
+@settings(max_examples=200, deadline=None)
+@given(timelines(), st.lists(st.floats(0.0, 1e9) | st.integers(0, 10**6),
+                             min_size=3, max_size=3, unique=True))
+def test_accumulate_equals_interval_loop(timeline, powers):
+    profile = PowerProfile(*powers)
+    report = accumulate(profile, timeline)
+    got = (report.energy_mwh, report.ms_by_state, report.duration_s, report.average_power_uw)
+    assert got == reference_accumulate(profile, timeline)  # exact, not approx
