@@ -1,5 +1,6 @@
 """Host pipeline: chain inversion, breath/artifact detection, export."""
 
+import csv
 import io
 import json
 
@@ -25,7 +26,12 @@ from respsim.pipeline import (
     reconstruct_force,
     summarize,
 )
-from respsim.protocol import BatteryStatusPayload, FrameKind, TelemetryFrame
+from respsim.protocol import (
+    BatteryStatusPayload,
+    FrameKind,
+    FsrBatchPayload,
+    TelemetryFrame,
+)
 from respsim.sensor import (
     AccelSample,
     AdcConfig,
@@ -434,6 +440,24 @@ def test_export_jsonl_round_trips():
     assert isinstance(fsr[0]["force_n"], float)
     battery = [r for r in parsed if r["record"] == "battery"]
     assert battery[0]["percent_device"] == battery[0]["percent_host"] == 100
+
+
+def test_export_marks_rails_and_leaves_their_force_empty():
+    frames = [TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, FsrBatchPayload(0, (0, 4095, 2000)))]
+    result = analyze_session(frames)
+    buf = io.StringIO()
+    export_csv(result, buf)
+    rows = [r for r in csv.DictReader(io.StringIO(buf.getvalue())) if r["record"] == "fsr"]
+    assert [(r["code"], r["saturated"]) for r in rows] == [
+        ("0", "low"), ("4095", "high"), ("2000", "")]
+    assert [r["force_n"] for r in rows[:2]] == ["", ""]
+    assert float(rows[2]["force_n"]) > 0
+    buf = io.StringIO()
+    export_jsonl(result, buf)
+    parsed = [json.loads(line) for line in buf.getvalue().splitlines()]
+    parsed = [r for r in parsed if r["record"] == "fsr"]
+    assert ["force_n" in r for r in parsed] == [False, False, True]
+    assert [r["saturated"] for r in parsed] == ["low", "high", ""]
 
 
 def test_export_empty_session_is_header_only():
