@@ -253,14 +253,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_power(args) -> int:
     cfg = _load_session_config(args)
-    if args.preset:
-        selected_name, profile = args.preset, PRESETS[args.preset]
-    else:
-        selected_name, profile = cfg.power.preset, cfg.power_profile()
-        # custom draws keep power.preset's default name; reporting them under
-        # it would show the preset's published figure instead
-        if cfg.power.p_idle_uw is not None and selected_name in PRESETS:
-            selected_name = "custom"
+    # the config's profile always drives the emulation; --preset only picks
+    # which report headlines the table
+    own_name, profile = cfg.power.preset, cfg.power_profile()
+    # custom draws keep power.preset's default name; reporting them under
+    # it would show the preset's published figure instead
+    if cfg.power.p_idle_uw is not None and own_name in PRESETS:
+        own_name = "custom"
+    selected_name = args.preset or own_name
 
     emulator = FirmwareEmulator(
         config=cfg.firmware,
@@ -273,7 +273,7 @@ def cmd_power(args) -> int:
     timeline = emulator.activity_timeline
 
     profiles = dict(PRESETS)
-    profiles.setdefault(selected_name, profile)
+    profiles.setdefault(own_name, profile)
     reports = {
         name: accumulate(p, timeline, capacity_mah=cfg.battery.capacity_mah,
                          nominal_v=cfg.battery.nominal_v)

@@ -315,6 +315,17 @@ def test_power_preset_flag_headlines_selection(capsys):
     assert marked[0].startswith("intro-claim")
 
 
+def test_power_preset_flag_keeps_the_emulated_activity(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("power:\n  tx_ms_per_frame: 5\n")
+    argv = ("power", "--config", str(cfg), "--duration", "10")
+    plain = run_cli(capsys, *argv)[1]
+    flagged = run_cli(capsys, *argv, "--preset", "abstract-claim")[1]
+    activity = [l for l in plain.splitlines() if l.startswith("activity:")]
+    assert activity == [l for l in flagged.splitlines() if l.startswith("activity:")]
+    assert "radio=525 ms" in activity[0]
+
+
 def test_power_custom_profile_duty_cycle(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(
