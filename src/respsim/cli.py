@@ -229,17 +229,7 @@ def cmd_analyze(args) -> int:
     if data and not frames:
         print("no decodable frames in input", file=sys.stderr)
         return EXIT_CORRUPT
-    ocv_volts = [v for _, v in cfg.battery.ocv_points]
-    result = pipeline.analyze_session(
-        frames,
-        analysis=cfg.analysis,
-        adc=cfg.adc,
-        divider=cfg.divider,
-        fsr=cfg.fsr,
-        sense_ratio=cfg.battery.sense_ratio,
-        v_min=min(ocv_volts),
-        v_max=max(ocv_volts),
-    )
+    result = pipeline.analyze_session(frames, cfg.analysis, cfg.device_model())
     summary = pipeline.summarize(result)
     summary["resyncs"] = len(resyncs)
     summary["skipped_bytes"] = sum(ev.skipped for ev in resyncs)

@@ -1,11 +1,14 @@
 """Host-side decoding pipeline: from frames back to physiology.
 
-Given a decoded frame sequence this module rebuilds the sample series,
-inverts the electrical chain (code -> voltage -> resistance -> force),
-detects breaths on the detrended force signal, masks motion artifacts
-using the accelerometer magnitude, estimates respiration rate per window,
-recomputes battery percent independently of the device's own number, and
-exports everything as delimited rows for downstream tools.
+Given a decoded frame sequence this module rebuilds the sample series as
+numpy columns, inverts the electrical chain (code -> voltage -> resistance
+-> force) over a whole array at once, detects breaths on the detrended
+force signal, masks motion artifacts using the accelerometer magnitude,
+estimates respiration rate per window, recomputes battery percent from the
+raw sense code with the device's own percent map, and exports everything
+as delimited rows for downstream tools.  The electrical chain is one
+:class:`~respsim.firmware.DeviceModel`, the same object the firmware
+emulator runs on.
 
 Ordering is reconstructed from payload timestamps, not sequence numbers:
 seq is 16-bit and wraps, while the millisecond timestamps are 32-bit and
@@ -19,20 +22,16 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy.signal import find_peaks
 
+from .firmware import DeviceModel
 from .protocol import FrameKind, TelemetryFrame
-from .sensor import (
-    AccelSample,
-    AdcConfig,
-    DividerConfig,
-    FsrModel,
-    _round_half_up,
-    adc_to_voltage,
-)
+from .sensor import adc_to_voltage
 
 log = logging.getLogger("respsim.pipeline")
 
@@ -45,66 +44,46 @@ class InsufficientDataError(ValueError):
 # chain inversion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReconstructedForce:
-    force_n: float | None
-    saturated_low: bool
-    saturated_high: bool
-
-
-def reconstruct_force(
-    code: int,
-    adc: AdcConfig = AdcConfig(),
-    divider: DividerConfig = DividerConfig(),
-    fsr: FsrModel = FsrModel(),
-) -> ReconstructedForce:
-    """Invert code -> voltage -> divider -> inverse-law force.
+def reconstruct_force(codes, model: DeviceModel = DeviceModel()) -> np.ndarray:
+    """Invert code -> voltage -> divider -> inverse-law force, code by code.
 
     The rails are unresolvable: code 0 means the divider output was at or
     below ground (sensor open, force indistinguishable from zero) and full
     scale means the sensor leg was effectively shorted (force beyond
-    measurement), so both return ``force_n=None`` with the matching flag.
+    measurement), so both give NaN.  Every float operation runs in the
+    order of the one-code inversion ``k / (r_fixed * (v_dd - v) / v)`` with
+    ``v = code / full_scale * v_ref``, so the forces are identical to it,
+    not merely close.
     """
-    if code <= 0:
-        return ReconstructedForce(None, True, False)
-    if code >= adc.full_scale:
-        return ReconstructedForce(None, False, True)
-    v = adc_to_voltage(code, adc)
-    if v >= divider.v_dd:
-        return ReconstructedForce(None, False, True)
-    r_fsr = divider.r_fixed_ohm * (divider.v_dd - v) / v
-    return ReconstructedForce(fsr.k_ohm_n / r_fsr, False, False)
+    adc, divider = model.adc, model.divider
+    code = np.asarray(codes, dtype=np.int64)
+    v = code / adc.full_scale * adc.v_ref
+    resolved = (code > 0) & (code < adc.full_scale) & (v < divider.v_dd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_fsr = divider.r_fixed_ohm * (divider.v_dd - v) / v
+        return np.where(resolved, model.fsr.k_ohm_n / r_fsr, np.nan)
 
 
-def battery_percent(
-    adc_code: int,
-    adc: AdcConfig = AdcConfig(),
-    sense_ratio: float = 0.4,
-    v_min: float = 3.3,
-    v_max: float = 4.2,
-) -> int:
+def battery_percent(adc_code: int, model: DeviceModel = DeviceModel()) -> int:
     """Charge percent recomputed from the raw sense-divider ADC code.
 
-    Same rounding as the firmware (half up), so the host and device
-    percents may differ by at most the quantization-induced wobble.
+    The code is scaled back to the terminal voltage and mapped by the
+    device's own :meth:`~respsim.firmware.DeviceModel.device_percent`, so
+    host and device share the OCV ends and the rounding and differ only by
+    the quantization of the sense voltage.
     """
-    v_sense = adc_to_voltage(adc_code, adc)
-    v_batt = v_sense / sense_ratio
-    pct = 100.0 * (v_batt - v_min) / (v_max - v_min)
-    return _round_half_up(min(max(pct, 0.0), 100.0))
+    return model.device_percent(adc_to_voltage(adc_code, model.adc) / model.sense_ratio)
 
 
 # ---------------------------------------------------------------------------
 # series extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FsrPoint:
-    t_ms: int
-    code: int
-    force_n: float | None
-    saturated_low: bool
-    saturated_high: bool
+# force_n is NaN at the rails: low at code <= 0, high otherwise
+FSR_DTYPE = np.dtype([("t_ms", np.int64), ("code", np.int64), ("force_n", np.float64)])
+ACCEL_DTYPE = np.dtype(
+    [("t_ms", np.int64), ("x_mg", np.int64), ("y_mg", np.int64), ("z_mg", np.int64)]
+)
 
 
 @dataclass(frozen=True)
@@ -146,10 +125,28 @@ def _count_seq_gaps(seqs: list[int]) -> int:
     return max(seen) - min(seen) + 1 - len(seen)
 
 
+def _sample_times(batches: list[tuple[int, tuple]], period_ms: float) -> np.ndarray:
+    """``round(t0 + j * period_ms)`` for sample j of each (t0, samples) batch.
+
+    numpy rounds half to even, as round() does, so the instants equal a
+    per-sample loop's.
+    """
+    counts = np.array([len(samples) for _, samples in batches], dtype=np.int64)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    t0 = np.repeat(np.array([t0 for t0, _ in batches], dtype=np.int64), counts)
+    return np.round(t0 + j * period_ms).astype(np.int64)
+
+
 @dataclass
 class ExtractedSeries:
-    fsr: list[FsrPoint]
-    accel: list[AccelSample]
+    """Per-channel samples in time order.
+
+    ``fsr`` holds :data:`FSR_DTYPE` rows and ``accel`` :data:`ACCEL_DTYPE`
+    rows; ``len()`` of either is its sample count.
+    """
+
+    fsr: np.ndarray
+    accel: np.ndarray
     battery: list[BatteryPoint]
     fsr_period_ms: float
     accel_period_ms: float
@@ -159,26 +156,21 @@ class ExtractedSeries:
 
 def extract_series(
     frames: Iterable[TelemetryFrame],
-    adc: AdcConfig = AdcConfig(),
-    divider: DividerConfig = DividerConfig(),
-    fsr: FsrModel = FsrModel(),
-    sense_ratio: float = 0.4,
-    v_min: float = 3.3,
-    v_max: float = 4.2,
+    model: DeviceModel = DeviceModel(),
 ) -> ExtractedSeries:
     """Unpack frames into time-ordered per-channel sample series."""
     frames = list(frames)
     counts = {"fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
-    fsr_frames: list[tuple[int, TelemetryFrame]] = []
-    accel_frames: list[tuple[int, TelemetryFrame]] = []
+    fsr_batches: list[tuple[int, tuple[int, ...]]] = []
+    accel_batches: list[tuple[int, tuple[tuple[int, int, int], ...]]] = []
     battery_points: list[BatteryPoint] = []
     for f in frames:
         if f.kind == FrameKind.FSR_BATCH:
             counts["fsr_batch"] += 1
-            fsr_frames.append((f.payload.t0_ms, f))
+            fsr_batches.append((f.payload.t0_ms, f.payload.codes))
         elif f.kind == FrameKind.ACCEL_BATCH:
             counts["accel_batch"] += 1
-            accel_frames.append((f.payload.t0_ms, f))
+            accel_batches.append((f.payload.t0_ms, f.payload.samples))
         elif f.kind == FrameKind.BATTERY_STATUS:
             counts["battery_status"] += 1
             p = f.payload
@@ -187,48 +179,37 @@ def extract_series(
                     t_ms=p.t_ms,
                     adc_code=p.adc_code,
                     device_percent=p.percent,
-                    host_percent=battery_percent(p.adc_code, adc, sense_ratio, v_min, v_max),
+                    host_percent=battery_percent(p.adc_code, model),
                     charging=f.charging,
                 )
             )
-    fsr_frames.sort(key=lambda item: item[0])
-    accel_frames.sort(key=lambda item: item[0])
+    # stable sorts: batches and samples with equal instants keep receive order
+    fsr_batches.sort(key=itemgetter(0))
+    accel_batches.sort(key=itemgetter(0))
     battery_points.sort(key=lambda p: p.t_ms)
 
     fsr_period = _infer_period_ms(
-        [t for t, _ in fsr_frames],
-        [len(f.payload.codes) for _, f in fsr_frames],
-        fallback=40,
+        [t for t, _ in fsr_batches], [len(c) for _, c in fsr_batches], fallback=40
     )
     accel_period = _infer_period_ms(
-        [t for t, _ in accel_frames],
-        [len(f.payload.samples) for _, f in accel_frames],
-        fallback=20,
+        [t for t, _ in accel_batches], [len(s) for _, s in accel_batches], fallback=20
     )
 
-    fsr_points: list[FsrPoint] = []
-    for t0, f in fsr_frames:
-        for j, code in enumerate(f.payload.codes):
-            rec = reconstruct_force(code, adc, divider, fsr)
-            fsr_points.append(
-                FsrPoint(
-                    t_ms=int(round(t0 + j * fsr_period)),
-                    code=code,
-                    force_n=rec.force_n,
-                    saturated_low=rec.saturated_low,
-                    saturated_high=rec.saturated_high,
-                )
-            )
-    accel_points: list[AccelSample] = []
-    for t0, f in accel_frames:
-        for j, (x, y, z) in enumerate(f.payload.samples):
-            accel_points.append(AccelSample(int(round(t0 + j * accel_period)), x, y, z))
-    fsr_points.sort(key=lambda p: p.t_ms)
-    accel_points.sort(key=lambda p: p.t_ms)
+    fsr = np.empty(sum(len(c) for _, c in fsr_batches), dtype=FSR_DTYPE)
+    fsr["t_ms"] = _sample_times(fsr_batches, fsr_period)
+    fsr["code"] = np.fromiter(chain.from_iterable(c for _, c in fsr_batches),
+                              dtype=np.int64, count=len(fsr))
+    fsr["force_n"] = reconstruct_force(fsr["code"], model)
+
+    accel = np.empty(sum(len(s) for _, s in accel_batches), dtype=ACCEL_DTYPE)
+    accel["t_ms"] = _sample_times(accel_batches, accel_period)
+    xyz = np.fromiter(chain.from_iterable(chain.from_iterable(s for _, s in accel_batches)),
+                      dtype=np.int64, count=3 * len(accel)).reshape(-1, 3)
+    accel["x_mg"], accel["y_mg"], accel["z_mg"] = xyz.T
 
     return ExtractedSeries(
-        fsr=fsr_points,
-        accel=accel_points,
+        fsr=fsr[np.argsort(fsr["t_ms"], kind="stable")],
+        accel=accel[np.argsort(accel["t_ms"], kind="stable")],
         battery=battery_points,
         fsr_period_ms=fsr_period,
         accel_period_ms=accel_period,
@@ -311,12 +292,28 @@ def detect_breaths(
 
 @dataclass(frozen=True)
 class ArtifactMask:
-    """Half-open [start_ms, end_ms) intervals flagged as motion-corrupted."""
+    """Half-open [start_ms, end_ms) intervals flagged as motion-corrupted.
+
+    The intervals are sorted and disjoint: each one ends at or before the
+    next one starts.  :func:`detect_motion_artifacts` builds them that way,
+    and :meth:`contains` depends on it.
+    """
 
     intervals: tuple[tuple[int, int], ...] = ()
 
-    def contains(self, t_ms: float) -> bool:
-        return any(a <= t_ms < b for a, b in self.intervals)
+    def contains(self, t_ms) -> np.ndarray:
+        """Whether each instant in ``t_ms`` falls inside an interval.
+
+        One ``searchsorted`` over the interval starts finds the last
+        interval starting at or before each instant; the instant is inside
+        exactly when it precedes that interval's end.
+        """
+        t = np.asarray(t_ms)
+        if not self.intervals:
+            return np.zeros(t.shape, dtype=bool)
+        starts, ends = np.array(self.intervals).T
+        i = np.searchsorted(starts, t, side="right") - 1
+        return (i >= 0) & (t < ends[i])
 
     def overlap_ms(self, start_ms: float, end_ms: float) -> float:
         return sum(
@@ -329,22 +326,25 @@ class ArtifactMask:
 
 
 def detect_motion_artifacts(
-    samples: Sequence[AccelSample],
+    samples: np.ndarray,
     threshold_mg: float = 250.0,
     min_duration_ms: float = 500.0,
 ) -> ArtifactMask:
     """Flag spans where |acceleration magnitude - 1 g| stays above threshold.
 
-    Short excursions (a bump, a single step) are ignored: only runs lasting
+    ``samples`` are time-ordered :data:`ACCEL_DTYPE` rows.  Short
+    excursions (a bump, a single step) are ignored: only runs lasting
     ``min_duration_ms`` or longer become artifact intervals.  A posture
     change that merely reorients gravity keeps magnitude at 1 g and is
-    correctly not an artifact.
+    correctly not an artifact.  A run ends one sample period after its last
+    hot sample, but never after the next sample, so intervals stay disjoint
+    even where timestamps crowd closer than the period.
     """
-    if not samples:
+    if len(samples) == 0:
         return ArtifactMask()
-    t = np.array([s.t_ms for s in samples], dtype=np.int64)
-    xyz = np.array([(s.x_mg, s.y_mg, s.z_mg) for s in samples], dtype=np.float64)
-    mag = np.sqrt((xyz ** 2).sum(axis=1))
+    t = samples["t_ms"]
+    x, y, z = (samples[axis].astype(np.float64) for axis in ("x_mg", "y_mg", "z_mg"))
+    mag = np.sqrt(x ** 2 + y ** 2 + z ** 2)
     hot = np.abs(mag - 1000.0) > threshold_mg
     if t.size > 1:
         period_ms = float(np.median(np.diff(t)))
@@ -355,6 +355,8 @@ def detect_motion_artifacts(
     for start_idx, stop_idx in zip(edges[::2], edges[1::2]):
         start_t = int(t[start_idx])
         end_t = int(t[stop_idx - 1] + period_ms)
+        if stop_idx < t.size:
+            end_t = min(end_t, int(t[stop_idx]))
         if end_t - start_t >= min_duration_ms:
             intervals.append((start_t, end_t))
     return ArtifactMask(tuple(intervals))
@@ -392,8 +394,9 @@ def estimate_rate(
         raise InsufficientDataError("window must have positive length")
     mask = artifacts or ArtifactMask()
     window_ms = window_end_ms - window_start_ms
-    inside = [float(b) for b in breath_times_ms if window_start_ms <= b < window_end_ms]
-    accepted = [b for b in inside if not mask.contains(b)]
+    breaths = np.asarray(breath_times_ms, dtype=np.float64)
+    inside = breaths[(window_start_ms <= breaths) & (breaths < window_end_ms)]
+    accepted = inside[~mask.contains(inside)]
 
     if len(accepted) >= 2:
         intervals = np.diff(accepted)
@@ -404,7 +407,7 @@ def estimate_rate(
         rate = 0.0
 
     artifact_fraction = min(mask.overlap_ms(window_start_ms, window_end_ms) / window_ms, 1.0)
-    if not accepted:
+    if len(accepted) == 0:
         confidence = 0.0
     else:
         if len(inside) >= 3:
@@ -482,22 +485,15 @@ class SessionAnalysis:
 def analyze_session(
     frames: Iterable[TelemetryFrame],
     analysis: AnalysisConfig = AnalysisConfig(),
-    adc: AdcConfig = AdcConfig(),
-    divider: DividerConfig = DividerConfig(),
-    fsr: FsrModel = FsrModel(),
-    sense_ratio: float = 0.4,
-    v_min: float = 3.3,
-    v_max: float = 4.2,
+    model: DeviceModel = DeviceModel(),
 ) -> SessionAnalysis:
     """Run the full host pipeline over a decoded frame sequence."""
-    series = extract_series(frames, adc, divider, fsr, sense_ratio, v_min, v_max)
+    series = extract_series(frames, model)
+    fsr_t, accel_t, battery = series.fsr["t_ms"], series.accel["t_ms"], series.battery
 
-    all_t = (
-        [p.t_ms for p in series.fsr]
-        + [p.t_ms for p in series.accel]
-        + [p.t_ms for p in series.battery]
-    )
-    if not all_t:
+    # each series is time-ordered, so its first and last entries bound it
+    firsts = [int(ts[0]) for ts in (fsr_t, accel_t) if ts.size] + [p.t_ms for p in battery[:1]]
+    if not firsts:
         return SessionAnalysis(
             series=series,
             breaths=np.empty(0, dtype=np.int64),
@@ -506,21 +502,20 @@ def analyze_session(
             alerts=[],
             span_ms=(0, 0),
         )
-    span_start = min(all_t)
-    span_end = max(
-        max((p.t_ms for p in series.fsr), default=span_start) + series.fsr_period_ms,
-        max((p.t_ms for p in series.accel), default=span_start) + series.accel_period_ms,
-        max((p.t_ms for p in series.battery), default=span_start),
-    )
-    span_start, span_end = int(span_start), int(round(span_end))
+    span_start = min(firsts)
+    span_end = int(round(max(
+        (int(fsr_t[-1]) if fsr_t.size else span_start) + series.fsr_period_ms,
+        (int(accel_t[-1]) if accel_t.size else span_start) + series.accel_period_ms,
+        battery[-1].t_ms if battery else span_start,
+    )))
 
-    usable = [(p.t_ms, p.force_n) for p in series.fsr if p.force_n is not None]
+    force = series.fsr["force_n"]
+    usable = ~np.isnan(force)
     breaths = np.empty(0, dtype=np.int64)
-    if usable:
-        t, f = zip(*usable)
+    if usable.any():
         try:
             breaths = detect_breaths(
-                t, f,
+                fsr_t[usable], force[usable],
                 detrend_window_s=analysis.detrend_window_s,
                 min_peak_distance_s=analysis.min_peak_distance_s,
                 hysteresis_fraction=analysis.hysteresis_fraction,
@@ -544,7 +539,7 @@ def analyze_session(
             lo = span_start + i * window_ms
             estimates.append(estimate_rate(breaths, lo, lo + window_ms, artifacts))
 
-    accepted = [float(b) for b in breaths if not artifacts.contains(b)]
+    accepted = breaths[~artifacts.contains(breaths)]
     alerts = detect_apnea(accepted, span_start, span_end, analysis.apnea_timeout_s)
     return SessionAnalysis(
         series=series,
@@ -610,21 +605,21 @@ def format_relative_ms(t_ms: int) -> str:
 
 def _rows(result: SessionAnalysis) -> Iterable[dict]:
     """Export rows grouped by record type, each group time-ordered."""
-    for p in result.series.fsr:
-        sat = "low" if p.saturated_low else "high" if p.saturated_high else ""
-        row = {"record": "fsr", "t_ms": p.t_ms, "code": p.code, "saturated": sat}
-        if p.force_n is not None:
-            row["force_n"] = f"{p.force_n:.6f}"
+    for t, code, force in result.series.fsr.tolist():
+        row = {"record": "fsr", "t_ms": t, "code": code, "saturated": ""}
+        if math.isnan(force):
+            row["saturated"] = "low" if code <= 0 else "high"
+        else:
+            row["force_n"] = f"{force:.6f}"
         yield row
-    for p in result.series.accel:
-        yield {"record": "accel", "t_ms": p.t_ms,
-               "x_mg": p.x_mg, "y_mg": p.y_mg, "z_mg": p.z_mg}
+    for t, x, y, z in result.series.accel.tolist():
+        yield {"record": "accel", "t_ms": t, "x_mg": x, "y_mg": y, "z_mg": z}
     for p in result.series.battery:
         yield {"record": "battery", "t_ms": p.t_ms, "code": p.adc_code,
                "percent_device": p.device_percent, "percent_host": p.host_percent,
                "charging": int(p.charging)}
-    for b in result.breaths:
-        yield {"record": "breath", "t_ms": int(b)}
+    for b in result.breaths.tolist():
+        yield {"record": "breath", "t_ms": b}
     for a, b in result.artifacts.intervals:
         yield {"record": "artifact", "t_ms": a, "end_ms": b}
     for e in result.estimates:

@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from respsim.firmware import ArrayStimulus, FirmwareEmulator
+from respsim.config import from_dict
+from respsim.firmware import DeviceModel
 from respsim.pipeline import (
+    ACCEL_DTYPE,
     AnalysisConfig,
     ArtifactMask,
     InsufficientDataError,
@@ -33,16 +36,17 @@ from respsim.protocol import (
     TelemetryFrame,
 )
 from respsim.sensor import (
-    AccelSample,
     AdcConfig,
     DividerConfig,
     FsrModel,
+    OcvCurve,
     adc_quantize,
+    adc_to_voltage,
+    battery_sense_voltage,
     divider_voltage,
     fsr_resistance,
-    generate_accel,
-    generate_breathing,
 )
+from respsim.session import run_session, synthesize_accel, synthesize_force
 
 
 def forward_code(force: float) -> int:
@@ -60,33 +64,38 @@ def inverse_at_code(code: float) -> float:
 # chain inversion
 # ---------------------------------------------------------------------------
 
+def scalar_force(code: int, adc: AdcConfig, divider: DividerConfig, fsr: FsrModel):
+    """One-code chain inversion, the oracle for the array form (None at the rails)."""
+    if code <= 0 or code >= adc.full_scale:
+        return None
+    v = adc_to_voltage(code, adc)
+    if v >= divider.v_dd:
+        return None
+    r_fsr = divider.r_fixed_ohm * (divider.v_dd - v) / v
+    return fsr.k_ohm_n / r_fsr
+
+
 def test_reconstruct_brackets_true_force():
     # the recovered force must sit inside the half-code quantization cell
-    for force in np.geomspace(0.05, 50.0, 200):
-        code = forward_code(float(force))
-        if code in (0, 4095):
-            continue
-        rec = reconstruct_force(code)
-        lo, hi = inverse_at_code(code - 0.5), inverse_at_code(code + 0.5)
-        assert rec.force_n is not None
-        assert lo <= rec.force_n <= hi
-        assert not rec.saturated_low and not rec.saturated_high
+    codes = np.array([forward_code(float(f)) for f in np.geomspace(0.05, 50.0, 200)])
+    codes = codes[(codes > 0) & (codes < 4095)]
+    forces = reconstruct_force(codes)
+    assert not np.isnan(forces).any()
+    for code, force in zip(codes.tolist(), forces.tolist()):
+        assert inverse_at_code(code - 0.5) <= force <= inverse_at_code(code + 0.5)
 
 
 def test_reconstruct_round_trip_error_is_small():
     # quantization costs more force accuracy as the divider nears the rail,
     # but stays within a percent across the strap's working range
-    for force in (0.5, 1.0, 2.0, 4.0, 6.0, 10.0):
-        code = forward_code(force)
-        rec = reconstruct_force(code)
-        assert rec.force_n == pytest.approx(force, rel=1e-2)
+    forces = [0.5, 1.0, 2.0, 4.0, 6.0, 10.0]
+    recovered = reconstruct_force([forward_code(f) for f in forces])
+    assert recovered == pytest.approx(forces, rel=1e-2)
 
 
 def test_reconstruct_saturation_flags():
-    low = reconstruct_force(0)
-    assert low.force_n is None and low.saturated_low and not low.saturated_high
-    high = reconstruct_force(4095)
-    assert high.force_n is None and high.saturated_high and not high.saturated_low
+    # both rails are unresolvable; the code alone says which one was hit
+    assert np.isnan(reconstruct_force([0, 4095])).all()
 
 
 def test_reconstruct_respects_custom_chain():
@@ -94,8 +103,26 @@ def test_reconstruct_respects_custom_chain():
     div = DividerConfig(r_fixed_ohm=100_000.0, v_dd=3.3)
     fsr = FsrModel(k_ohm_n=50_000.0)
     code = adc_quantize(divider_voltage(fsr_resistance(2.0, fsr), div), adc)
-    rec = reconstruct_force(code, adc, div, fsr)
-    assert rec.force_n == pytest.approx(2.0, rel=2e-2)
+    force = reconstruct_force([code], DeviceModel(fsr=fsr, divider=div, adc=adc))
+    assert force[0] == pytest.approx(2.0, rel=2e-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.integers(1, 16),
+    v_ref=st.floats(0.5, 5.0),
+    v_dd=st.floats(0.5, 5.0),
+    r_fixed=st.floats(1e2, 1e7),
+    k=st.floats(1e2, 1e7),
+)
+def test_reconstruct_equals_scalar_inversion_at_every_code(bits, v_ref, v_dd, r_fixed, k):
+    adc = AdcConfig(bits=bits, v_ref=v_ref)
+    div = DividerConfig(r_fixed_ohm=r_fixed, v_dd=v_dd)
+    fsr = FsrModel(k_ohm_n=k)
+    codes = np.arange(-1, adc.full_scale + 2)
+    forces = reconstruct_force(codes, DeviceModel(fsr=fsr, divider=div, adc=adc)).tolist()
+    expected = [scalar_force(c, adc, div, fsr) for c in codes.tolist()]
+    assert [None if math.isnan(f) else f for f in forces] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +141,25 @@ def test_battery_percent_midpoint():
     assert battery_percent(3413) == 50
 
 
+def test_battery_percent_follows_the_device_ocv_ends():
+    model = DeviceModel(ocv=OcvCurve(((0.0, 3.2), (0.5, 3.8), (1.0, 4.25))))
+    for v_batt, percent in ((4.25, 100), (3.2, 0)):
+        code = adc_quantize(battery_sense_voltage(v_batt), model.adc)
+        assert battery_percent(code, model) == model.device_percent(v_batt) == percent
+
+
 # ---------------------------------------------------------------------------
 # breath detection
 # ---------------------------------------------------------------------------
 
-def breathing_series(rate_bpm, duration_s=60.0, noise=0.0, seed=0):
-    samples = generate_breathing(rate_bpm, noise_sd_n=noise, duration_s=duration_s, seed=seed)
+def session_cfg(duration_s=60.0, rate=15.0, posture="still", seed=0, noise=0.0):
+    """A single-segment session: one breathing rate, one posture."""
+    return from_dict({"duration_s": duration_s, "seed": seed, "rate_bpm": rate,
+                      "posture": posture, "scenario": {"noise_sd_n": noise}})
+
+
+def breathing_series(rate_bpm, duration_s=60.0):
+    samples = synthesize_force(session_cfg(duration_s, rate_bpm))
     return [s.t_ms for s in samples], [s.force_n for s in samples]
 
 
@@ -166,33 +206,39 @@ def test_detect_breaths_rate_sweep(bpm):
 # motion artifacts
 # ---------------------------------------------------------------------------
 
+def accel_rows(rows):
+    """ACCEL_DTYPE rows from (t_ms, x_mg, y_mg, z_mg) tuples."""
+    return np.array(list(rows), dtype=ACCEL_DTYPE)
+
+
+def posture_rows(posture, duration_s, seed):
+    samples = synthesize_accel(session_cfg(duration_s, posture=posture, seed=seed))
+    return accel_rows((s.t_ms, s.x_mg, s.y_mg, s.z_mg) for s in samples)
+
+
 def test_still_posture_has_no_artifacts():
-    mask = detect_motion_artifacts(generate_accel("still", 30.0, seed=2))
+    mask = detect_motion_artifacts(posture_rows("still", 30.0, seed=2))
     assert mask.intervals == ()
 
 
 def test_walking_is_one_long_artifact():
-    samples = generate_accel("walking", 30.0, seed=2)
-    mask = detect_motion_artifacts(samples)
+    mask = detect_motion_artifacts(posture_rows("walking", 30.0, seed=2))
     assert len(mask.intervals) >= 1
     assert mask.total_ms >= 0.9 * 30_000
 
 
 def test_short_spike_is_ignored():
-    samples = [AccelSample(t, 0, 0, 1000) for t in range(0, 10000, 20)]
     # 100 ms burst of 2 g, well above threshold but too brief
-    spiked = [
-        AccelSample(s.t_ms, 0, 0, 2000) if 5000 <= s.t_ms < 5100 else s
-        for s in samples
-    ]
+    spiked = accel_rows(
+        (t, 0, 0, 2000 if 5000 <= t < 5100 else 1000) for t in range(0, 10000, 20)
+    )
     assert detect_motion_artifacts(spiked).intervals == ()
 
 
 def test_sustained_excursion_is_flagged_with_bounds():
-    samples = [
-        AccelSample(t, 0, 0, 1400 if 2000 <= t < 2700 else 1000)
-        for t in range(0, 10000, 20)
-    ]
+    samples = accel_rows(
+        (t, 0, 0, 1400 if 2000 <= t < 2700 else 1000) for t in range(0, 10000, 20)
+    )
     mask = detect_motion_artifacts(samples)
     assert len(mask.intervals) == 1
     start, end = mask.intervals[0]
@@ -204,12 +250,45 @@ def test_sustained_excursion_is_flagged_with_bounds():
 
 
 def test_posture_shift_is_not_an_artifact():
-    mask = detect_motion_artifacts(generate_accel("shift", 30.0, seed=4))
+    mask = detect_motion_artifacts(posture_rows("shift", 30.0, seed=4))
     assert mask.intervals == ()
 
 
 def test_empty_input_is_clean():
-    assert detect_motion_artifacts([]).intervals == ()
+    assert detect_motion_artifacts(accel_rows([])).intervals == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=60))
+def test_artifact_intervals_stay_disjoint_when_samples_crowd(steps):
+    # irregular and repeated timestamps, as overlapping or false frames give
+    t = np.cumsum([dt for dt, _ in steps])
+    rows = accel_rows((int(ti), 0, 0, 1400 if hot else 1000) for ti, (_, hot) in zip(t, steps))
+    intervals = detect_motion_artifacts(rows, min_duration_ms=0.0).intervals
+    for (a, b), (next_a, _) in zip(intervals, intervals[1:] + ((math.inf, None),)):
+        assert a <= b <= next_a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=st.lists(st.integers(-50, 400), unique=True, max_size=16),
+    adjacent=st.lists(st.booleans(), min_size=16, max_size=16),
+    extra=st.lists(st.floats(-60.0, 410.0), max_size=20),
+)
+def test_mask_contains_equals_interval_scan(edges, adjacent, extra):
+    # sorted, disjoint intervals between consecutive edges; an interval
+    # either starts where the previous one ended or leaves a gap
+    edges = sorted(edges)
+    intervals, i = [], 0
+    while i + 1 < len(edges):
+        intervals.append((edges[i], edges[i + 1]))
+        i += 1 if adjacent[i] else 2
+    intervals = tuple(intervals)
+    times = np.array(edges + [e - 1 for e in edges] + [e + 0.5 for e in edges] + extra,
+                     dtype=np.float64)
+    got = ArtifactMask(intervals).contains(times)
+    expected = [any(a <= t < b for a, b in intervals) for t in times.tolist()]
+    assert got.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +382,7 @@ def test_apnea_mid_session_gap():
 # ---------------------------------------------------------------------------
 
 def run_frames(duration=60.0, rate=15.0, posture="still", seed=0, noise=0.0):
-    force = generate_breathing(rate, noise_sd_n=noise, duration_s=duration, seed=seed)
-    accel = generate_accel(posture, duration_s=duration, seed=seed + 1)
-    return FirmwareEmulator().run(ArrayStimulus(force, accel), duration)
+    return run_session(session_cfg(duration, rate, posture, seed, noise)).frames
 
 
 def test_analyze_full_session_counts():
@@ -329,7 +406,9 @@ def test_analyze_is_frame_order_insensitive():
     b = analyze_session(shuffled)
     assert list(a.breaths) == list(b.breaths)
     assert a.estimates == b.estimates
-    assert a.series.fsr == b.series.fsr
+    # byte equality also holds the NaN forces at the rails to each other
+    assert a.series.fsr.tobytes() == b.series.fsr.tobytes()
+    assert a.series.accel.tobytes() == b.series.accel.tobytes()
 
 
 def test_analyze_windows_tile_longer_sessions():
