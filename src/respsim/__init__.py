@@ -24,8 +24,6 @@ from .sensor import (
     battery_voltage,
     divider_voltage,
     fsr_resistance,
-    generate_accel,
-    generate_breathing,
 )
 from .protocol import (
     FrameKind,
@@ -60,6 +58,6 @@ __all__ = [
     "battery_life_hours", "battery_percent", "battery_sense_voltage",
     "battery_voltage", "decode", "detect_breaths", "detect_motion_artifacts",
     "divider_voltage", "encode", "estimate_rate", "from_dict",
-    "fsr_resistance", "generate_accel", "generate_breathing", "load_config",
+    "fsr_resistance", "load_config",
     "reconstruct_force", "run_session", "split_stream",
 ]

@@ -227,8 +227,10 @@ def _validate(cfg: SessionConfig) -> None:
             "scenario: need 0 <= amplitude_n <= baseline_n, got "
             f"{cfg.scenario.amplitude_n}, {cfg.scenario.baseline_n}"
         )
-    if cfg.scenario.noise_sd_n < 0:
-        raise ConfigError(f"scenario.noise_sd_n: must be >= 0, got {cfg.scenario.noise_sd_n}")
+    for name in ("noise_sd_n", "accel_noise_sd_mg"):
+        value = getattr(cfg.scenario, name)
+        if value < 0:
+            raise ConfigError(f"scenario.{name}: must be >= 0, got {value}")
     if not (0.0 <= cfg.battery.initial_soc <= 1.0):
         raise ConfigError(
             f"battery.initial_soc: must be in [0, 1], got {cfg.battery.initial_soc}"

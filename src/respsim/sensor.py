@@ -1,11 +1,11 @@
-"""Analog front-end models and synthetic stimulus generators.
+"""Analog front-end models and the building blocks of synthetic stimulus.
 
 The sensing chain mirrors the wearable's electronics: a force-sensing
 resistor (FSR) forming the lower leg of a voltage divider, sampled by a
 12-bit ADC, plus a battery whose terminal voltage reaches the same ADC
 through a resistive sense divider.  Everything in this module is pure and
-deterministic (RNG state is always an explicit seed) so the firmware
-emulator layered on top stays byte-reproducible.
+deterministic so the firmware emulator layered on top stays
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ FULL_SCALE_MG = 2000  # accelerometer clamp, milli-g per axis
 
 
 class ParameterError(ValueError):
-    """A model parameter or generator argument is outside its valid range."""
+    """A model parameter or stimulus argument is outside its valid range."""
 
 
 class SenseRangeError(ValueError):
@@ -52,9 +52,6 @@ class AccelSample:
     x_mg: int
     y_mg: int
     z_mg: int
-
-    def magnitude_mg(self) -> float:
-        return math.sqrt(self.x_mg ** 2 + self.y_mg ** 2 + self.z_mg ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +285,7 @@ def battery_sense_voltage(v_batt: float, ratio: float = 0.4, v_ref: float = 1.8)
 
 
 # ---------------------------------------------------------------------------
-# synthetic stimulus generators
+# synthetic stimulus: sample grids and posture shapes for respsim.session
 # ---------------------------------------------------------------------------
 
 def _sample_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
@@ -306,43 +303,6 @@ def _sample_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
             f"duration_s={duration_s} is not a whole number of samples at {sample_rate_hz} Hz"
         )
     return n, 1000 // sample_rate_hz
-
-
-def generate_breathing(
-    rate_bpm: float,
-    amplitude_n: float = 2.0,
-    noise_sd_n: float = 0.0,
-    duration_s: float = 60.0,
-    seed: int = 0,
-    *,
-    baseline_n: float = 4.0,
-    sample_rate_hz: int = 25,
-) -> list[ForceSample]:
-    """Synthesize chest-strap force samples for steady breathing.
-
-    The waveform is ``baseline + amplitude * sin(2*pi*f*t)`` with
-    ``f = rate_bpm / 60``, plus optional Gaussian noise, clamped at zero
-    (the strap cannot pull).  Sampling starts at t=0 ms on an exact
-    millisecond grid so emulator sampling instants line up one-to-one.
-    """
-    if not (0 < rate_bpm <= 60):
-        raise ParameterError(f"rate_bpm must be in (0, 60], got {rate_bpm}")
-    if not (0 <= amplitude_n <= baseline_n):
-        raise ParameterError(
-            f"need 0 <= amplitude_n <= baseline_n, got {amplitude_n}, {baseline_n}"
-        )
-    if noise_sd_n < 0:
-        raise ParameterError(f"noise_sd_n must be >= 0, got {noise_sd_n}")
-    n, period_ms = _sample_grid(duration_s, sample_rate_hz)
-
-    t_ms = np.arange(n, dtype=np.int64) * period_ms
-    t_s = t_ms.astype(np.float64) / 1000.0
-    force = baseline_n + amplitude_n * np.sin(2.0 * np.pi * (rate_bpm / 60.0) * t_s)
-    if noise_sd_n > 0:
-        rng = np.random.default_rng(seed)
-        force = force + rng.normal(0.0, noise_sd_n, n)
-    force = np.maximum(force, 0.0)
-    return [ForceSample(int(t), float(f)) for t, f in zip(t_ms, force)]
 
 
 POSTURES = ("still", "walking", "shift")
@@ -374,33 +334,3 @@ def _posture_base_mg(posture: str, t_ms: np.ndarray, shift_at_ms: float) -> np.n
     else:
         raise ParameterError(f"unknown posture {posture!r}, expected one of {POSTURES}")
     return base
-
-
-def generate_accel(
-    posture: str,
-    duration_s: float = 60.0,
-    seed: int = 0,
-    *,
-    noise_sd_mg: float = 10.0,
-    sample_rate_hz: int = 50,
-) -> list[AccelSample]:
-    """Synthesize accelerometer samples in milli-g for a posture scenario.
-
-    ``still`` rests gravity on +z; ``walking`` superimposes a square-wave
-    step modulation; ``shift`` swaps to a tilted gravity vector halfway
-    through (same 1000 mg magnitude, so a shift alone is not an artifact).
-    """
-    if noise_sd_mg < 0:
-        raise ParameterError(f"noise_sd_mg must be >= 0, got {noise_sd_mg}")
-    n, period_ms = _sample_grid(duration_s, sample_rate_hz)
-    t_ms = np.arange(n, dtype=np.int64) * period_ms
-    base = _posture_base_mg(posture, t_ms, shift_at_ms=duration_s * 1000.0 / 2.0)
-    if noise_sd_mg > 0:
-        rng = np.random.default_rng(seed)
-        base = base + rng.normal(0.0, noise_sd_mg, (n, 3))
-    mg = np.floor(base + 0.5).astype(np.int64)
-    mg = np.clip(mg, -FULL_SCALE_MG, FULL_SCALE_MG)
-    return [
-        AccelSample(int(t), int(x), int(y), int(z))
-        for t, (x, y, z) in zip(t_ms, mg)
-    ]

@@ -87,18 +87,24 @@ scenario:
 
 
 def test_rate_out_of_range(tmp_path):
-    with pytest.raises(ConfigError, match="rate_bpm"):
-        load_config(write(tmp_path, "rate_bpm: 90\n"))
+    for rate in (90, 61, 0):
+        with pytest.raises(ConfigError, match="rate_bpm"):
+            load_config(write(tmp_path, f"rate_bpm: {rate}\n"))
 
 
 def test_unknown_posture_named(tmp_path):
     with pytest.raises(ConfigError, match="sprinting"):
         load_config(write(tmp_path, "posture: sprinting\n"))
+    with pytest.raises(ConfigError, match="running"):
+        from_dict({"scenario": {"posture": [{"start_s": 0, "posture": "running"}]}})
 
 
 def test_invalid_firmware_batch_rejected_at_load(tmp_path):
     with pytest.raises(ConfigError, match="accel_batch"):
         load_config(write(tmp_path, "firmware:\n  accel_batch: 100\n"))
+    # a rate must divide the 1000 ms grid the stimulus is sampled on
+    with pytest.raises(ConfigError, match="fsr_rate_hz"):
+        load_config(write(tmp_path, "firmware:\n  fsr_rate_hz: 33\n"))
 
 
 def test_unknown_power_preset(tmp_path):
@@ -145,6 +151,14 @@ def test_bad_initial_soc(tmp_path):
 def test_amplitude_above_baseline_rejected(tmp_path):
     with pytest.raises(ConfigError, match="amplitude"):
         load_config(write(tmp_path, "scenario:\n  amplitude_n: 9.0\n"))
+    with pytest.raises(ConfigError, match="amplitude"):
+        from_dict({"scenario": {"amplitude_n": 5.0, "baseline_n": 4.0}})
+
+
+@pytest.mark.parametrize("key", ["noise_sd_n", "accel_noise_sd_mg"])
+def test_negative_noise_rejected(key):
+    with pytest.raises(ConfigError, match=key):
+        from_dict({"scenario": {key: -1.0}})
 
 
 def test_top_level_must_be_mapping(tmp_path):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from respsim.config import from_dict
+
 from respsim.sensor import (
     AdcConfig,
     BatteryState,
@@ -21,9 +23,8 @@ from respsim.sensor import (
     divider_voltage,
     fsr_codes,
     fsr_resistance,
-    generate_accel,
-    generate_breathing,
 )
+from respsim.session import synthesize_accel, synthesize_force
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +258,16 @@ def test_battery_state_validation():
 
 
 # ---------------------------------------------------------------------------
-# breathing generator
+# breathing stimulus of a single-segment session
 # ---------------------------------------------------------------------------
 
+def single_segment(duration_s, seed=0, rate_bpm=15.0, posture="still", **scenario):
+    return from_dict({"duration_s": duration_s, "seed": seed, "rate_bpm": rate_bpm,
+                      "posture": posture, "scenario": scenario})
+
+
 def test_breathing_sample_count_and_grid():
-    samples = generate_breathing(15.0, duration_s=60.0, seed=1)
+    samples = synthesize_force(single_segment(60.0, seed=1))
     assert len(samples) == 1500
     assert samples[0].t_ms == 0
     assert samples[1].t_ms == 40
@@ -269,7 +275,7 @@ def test_breathing_sample_count_and_grid():
 
 
 def test_breathing_noiseless_has_exactly_one_peak_per_breath():
-    samples = generate_breathing(15.0, noise_sd_n=0.0, duration_s=60.0, seed=0)
+    samples = synthesize_force(single_segment(60.0, noise_sd_n=0.0))
     f = [s.force_n for s in samples]
     maxima = [
         i for i in range(1, len(f) - 1) if f[i] > f[i - 1] and f[i] > f[i + 1]
@@ -280,77 +286,63 @@ def test_breathing_noiseless_has_exactly_one_peak_per_breath():
 
 
 def test_breathing_zero_amplitude_is_flat_baseline():
-    samples = generate_breathing(12.0, amplitude_n=0.0, duration_s=10.0, seed=0)
+    samples = synthesize_force(single_segment(10.0, rate_bpm=12.0, amplitude_n=0.0))
     assert all(s.force_n == pytest.approx(4.0) for s in samples)
 
 
 def test_breathing_same_seed_reproduces():
-    a = generate_breathing(15.0, noise_sd_n=0.3, duration_s=20.0, seed=42)
-    b = generate_breathing(15.0, noise_sd_n=0.3, duration_s=20.0, seed=42)
+    a = synthesize_force(single_segment(20.0, seed=42, noise_sd_n=0.3))
+    b = synthesize_force(single_segment(20.0, seed=42, noise_sd_n=0.3))
     assert a == b
 
 
 def test_breathing_different_seed_differs():
-    a = generate_breathing(15.0, noise_sd_n=0.3, duration_s=20.0, seed=1)
-    b = generate_breathing(15.0, noise_sd_n=0.3, duration_s=20.0, seed=2)
+    a = synthesize_force(single_segment(20.0, seed=1, noise_sd_n=0.3))
+    b = synthesize_force(single_segment(20.0, seed=2, noise_sd_n=0.3))
     assert a != b
 
 
 def test_breathing_noise_never_goes_negative():
-    samples = generate_breathing(
-        15.0, amplitude_n=4.0, noise_sd_n=5.0, duration_s=30.0, seed=7, baseline_n=4.0
+    samples = synthesize_force(
+        single_segment(30.0, seed=7, amplitude_n=4.0, noise_sd_n=5.0, baseline_n=4.0)
     )
     assert all(s.force_n >= 0.0 for s in samples)
 
 
-def test_breathing_parameter_validation():
-    with pytest.raises(ParameterError):
-        generate_breathing(0.0)
-    with pytest.raises(ParameterError):
-        generate_breathing(61.0)
-    with pytest.raises(ParameterError):
-        generate_breathing(15.0, amplitude_n=5.0, baseline_n=4.0)
-    with pytest.raises(ParameterError):
-        generate_breathing(15.0, noise_sd_n=-1.0)
-    with pytest.raises(ParameterError):
-        generate_breathing(15.0, sample_rate_hz=33)
-
-
 # ---------------------------------------------------------------------------
-# accelerometer generator
+# accelerometer stimulus of a single-segment session
 # ---------------------------------------------------------------------------
+
+def magnitude_mg(s) -> float:
+    return math.sqrt(s.x_mg ** 2 + s.y_mg ** 2 + s.z_mg ** 2)
+
 
 def test_accel_still_noiseless_is_gravity_on_z():
-    samples = generate_accel("still", duration_s=2.0, seed=0, noise_sd_mg=0.0)
+    samples = synthesize_accel(single_segment(2.0, accel_noise_sd_mg=0.0))
     assert len(samples) == 100
     assert all((s.x_mg, s.y_mg, s.z_mg) == (0, 0, 1000) for s in samples)
     assert samples[1].t_ms == 20
 
 
 def test_accel_walking_deviation_is_sustained():
-    samples = generate_accel("walking", duration_s=10.0, seed=0, noise_sd_mg=0.0)
+    samples = synthesize_accel(single_segment(10.0, posture="walking", accel_noise_sd_mg=0.0))
     # every sample sits a full 300 mg away from 1 g: no clean gaps
     for s in samples:
-        assert abs(s.magnitude_mg() - 1000.0) == pytest.approx(300.0)
+        assert abs(magnitude_mg(s) - 1000.0) == pytest.approx(300.0)
 
 
 def test_accel_shift_preserves_magnitude():
-    samples = generate_accel("shift", duration_s=10.0, seed=0, noise_sd_mg=0.0)
+    samples = synthesize_accel(single_segment(10.0, posture="shift", accel_noise_sd_mg=0.0))
     first, last = samples[0], samples[-1]
     assert (first.x_mg, first.y_mg, first.z_mg) == (0, 0, 1000)
     assert (last.x_mg, last.y_mg, last.z_mg) == (600, 0, 800)
-    assert last.magnitude_mg() == pytest.approx(1000.0)
+    assert magnitude_mg(last) == pytest.approx(1000.0)
 
 
 def test_accel_reproducible_and_clamped():
-    a = generate_accel("still", duration_s=5.0, seed=3, noise_sd_mg=800.0)
-    b = generate_accel("still", duration_s=5.0, seed=3, noise_sd_mg=800.0)
+    a = synthesize_accel(single_segment(5.0, seed=3, accel_noise_sd_mg=800.0))
+    b = synthesize_accel(single_segment(5.0, seed=3, accel_noise_sd_mg=800.0))
     assert a == b
     for s in a:
         for axis in (s.x_mg, s.y_mg, s.z_mg):
             assert -2000 <= axis <= 2000
-
-
-def test_accel_unknown_posture():
-    with pytest.raises(ParameterError):
-        generate_accel("running", duration_s=1.0, seed=0)

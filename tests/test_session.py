@@ -79,17 +79,6 @@ def test_phase_continuity_across_rate_change():
 # stimulus synthesis
 # ---------------------------------------------------------------------------
 
-def test_force_matches_plain_generator_for_single_segment():
-    from respsim.sensor import generate_breathing
-    cfg = cfg_with(rate_bpm=15, duration_s=30)
-    scheduled = synthesize_force(cfg)
-    plain = generate_breathing(15.0, duration_s=30.0, seed=cfg.seed)
-    assert len(scheduled) == len(plain)
-    for a, b in zip(scheduled, plain):
-        assert a.t_ms == b.t_ms
-        assert a.force_n == pytest.approx(b.force_n, abs=1e-12)
-
-
 def test_posture_schedule_switches_mid_run():
     cfg = cfg_with(
         duration_s=20,
