@@ -12,7 +12,6 @@ energy/battery-life audit (:mod:`respsim.power`), and a CLI harness
 from .sensor import (
     AccelSample,
     AdcConfig,
-    BatteryState,
     DividerConfig,
     ForceSample,
     FsrModel,
@@ -21,7 +20,6 @@ from .sensor import (
     SenseRangeError,
     adc_quantize,
     battery_sense_voltage,
-    battery_voltage,
     divider_voltage,
     fsr_resistance,
 )
@@ -50,13 +48,13 @@ from .session import run_session
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelSample", "AdcConfig", "BatteryState", "DividerConfig", "EnergyReport",
+    "AccelSample", "AdcConfig", "DividerConfig", "EnergyReport",
     "FirmwareConfig", "FirmwareEmulator", "ForceSample", "FrameKind", "FsrModel",
     "InvalidConfigError", "OcvCurve", "ParameterError", "PowerProfile", "PRESETS",
     "ProtocolError", "SenseRangeError", "SessionConfig", "StreamSplitter",
     "TelemetryFrame", "accumulate", "adc_quantize", "analyze_session",
     "battery_life_hours", "battery_percent", "battery_sense_voltage",
-    "battery_voltage", "decode", "detect_breaths", "detect_motion_artifacts",
+    "decode", "detect_breaths", "detect_motion_artifacts",
     "divider_voltage", "encode", "estimate_rate", "from_dict",
     "fsr_resistance", "load_config",
     "reconstruct_force", "run_session", "split_stream",

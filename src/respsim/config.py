@@ -236,12 +236,11 @@ def _validate(cfg: SessionConfig) -> None:
             f"battery.initial_soc: must be in [0, 1], got {cfg.battery.initial_soc}"
         )
     try:
-        cfg.firmware.validate()
         model = cfg.device_model()
         # the full-charge rail must fit the ADC front end
         battery_sense_voltage(model.ocv.v_max, model.sense_ratio, model.adc.v_ref)
         cfg.power_profile()
-    except (ParameterError, InvalidConfigError, SenseRangeError) as e:
+    except (ParameterError, SenseRangeError) as e:
         raise ConfigError(str(e)) from e
 
 

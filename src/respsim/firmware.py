@@ -36,7 +36,6 @@ from . import protocol
 from .power import ACTIVITY_STATES, PowerProfile, PRESETS, Timeline, UW_MS_PER_MWH
 from .sensor import (
     AdcConfig,
-    BatteryState,
     DividerConfig,
     FsrModel,
     LINEAR_OCV,
@@ -45,7 +44,6 @@ from .sensor import (
     _round_half_up,
     adc_quantize,
     battery_sense_voltage,
-    battery_voltage,
     divider_voltage,
     fsr_codes,
     fsr_resistance,
@@ -61,7 +59,7 @@ class InvalidConfigError(ValueError):
 
 
 class NotBootedError(RuntimeError):
-    """tick()/state access before boot()."""
+    """tick() or a view of the battery or activity before boot()."""
 
 
 class StimulusError(LookupError):
@@ -84,17 +82,7 @@ class FirmwareConfig:
             if value <= 0 or value % 1 != 0:
                 raise InvalidConfigError(f"{name} must be a positive whole number")
             object.__setattr__(self, name, int(value))
-
-    @property
-    def fsr_period_ms(self) -> int:
-        return 1000 // self.fsr_rate_hz
-
-    @property
-    def accel_period_ms(self) -> int:
-        return 1000 // self.accel_rate_hz
-
-    def validate(self) -> None:
-        """Reject schedules and batch sizes the hardware cannot honor."""
+        # reject schedules and batch sizes the hardware cannot honor
         for name, rate in (("fsr_rate_hz", self.fsr_rate_hz),
                            ("accel_rate_hz", self.accel_rate_hz)):
             if 1000 % rate != 0:
@@ -121,6 +109,14 @@ class FirmwareConfig:
                 f"MTU budget allows {protocol.MAX_PAYLOAD}"
             )
 
+    @property
+    def fsr_period_ms(self) -> int:
+        return 1000 // self.fsr_rate_hz
+
+    @property
+    def accel_period_ms(self) -> int:
+        return 1000 // self.accel_rate_hz
+
 
 @dataclass(frozen=True)
 class DeviceModel:
@@ -145,13 +141,6 @@ class DeviceModel:
         span = self.ocv.v_max - self.ocv.v_min
         pct = 100.0 * (v_batt - self.ocv.v_min) / span
         return _round_half_up(min(max(pct, 0.0), 100.0))
-
-
-@dataclass
-class DeviceState:
-    clock_ms: int
-    seq: int
-    battery: BatteryState
 
 
 @dataclass(frozen=True)
@@ -233,13 +222,17 @@ class FirmwareEmulator:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def boot(self) -> DeviceState:
-        """Validate configuration and reset all runtime state."""
-        self.config.validate()
+    def boot(self) -> None:
+        """Check the model against the hardware and reset all runtime state."""
         # confirm the full-charge rail fits the ADC front end
         battery_sense_voltage(
             self.model.ocv.v_max, self.model.sense_ratio, self.model.adc.v_ref
         )
+        if self.model.adc.full_scale > protocol.MAX_CODE:
+            raise InvalidConfigError(
+                f"adc.bits={self.model.adc.bits} gives codes up to {self.model.adc.full_scale}, "
+                f"the wire carries at most {protocol.MAX_CODE}"
+            )
         self._clock_ms = 0
         self._seq = 0
         self._energy_mwh = 0.0
@@ -249,7 +242,6 @@ class FirmwareEmulator:
         self._timeline = Timeline()
         self.battery_log: list[BatteryMeasurement] = []
         self._booted = True
-        return self.state
 
     def _require_boot(self) -> None:
         if not self._booted:
@@ -269,23 +261,6 @@ class FirmwareEmulator:
     def energy_mwh(self) -> float:
         self._require_boot()
         return self._energy_mwh
-
-    @property
-    def state(self) -> DeviceState:
-        self._require_boot()
-        soc = self.soc
-        battery = BatteryState(
-            capacity_mah=self.model.capacity_mah,
-            soc=soc,
-            v_terminal=battery_voltage(soc, self.model.ocv),
-            charging=self.charging,
-            depleted=(soc <= 0.0),
-        )
-        return DeviceState(
-            clock_ms=self._clock_ms,
-            seq=self._seq,
-            battery=battery,
-        )
 
     @property
     def activity_timeline(self) -> Timeline:
@@ -329,7 +304,7 @@ class FirmwareEmulator:
 
     def _measure_battery(self, t_ms: int) -> protocol.BatteryStatusPayload:
         soc = self.soc
-        v = battery_voltage(soc, self.model.ocv)
+        v = self.model.ocv.voltage(soc)
         sense = battery_sense_voltage(v, self.model.sense_ratio, self.model.adc.v_ref)
         code = adc_quantize(sense, self.model.adc)
         percent = self.model.device_percent(v)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .sensor import ParameterError
 
-MS_PER_HOUR = 3_600_000.0
 # microwatt-milliseconds per milliwatt-hour: 1 mWh = 1000 uW * 3600 * 1000 ms
 UW_MS_PER_MWH = 3.6e9
 

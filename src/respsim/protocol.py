@@ -21,6 +21,7 @@ from enum import IntEnum
 MAGIC = 0xA5
 VERSION = 0x01
 MAX_PAYLOAD = 244          # BLE MTU budget for the payload field
+MAX_CODE = 0xFFF           # FSR and battery code fields carry 12-bit ADC codes
 HEADER_LEN = 7             # magic .. len
 FRAME_OVERHEAD = HEADER_LEN + 1  # + trailing crc
 
@@ -115,7 +116,7 @@ class FsrBatchPayload:
         if not self.codes:
             raise BadLength("FSR batch must hold at least one code")
         for c in self.codes:
-            if not (0 <= c <= 4095):
+            if not (0 <= c <= MAX_CODE):
                 raise BadLength(f"FSR code {c} outside 12-bit range")
 
     def to_bytes(self) -> bytes:
@@ -187,7 +188,7 @@ class BatteryStatusPayload:
 
     def __post_init__(self) -> None:
         _check_u32("t_ms", self.t_ms)
-        if not (0 <= self.adc_code <= 4095):
+        if not (0 <= self.adc_code <= MAX_CODE):
             raise BadLength(f"battery adc_code {self.adc_code} outside 12-bit range")
         if not (0 <= self.percent <= 100):
             raise BadLength(f"battery percent {self.percent} outside 0..100")

@@ -113,10 +113,6 @@ class AdcConfig:
         """Highest representable code (2**bits - 1)."""
         return (1 << self.bits) - 1
 
-    @property
-    def lsb_volts(self) -> float:
-        return self.v_ref / self.full_scale
-
 
 def fsr_resistance(force_n: float, model: FsrModel = FsrModel()) -> float:
     """Map an applied force in newtons to FSR resistance in ohms.
@@ -194,21 +190,6 @@ def adc_to_voltage(code: int, cfg: AdcConfig = AdcConfig()) -> float:
 # battery
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BatteryState:
-    capacity_mah: float = 450.0
-    soc: float = 1.0
-    v_terminal: float = 4.2
-    charging: bool = False
-    depleted: bool = False
-
-    def __post_init__(self) -> None:
-        if not (self.capacity_mah > 0):
-            raise ParameterError(f"capacity_mah must be positive, got {self.capacity_mah}")
-        if not (0.0 <= self.soc <= 1.0):
-            raise ParameterError(f"soc must be in [0, 1], got {self.soc}")
-
-
 @dataclass(frozen=True)
 class OcvCurve:
     """Piecewise-linear open-circuit voltage curve over state of charge.
@@ -249,19 +230,8 @@ class OcvCurve:
         volts = [v for _, v in self.points]
         return float(np.interp(soc, socs, volts))
 
-    def soc_for_voltage(self, v: float) -> float:
-        """Inverse lookup; voltages outside the curve clamp to its ends."""
-        socs = [s for s, _ in self.points]
-        volts = [v_ for _, v_ in self.points]
-        return float(np.interp(v, volts, socs))
-
 
 LINEAR_OCV = OcvCurve()
-
-
-def battery_voltage(soc: float, curve: OcvCurve = LINEAR_OCV) -> float:
-    """Terminal voltage for a state of charge under the given OCV curve."""
-    return curve.voltage(soc)
 
 
 def battery_sense_voltage(v_batt: float, ratio: float = 0.4, v_ref: float = 1.8) -> float:

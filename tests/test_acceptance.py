@@ -32,7 +32,6 @@ from respsim.sensor import (
     adc_quantize,
     adc_to_voltage,
     battery_sense_voltage,
-    battery_voltage,
     divider_voltage,
     fsr_resistance,
 )
@@ -89,7 +88,7 @@ def test_adc_chain_half_lsb():
     of at most half an LSB."""
     with criterion("adc-chain-half-lsb", budget_s=1.0):
         adc = AdcConfig()
-        half_lsb = 0.5 * adc.lsb_volts
+        half_lsb = 0.5 * adc.v_ref / adc.full_scale
         rng = np.random.default_rng(77)
         for force in rng.uniform(0.0, 60.0, 10_000):
             v = divider_voltage(fsr_resistance(float(force)))
@@ -197,7 +196,7 @@ def test_battery_percent_agreement():
         model = DeviceModel()
         # dense sweep of the whole charge range through the measurement path
         for soc in np.linspace(0.0, 1.0, 2001):
-            v = battery_voltage(float(soc))
+            v = model.ocv.voltage(float(soc))
             code = adc_quantize(battery_sense_voltage(v), model.adc)
             device = model.device_percent(v)
             host = battery_percent(code)

@@ -4,10 +4,11 @@ import hashlib
 import json
 import socket
 import threading
+import time
 
 import pytest
 
-from respsim.cli import main
+from respsim.cli import EXIT_IO, main
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +74,22 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
                            "--out", str(tmp_path / "s.raw"))
     assert code == 1
     assert "accel_batch" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "power"])
+def test_adc_wider_than_the_wire_is_config_error(tmp_path, capsys, command):
+    # code fields on the wire are 12-bit, so 14-bit codes cannot be framed
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("duration_s: 4\nadc:\n  bits: 14\n")
+    out = tmp_path / "s.raw"
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out", str(out)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("respsim: config error")
+    assert "adc.bits=14" in err
+    assert not out.exists()
 
 
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
@@ -206,14 +223,16 @@ def test_analyze_empty_capture(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_stream_round_trip_over_tcp(tmp_path, capsys):
-    port = free_port()
     received = {}
+    # listen before the sender starts, so it cannot connect too early
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    server.settimeout(10)
+    port = server.getsockname()[1]
 
     def receiver():
-        with socket.socket() as server:
-            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            server.bind(("127.0.0.1", port))
-            server.listen(1)
+        with server:
             conn, _ = server.accept()
             chunks = []
             with conn:
@@ -224,7 +243,7 @@ def test_stream_round_trip_over_tcp(tmp_path, capsys):
                     chunks.append(chunk)
             received["data"] = b"".join(chunks)
 
-    thread = threading.Thread(target=receiver)
+    thread = threading.Thread(target=receiver, daemon=True)
     thread.start()
     code = main(["stream", "--connect", f"127.0.0.1:{port}",
                  "--duration", "10", "--speed", "1000"])
@@ -247,16 +266,17 @@ def test_stream_listen_captures_to_file(tmp_path, capsys):
     def listener():
         result["code"] = main(["stream", "--listen", f"127.0.0.1:{port}", "--out", out])
 
-    thread = threading.Thread(target=listener)
+    # daemon: a listener left in accept() must not keep the test run alive
+    thread = threading.Thread(target=listener, daemon=True)
     thread.start()
-    # stream a short session into the listener
+    # stream a short session into the listener, retrying while the
+    # connection is refused because the listener is not up yet
     for _ in range(50):
-        try:
-            sender = main(["stream", "--connect", f"127.0.0.1:{port}",
-                           "--duration", "4", "--speed", "1000"])
+        sender = main(["stream", "--connect", f"127.0.0.1:{port}",
+                       "--duration", "4", "--speed", "1000"])
+        if sender != EXIT_IO:
             break
-        except SystemExit:  # pragma: no cover - defensive
-            pass
+        time.sleep(0.1)
     thread.join(timeout=10)
     capsys.readouterr()
     assert sender == 0

@@ -30,11 +30,10 @@ def kind_counts(frames):
 
 def test_boot_reports_full_charge():
     emu = FirmwareEmulator()
-    state = emu.boot()
-    assert state.clock_ms == 0
-    assert state.seq == 0
-    assert state.battery.v_terminal == pytest.approx(4.2)
-    assert state.battery.soc == 1.0
+    assert emu.boot() is None
+    assert emu._clock_ms == 0
+    assert emu._seq == 0
+    assert emu.soc == 1.0
 
 
 def test_tick_before_boot_raises():
@@ -223,7 +222,6 @@ def test_fast_discharge_reaches_depleted():
     emu = FirmwareEmulator(power_profile=uniform_profile(1.1e8))
     emu.run(ConstantStimulus(), 60.0)
     assert emu.soc == 0.0
-    assert emu.state.battery.depleted
     percents = [m.percent for m in emu.battery_log]
     assert percents[0] == 100
     assert percents[-1] == 0
@@ -288,7 +286,8 @@ def observed(emu, frames):
         "bytes": encode_session(frames),
         "battery_log": emu.battery_log,
         "timeline": emu.activity_timeline,
-        "state": emu.state,
+        "clock_ms": emu._clock_ms,
+        "seq": emu._seq,
         "soc": emu.soc,
         "energy_mwh": emu.energy_mwh,
         "tx_remaining_ms": emu._tx_remaining_ms,

@@ -10,16 +10,15 @@ from respsim.config import from_dict
 
 from respsim.sensor import (
     AdcConfig,
-    BatteryState,
     DividerConfig,
     FsrModel,
+    LINEAR_OCV,
     OcvCurve,
     ParameterError,
     SenseRangeError,
     adc_quantize,
     adc_to_voltage,
     battery_sense_voltage,
-    battery_voltage,
     divider_voltage,
     fsr_codes,
     fsr_resistance,
@@ -125,7 +124,7 @@ def test_adc_clamps_out_of_range_inputs():
 def test_adc_error_within_half_lsb():
     cfg = AdcConfig()
     rng = np.random.default_rng(5)
-    half_lsb = 0.5 * cfg.lsb_volts
+    half_lsb = 0.5 * cfg.v_ref / cfg.full_scale
     for v in rng.uniform(0.0, 1.8, 4000):
         code = adc_quantize(float(v), cfg)
         assert abs(adc_to_voltage(code, cfg) - v) <= half_lsb + 1e-12
@@ -198,24 +197,16 @@ def test_fsr_codes_reject_negative_and_nan(bad):
 # ---------------------------------------------------------------------------
 
 def test_battery_voltage_linear_endpoints():
-    assert battery_voltage(1.0) == pytest.approx(4.2)
-    assert battery_voltage(0.0) == pytest.approx(3.3)
-    assert battery_voltage(0.5) == pytest.approx(3.75)
+    assert LINEAR_OCV.voltage(1.0) == pytest.approx(4.2)
+    assert LINEAR_OCV.voltage(0.0) == pytest.approx(3.3)
+    assert LINEAR_OCV.voltage(0.5) == pytest.approx(3.75)
 
 
 def test_battery_voltage_rejects_out_of_range_soc():
     with pytest.raises(ParameterError):
-        battery_voltage(1.2)
+        LINEAR_OCV.voltage(1.2)
     with pytest.raises(ParameterError):
-        battery_voltage(-0.01)
-
-
-def test_ocv_curve_is_invertible():
-    curve = OcvCurve(((0.0, 3.2), (0.2, 3.5), (0.8, 3.9), (1.0, 4.25)))
-    rng = np.random.default_rng(9)
-    for soc in rng.uniform(0.0, 1.0, 300):
-        v = curve.voltage(float(soc))
-        assert curve.soc_for_voltage(v) == pytest.approx(soc, abs=1e-9)
+        LINEAR_OCV.voltage(-0.01)
 
 
 def test_ocv_curve_validation():
@@ -248,13 +239,6 @@ def test_battery_sense_rejects_bad_ratio():
         battery_sense_voltage(4.2, ratio=0.0)
     with pytest.raises(ParameterError):
         battery_sense_voltage(4.2, ratio=1.5)
-
-
-def test_battery_state_validation():
-    with pytest.raises(ParameterError):
-        BatteryState(soc=1.5)
-    with pytest.raises(ParameterError):
-        BatteryState(capacity_mah=0.0)
 
 
 # ---------------------------------------------------------------------------
