@@ -10,7 +10,6 @@ energy/battery-life audit (:mod:`respsim.power`), and a CLI harness
 """
 
 from .sensor import (
-    AccelSample,
     AdcConfig,
     DividerConfig,
     ForceSample,
@@ -48,7 +47,7 @@ from .session import run_session
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelSample", "AdcConfig", "DividerConfig", "EnergyReport",
+    "AdcConfig", "DividerConfig", "EnergyReport",
     "FirmwareConfig", "FirmwareEmulator", "ForceSample", "FrameKind", "FsrModel",
     "InvalidConfigError", "OcvCurve", "ParameterError", "PowerProfile", "PRESETS",
     "ProtocolError", "SenseRangeError", "SessionConfig", "StreamSplitter",

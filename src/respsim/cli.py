@@ -108,12 +108,11 @@ def cmd_simulate(args) -> int:
 
 def _frame_emit_ms(frame, cfg: SessionConfig) -> int:
     """Millisecond instant the firmware would have sent this frame."""
+    fw = cfg.firmware
     if frame.kind == FrameKind.FSR_BATCH:
-        period = 1000 // cfg.firmware.fsr_rate_hz
-        return frame.payload.t0_ms + (len(frame.payload.codes) - 1) * period
+        return frame.payload.t0_ms + (len(frame.payload.codes) - 1) * fw.fsr_period_ms
     if frame.kind == FrameKind.ACCEL_BATCH:
-        period = 1000 // cfg.firmware.accel_rate_hz
-        return frame.payload.t0_ms + (len(frame.payload.samples) - 1) * period
+        return frame.payload.t0_ms + (len(frame.payload.samples) - 1) * fw.accel_period_ms
     return frame.payload.t_ms
 
 
@@ -180,24 +179,14 @@ def _stream_listen(args) -> int:
 
 
 def _frame_to_dict(frame) -> dict:
-    d = {
+    return {
         "kind": frame.kind.name.lower(),
         "seq": frame.seq,
         "flags": frame.flags,
         "final_flush": frame.final_flush,
         "charging": frame.charging,
+        **vars(frame.payload),
     }
-    if frame.kind == FrameKind.FSR_BATCH:
-        d["t0_ms"] = frame.payload.t0_ms
-        d["codes"] = list(frame.payload.codes)
-    elif frame.kind == FrameKind.ACCEL_BATCH:
-        d["t0_ms"] = frame.payload.t0_ms
-        d["samples"] = [list(s) for s in frame.payload.samples]
-    else:
-        d["t_ms"] = frame.payload.t_ms
-        d["adc_code"] = frame.payload.adc_code
-        d["percent"] = frame.payload.percent
-    return d
 
 
 def cmd_decode(args) -> int:

@@ -13,18 +13,10 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .firmware import DeviceModel, FirmwareConfig, InvalidConfigError
+from .firmware import DeviceModel, FirmwareConfig
 from .pipeline import AnalysisConfig
 from .power import PRESETS, PowerProfile
-from .sensor import (
-    AdcConfig,
-    DividerConfig,
-    FsrModel,
-    OcvCurve,
-    ParameterError,
-    SenseRangeError,
-    battery_sense_voltage,
-)
+from .sensor import POSTURES, AdcConfig, DividerConfig, FsrModel, OcvCurve
 
 
 class ConfigError(ValueError):
@@ -36,11 +28,19 @@ class BreathSegment:
     start_s: float
     rate_bpm: float
 
+    def __post_init__(self) -> None:
+        if not (0 < self.rate_bpm <= 60):
+            raise ConfigError(f"rate_bpm must be in (0, 60], got {self.rate_bpm}")
+
 
 @dataclass(frozen=True)
 class PostureSegment:
     start_s: float
     posture: str
+
+    def __post_init__(self) -> None:
+        if self.posture not in POSTURES:
+            raise ConfigError(f"unknown posture {self.posture!r}, expected one of {POSTURES}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,25 @@ class ScenarioConfig:
     noise_sd_n: float = 0.0
     accel_noise_sd_mg: float = 10.0
 
+    def __post_init__(self) -> None:
+        for name in ("breathing", "posture"):
+            starts = [seg.start_s for seg in getattr(self, name)]
+            if not starts:
+                raise ConfigError(f"{name}: the schedule is empty, it needs at least one segment")
+            if starts[0] != 0:
+                raise ConfigError(f"{name}: first segment must start at 0, got {starts[0]}")
+            if any(b <= a for a, b in zip(starts, starts[1:])):
+                raise ConfigError(f"{name}: segment starts must be strictly increasing")
+        if not (0 <= self.amplitude_n <= self.baseline_n):
+            raise ConfigError(
+                "need 0 <= amplitude_n <= baseline_n, got "
+                f"{self.amplitude_n}, {self.baseline_n}"
+            )
+        for name in ("noise_sd_n", "accel_noise_sd_mg"):
+            value = getattr(self, name)
+            if not (value >= 0):
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class BatteryConfig:
@@ -63,6 +82,10 @@ class BatteryConfig:
     sense_ratio: float = 0.4
     nominal_v: float = 3.7
     ocv_points: tuple[tuple[float, float], ...] = ((0.0, 3.3), (1.0, 4.2))
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.initial_soc <= 1.0):
+            raise ConfigError(f"initial_soc must be in [0, 1], got {self.initial_soc}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +109,13 @@ class SessionConfig:
     battery: BatteryConfig = field(default_factory=BatteryConfig)
     power: PowerConfig = field(default_factory=PowerConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
+
+    def __post_init__(self) -> None:
+        if not (self.duration_s >= 0):
+            raise ConfigError(f"duration_s must be >= 0, got {self.duration_s}")
+        # the chain and the power profile check their own limits when built
+        self.device_model()
+        self.power_profile()
 
     def device_model(self) -> DeviceModel:
         return DeviceModel(
@@ -132,46 +162,24 @@ def _build(cls, data, path: str, nested=None):
             kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (ParameterError, InvalidConfigError, TypeError, ValueError) as e:
-        raise ConfigError(f"{path.rstrip('.') or 'config'}: {e}") from e
+    except (TypeError, ValueError) as e:
+        where = path.rstrip(".")
+        raise ConfigError(f"{where}: {e}" if where else str(e)) from e
 
 
-def _build_breathing(value, path: str) -> tuple[BreathSegment, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path.rstrip('.')}: expected a non-empty list of segments")
-    segments = tuple(_build(BreathSegment, seg, f"{path}[{i}].") for i, seg in enumerate(value))
-    _check_segments(path, [s.start_s for s in segments])
-    for i, s in enumerate(segments):
-        if not (0 < s.rate_bpm <= 60):
-            raise ConfigError(f"{path}[{i}].rate_bpm: must be in (0, 60], got {s.rate_bpm}")
-    return segments
-
-
-def _build_posture(value, path: str) -> tuple[PostureSegment, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path.rstrip('.')}: expected a non-empty list of segments")
-    segments = tuple(_build(PostureSegment, seg, f"{path}[{i}].") for i, seg in enumerate(value))
-    _check_segments(path, [s.start_s for s in segments])
-    from .sensor import POSTURES
-    for i, s in enumerate(segments):
-        if s.posture not in POSTURES:
-            raise ConfigError(
-                f"{path}[{i}].posture: unknown posture {s.posture!r}, expected one of {POSTURES}"
-            )
-    return segments
-
-
-def _check_segments(path: str, starts: list[float]) -> None:
-    if starts[0] != 0:
-        raise ConfigError(f"{path.rstrip('.')}: first segment must start at 0, got {starts[0]}")
-    if any(b <= a for a, b in zip(starts, starts[1:])):
-        raise ConfigError(f"{path.rstrip('.')}: segment starts must be strictly increasing")
+def _build_segments(cls, value, path: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path.rstrip('.')}: expected a list of segments")
+    return tuple(_build(cls, seg, f"{path}[{i}].") for i, seg in enumerate(value))
 
 
 def _build_scenario(value, path: str) -> ScenarioConfig:
     return _build(
         ScenarioConfig, value, path,
-        nested={"breathing": _build_breathing, "posture": _build_posture},
+        nested={
+            "breathing": lambda v, p: _build_segments(BreathSegment, v, p),
+            "posture": lambda v, p: _build_segments(PostureSegment, v, p),
+        },
     )
 
 
@@ -202,7 +210,7 @@ def from_dict(data: dict | None) -> SessionConfig:
             if "posture" in scenario:
                 raise ConfigError("give either top-level posture or scenario.posture, not both")
             scenario["posture"] = [{"start_s": 0, "posture": posture}]
-    cfg = _build(
+    return _build(
         SessionConfig, data, "",
         nested={
             "scenario": _build_scenario,
@@ -215,33 +223,6 @@ def from_dict(data: dict | None) -> SessionConfig:
             "analysis": lambda v, p: _build(AnalysisConfig, v, p),
         },
     )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: SessionConfig) -> None:
-    if cfg.duration_s < 0:
-        raise ConfigError(f"duration_s: must be >= 0, got {cfg.duration_s}")
-    if not (0 <= cfg.scenario.amplitude_n <= cfg.scenario.baseline_n):
-        raise ConfigError(
-            "scenario: need 0 <= amplitude_n <= baseline_n, got "
-            f"{cfg.scenario.amplitude_n}, {cfg.scenario.baseline_n}"
-        )
-    for name in ("noise_sd_n", "accel_noise_sd_mg"):
-        value = getattr(cfg.scenario, name)
-        if value < 0:
-            raise ConfigError(f"scenario.{name}: must be >= 0, got {value}")
-    if not (0.0 <= cfg.battery.initial_soc <= 1.0):
-        raise ConfigError(
-            f"battery.initial_soc: must be in [0, 1], got {cfg.battery.initial_soc}"
-        )
-    try:
-        model = cfg.device_model()
-        # the full-charge rail must fit the ADC front end
-        battery_sense_voltage(model.ocv.v_max, model.sense_ratio, model.adc.v_ref)
-        cfg.power_profile()
-    except (ParameterError, SenseRangeError) as e:
-        raise ConfigError(str(e)) from e
 
 
 def load_config(path: str) -> SessionConfig:
@@ -267,7 +248,5 @@ def apply_overrides(
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if duration_s is not None:
-        if duration_s < 0:
-            raise ConfigError(f"duration must be >= 0, got {duration_s}")
         cfg = dataclasses.replace(cfg, duration_s=duration_s)
     return cfg

@@ -131,10 +131,15 @@ class DeviceModel:
     nominal_v: float = 3.7
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.sense_ratio < 1.0):
-            raise ParameterError(f"sense_ratio must be in (0, 1), got {self.sense_ratio}")
         if self.capacity_mah <= 0 or self.nominal_v <= 0:
             raise ParameterError("capacity_mah and nominal_v must be positive")
+        # the full-charge rail must fit the ADC front end
+        battery_sense_voltage(self.ocv.v_max, self.sense_ratio, self.adc.v_ref)
+        if self.adc.full_scale > protocol.MAX_CODE:
+            raise InvalidConfigError(
+                f"adc.bits={self.adc.bits} gives codes up to {self.adc.full_scale}, "
+                f"the wire carries at most {protocol.MAX_CODE}"
+            )
 
     def device_percent(self, v_batt: float) -> int:
         """Firmware's charge percent from terminal voltage, round-half-up."""
@@ -175,11 +180,11 @@ class ConstantStimulus:
 
 
 class ArrayStimulus:
-    """Stimulus backed by pre-generated sample lists keyed by timestamp."""
+    """Stimulus keyed by timestamp: ``ForceSample`` list, ``ACCEL_DTYPE`` rows."""
 
-    def __init__(self, force_samples, accel_samples):
+    def __init__(self, force_samples, accel_rows):
         self._force = {s.t_ms: s.force_n for s in force_samples}
-        self._accel = {s.t_ms: (s.x_mg, s.y_mg, s.z_mg) for s in accel_samples}
+        self._accel = {row[0]: row[1:] for row in accel_rows.tolist()}
 
     def force_n(self, t_ms: int) -> float:
         try:
@@ -223,16 +228,7 @@ class FirmwareEmulator:
     # -- lifecycle ----------------------------------------------------------
 
     def boot(self) -> None:
-        """Check the model against the hardware and reset all runtime state."""
-        # confirm the full-charge rail fits the ADC front end
-        battery_sense_voltage(
-            self.model.ocv.v_max, self.model.sense_ratio, self.model.adc.v_ref
-        )
-        if self.model.adc.full_scale > protocol.MAX_CODE:
-            raise InvalidConfigError(
-                f"adc.bits={self.model.adc.bits} gives codes up to {self.model.adc.full_scale}, "
-                f"the wire carries at most {protocol.MAX_CODE}"
-            )
+        """Reset all runtime state."""
         self._clock_ms = 0
         self._seq = 0
         self._energy_mwh = 0.0

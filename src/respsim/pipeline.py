@@ -31,7 +31,7 @@ from scipy.signal import find_peaks
 
 from .firmware import DeviceModel
 from .protocol import FrameKind, TelemetryFrame
-from .sensor import adc_to_voltage
+from .sensor import ACCEL_DTYPE, adc_to_voltage
 
 log = logging.getLogger("respsim.pipeline")
 
@@ -81,9 +81,6 @@ def battery_percent(adc_code: int, model: DeviceModel = DeviceModel()) -> int:
 
 # force_n is NaN at the rails: low at code <= 0, high otherwise
 FSR_DTYPE = np.dtype([("t_ms", np.int64), ("code", np.int64), ("force_n", np.float64)])
-ACCEL_DTYPE = np.dtype(
-    [("t_ms", np.int64), ("x_mg", np.int64), ("y_mg", np.int64), ("z_mg", np.int64)]
-)
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,10 @@ class ForceSample:
     force_n: float
 
 
-@dataclass(frozen=True)
-class AccelSample:
-    t_ms: int
-    x_mg: int
-    y_mg: int
-    z_mg: int
+# one accelerometer sample per row, milli-g per axis
+ACCEL_DTYPE = np.dtype(
+    [("t_ms", np.int64), ("x_mg", np.int64), ("y_mg", np.int64), ("z_mg", np.int64)]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def battery_sense_voltage(v_batt: float, ratio: float = 0.4, v_ref: float = 1.8)
     any requested voltage past ``v_ref`` raises :class:`SenseRangeError`.
     """
     if not (0.0 < ratio < 1.0):
-        raise ParameterError(f"sense ratio must be in (0, 1), got {ratio}")
+        raise ParameterError(f"sense_ratio must be in (0, 1), got {ratio}")
     if not (v_batt >= 0) or math.isnan(v_batt):
         raise ParameterError(f"v_batt must be >= 0, got {v_batt}")
     out = v_batt * ratio
@@ -259,13 +257,10 @@ def battery_sense_voltage(v_batt: float, ratio: float = 0.4, v_ref: float = 1.8)
 # ---------------------------------------------------------------------------
 
 def _sample_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
-    """Return (sample count, period in ms) for an even millisecond grid."""
-    if sample_rate_hz <= 0 or 1000 % sample_rate_hz != 0:
-        raise ParameterError(
-            f"sample_rate_hz must divide 1000 evenly, got {sample_rate_hz}"
-        )
-    if not (duration_s >= 0) or math.isnan(duration_s):
-        raise ParameterError(f"duration_s must be >= 0, got {duration_s}")
+    """Return (sample count, period in ms) for an even millisecond grid.
+
+    The rate divides 1000 and the duration is >= 0: the configs check both.
+    """
     n_exact = duration_s * sample_rate_hz
     n = int(round(n_exact))
     if abs(n_exact - n) > 1e-9:

@@ -22,8 +22,8 @@ from .config import ScenarioConfig, SessionConfig
 from .firmware import ArrayStimulus, FirmwareEmulator, encode_session
 from .power import accumulate
 from .sensor import (
+    ACCEL_DTYPE,
     FULL_SCALE_MG,
-    AccelSample,
     ForceSample,
     _posture_base_mg,
     _sample_grid,
@@ -106,8 +106,8 @@ def synthesize_force(cfg: SessionConfig) -> list[ForceSample]:
     return [ForceSample(int(t), float(f)) for t, f in zip(t_ms, force)]
 
 
-def synthesize_accel(cfg: SessionConfig) -> list[AccelSample]:
-    """Accelerometer samples on the accel grid for the posture schedule."""
+def synthesize_accel(cfg: SessionConfig) -> np.ndarray:
+    """Accelerometer rows (``ACCEL_DTYPE``) on the accel grid for the posture schedule."""
     sc = cfg.scenario
     n, period_ms = _sample_grid(cfg.duration_s, cfg.firmware.accel_rate_hz)
     t_ms = np.arange(n, dtype=np.int64) * period_ms
@@ -120,7 +120,10 @@ def synthesize_accel(cfg: SessionConfig) -> list[AccelSample]:
         rng = np.random.default_rng([cfg.seed, 1])
         base = base + rng.normal(0.0, sc.accel_noise_sd_mg, (n, 3))
     mg = np.clip(np.floor(base + 0.5).astype(np.int64), -FULL_SCALE_MG, FULL_SCALE_MG)
-    return [AccelSample(int(t), int(x), int(y), int(z)) for t, (x, y, z) in zip(t_ms, mg)]
+    rows = np.empty(n, dtype=ACCEL_DTYPE)
+    rows["t_ms"] = t_ms
+    rows["x_mg"], rows["y_mg"], rows["z_mg"] = mg.T
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +142,8 @@ class SessionResult:
 def run_session(cfg: SessionConfig) -> SessionResult:
     """Synthesize stimulus, run the firmware emulator, collect ground truth."""
     force_samples = synthesize_force(cfg)
-    accel_samples = synthesize_accel(cfg)
-    stimulus = ArrayStimulus(force_samples, accel_samples)
+    accel_rows = synthesize_accel(cfg)
+    stimulus = ArrayStimulus(force_samples, accel_rows)
 
     emulator = FirmwareEmulator(
         config=cfg.firmware,
@@ -170,7 +173,7 @@ def run_session(cfg: SessionConfig) -> SessionResult:
             "frames": len(frames),
             "bytes": len(data),
             "force_samples": len(force_samples),
-            "accel_samples": len(accel_samples),
+            "accel_samples": len(accel_rows),
             "battery_reports": len(emulator.battery_log),
         },
     }

@@ -76,19 +76,32 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "accel_batch" in err
 
 
-@pytest.mark.parametrize("command", ["simulate", "power"])
+@pytest.mark.parametrize("command", ["simulate", "power", "analyze"])
 def test_adc_wider_than_the_wire_is_config_error(tmp_path, capsys, command):
-    # code fields on the wire are 12-bit, so 14-bit codes cannot be framed
+    # code fields on the wire are 12-bit, so 14-bit codes can be neither
+    # framed nor inverted against a 14-bit full scale
     cfg = tmp_path / "c.yaml"
     cfg.write_text("duration_s: 4\nadc:\n  bits: 14\n")
     out = tmp_path / "s.raw"
     argv = [command, "--config", str(cfg)]
     if command == "simulate":
         argv += ["--out", str(out)]
+    if command == "analyze":
+        capture = tmp_path / "twelve-bit.raw"
+        assert main(["simulate", "--duration", "20", "--out", str(capture)]) == 0
+        argv += [str(capture), "--out", str(out)]
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("respsim: config error")
     assert "adc.bits=14" in err
+    assert not out.exists()
+
+
+def test_simulate_rejects_negative_duration(tmp_path, capsys):
+    out = tmp_path / "s.raw"
+    code, _, err = run_cli(capsys, "simulate", "--out", str(out), "--duration", "-5")
+    assert code == 1
+    assert err.startswith("respsim: config error") and "duration" in err
     assert not out.exists()
 
 

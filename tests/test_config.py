@@ -1,14 +1,19 @@
 """Config loading: defaults, one-line configs, and unknown-key rejection."""
 
+import dataclasses
+
 import pytest
 
 from respsim.config import (
     ConfigError,
+    ScenarioConfig,
     SessionConfig,
     apply_overrides,
     from_dict,
     load_config,
 )
+from respsim.firmware import DeviceModel, InvalidConfigError
+from respsim.sensor import AdcConfig
 
 
 def write(tmp_path, text):
@@ -174,3 +179,16 @@ def test_overrides_win():
 
 def test_from_dict_none_is_defaults():
     assert from_dict(None) == SessionConfig()
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: ScenarioConfig(amplitude_n=9.0), ConfigError, "amplitude_n"),
+    (lambda: ScenarioConfig(breathing=()), ConfigError, "breathing: the schedule is empty"),
+    (lambda: DeviceModel(adc=AdcConfig(bits=13)), InvalidConfigError, "adc.bits=13"),
+    (lambda: SessionConfig(adc=AdcConfig(bits=14)), InvalidConfigError, "adc.bits=14"),
+    (lambda: dataclasses.replace(SessionConfig(), duration_s=float("nan")), ConfigError,
+     "duration_s"),
+], ids=["amplitude", "empty-schedule", "device-adc", "session-adc", "replace-duration"])
+def test_invalid_config_is_rejected_at_construction(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

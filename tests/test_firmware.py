@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from respsim.firmware import (
 )
 from respsim.power import PowerProfile, accumulate, uniform_profile
 from respsim.protocol import FrameKind
-from respsim.sensor import AccelSample, ForceSample, OcvCurve, ParameterError
+from respsim.sensor import ACCEL_DTYPE, ForceSample, OcvCurve, ParameterError
 
 
 def kind_counts(frames):
@@ -320,7 +321,7 @@ def test_run_rejects_invalid_force_like_tick(bad):
     with pytest.raises(ParameterError):
         emu.tick(bad, (0, 0, 1000))
     force = [ForceSample(t, bad if t == 400 else 4.0) for t in range(0, 1000, 40)]
-    accel = [AccelSample(t, 0, 0, 1000) for t in range(0, 1000, 20)]
+    accel = np.array([(t, 0, 0, 1000) for t in range(0, 1000, 20)], dtype=ACCEL_DTYPE)
     with pytest.raises(ParameterError):
         FirmwareEmulator().run(ArrayStimulus(force, accel), 1.0)
 
@@ -329,7 +330,7 @@ def test_run_rejects_invalid_force_like_tick(bad):
 def test_run_raises_when_array_stimulus_misses_an_instant(missing):
     force = [ForceSample(t, 4.0) for t in range(0, 1000, 40)
              if not (missing == "force" and t == 480)]
-    accel = [AccelSample(t, 0, 0, 1000) for t in range(0, 1000, 20)
-             if not (missing == "accel" and t == 480)]
+    accel = np.array([(t, 0, 0, 1000) for t in range(0, 1000, 20)
+                      if not (missing == "accel" and t == 480)], dtype=ACCEL_DTYPE)
     with pytest.raises(StimulusError):
         FirmwareEmulator().run(ArrayStimulus(force, accel), 1.0)

@@ -34,6 +34,7 @@ from respsim.protocol import (
     FrameKind,
     FsrBatchPayload,
     TelemetryFrame,
+    split_stream,
 )
 from respsim.sensor import (
     AdcConfig,
@@ -109,7 +110,7 @@ def test_reconstruct_respects_custom_chain():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    bits=st.integers(1, 16),
+    bits=st.integers(1, 12),
     v_ref=st.floats(0.5, 5.0),
     v_dd=st.floats(0.5, 5.0),
     r_fixed=st.floats(1e2, 1e7),
@@ -120,7 +121,9 @@ def test_reconstruct_equals_scalar_inversion_at_every_code(bits, v_ref, v_dd, r_
     div = DividerConfig(r_fixed_ohm=r_fixed, v_dd=v_dd)
     fsr = FsrModel(k_ohm_n=k)
     codes = np.arange(-1, adc.full_scale + 2)
-    forces = reconstruct_force(codes, DeviceModel(fsr=fsr, divider=div, adc=adc)).tolist()
+    # 4.2 V x 0.1 sits under every v_ref drawn; the inversion never reads the ratio
+    model = DeviceModel(fsr=fsr, divider=div, adc=adc, sense_ratio=0.1)
+    forces = reconstruct_force(codes, model).tolist()
     expected = [scalar_force(c, adc, div, fsr) for c in codes.tolist()]
     assert [None if math.isnan(f) else f for f in forces] == expected
 
@@ -212,8 +215,7 @@ def accel_rows(rows):
 
 
 def posture_rows(posture, duration_s, seed):
-    samples = synthesize_accel(session_cfg(duration_s, posture=posture, seed=seed))
-    return accel_rows((s.t_ms, s.x_mg, s.y_mg, s.z_mg) for s in samples)
+    return synthesize_accel(session_cfg(duration_s, posture=posture, seed=seed))
 
 
 def test_still_posture_has_no_artifacts():
@@ -468,6 +470,23 @@ def test_seq_gaps_count_missing_frames_anywhere_in_the_counter(first, kept):
     offsets = sorted(kept)
     series = extract_series(battery_frames([(first + k) & 0xFFFF for k in offsets]))
     assert series.seq_gaps == offsets[-1] - offsets[0] + 1 - len(offsets)
+
+
+def test_session_past_the_16_bit_seq_wrap():
+    # one sample per frame on both channels at 1 kHz: 66,017 frames in 33 s,
+    # so seq wraps once and the last frame carries 480
+    cfg = from_dict({
+        "duration_s": 33,
+        "firmware": {"fsr_rate_hz": 1000, "accel_rate_hz": 1000,
+                     "fsr_batch": 1, "accel_batch": 1},
+    })
+    frames, resyncs, pending = split_stream(run_session(cfg).data)
+    assert len(frames) == 66_017 and frames[-1].seq == 480
+    assert resyncs == [] and pending == 0
+    series = analyze_session(frames, cfg.analysis, cfg.device_model()).series
+    assert series.seq_gaps == 0
+    assert len(series.fsr) == len(series.accel) == 33_000
+    assert (np.diff(series.fsr["t_ms"]) > 0).all()
 
 
 def test_summarize_shape():

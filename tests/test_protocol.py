@@ -8,6 +8,7 @@ value, so a shared mistake can't hide.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from respsim.protocol import (
     MAGIC,
@@ -338,3 +339,44 @@ def test_split_stats_counters():
     assert splitter.frames_out == 5
     assert splitter.resync_count == 2
     assert splitter.skipped_bytes == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_frames=st.integers(1, 12),
+    flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 7)), max_size=8),
+    chunks=st.lists(st.integers(1, 64), max_size=40),
+)
+def test_split_damaged_stream_is_chunking_invariant(seed, n_frames, flips, chunks):
+    _, data = _frames_bytes(random.Random(seed), n_frames)
+    damaged = bytearray(data)
+    for pos, bit in flips:
+        damaged[pos % len(damaged)] ^= 1 << bit
+    damaged = bytes(damaged)
+    one_shot, one_resyncs, one_pending = split_stream(damaged)
+    splitter = StreamSplitter()
+    got = []
+    i = 0
+    for size in chunks:
+        got.extend(splitter.feed(damaged[i:i + size]))
+        i += size
+    got.extend(splitter.feed(damaged[i:]))
+    assert got == one_shot
+    assert splitter.resyncs == one_resyncs
+    assert splitter.pending_bytes == one_pending
+
+
+_stream_pieces = st.one_of(
+    st.binary(max_size=16),
+    st.sampled_from([bytes([MAGIC]), bytes([MAGIC, VERSION])]),
+    st.integers(0, 2**32 - 1).map(lambda seed: encode(random_frame(random.Random(seed)))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_stream_pieces, max_size=48).map(b"".join))
+def test_split_never_raises_and_accounts_for_every_byte(data):
+    frames, resyncs, pending = split_stream(data)
+    framed = sum(len(encode(f)) for f in frames)
+    assert framed + sum(r.skipped for r in resyncs) + pending == len(data)

@@ -297,36 +297,36 @@ def test_breathing_noise_never_goes_negative():
 # accelerometer stimulus of a single-segment session
 # ---------------------------------------------------------------------------
 
-def magnitude_mg(s) -> float:
-    return math.sqrt(s.x_mg ** 2 + s.y_mg ** 2 + s.z_mg ** 2)
+def magnitude_mg(row) -> float:
+    return math.sqrt(row["x_mg"] ** 2 + row["y_mg"] ** 2 + row["z_mg"] ** 2)
 
 
 def test_accel_still_noiseless_is_gravity_on_z():
-    samples = synthesize_accel(single_segment(2.0, accel_noise_sd_mg=0.0))
-    assert len(samples) == 100
-    assert all((s.x_mg, s.y_mg, s.z_mg) == (0, 0, 1000) for s in samples)
-    assert samples[1].t_ms == 20
+    rows = synthesize_accel(single_segment(2.0, accel_noise_sd_mg=0.0))
+    assert len(rows) == 100
+    assert all(row[1:] == (0, 0, 1000) for row in rows.tolist())
+    assert rows[1]["t_ms"] == 20
 
 
 def test_accel_walking_deviation_is_sustained():
-    samples = synthesize_accel(single_segment(10.0, posture="walking", accel_noise_sd_mg=0.0))
+    rows = synthesize_accel(single_segment(10.0, posture="walking", accel_noise_sd_mg=0.0))
     # every sample sits a full 300 mg away from 1 g: no clean gaps
-    for s in samples:
-        assert abs(magnitude_mg(s) - 1000.0) == pytest.approx(300.0)
+    for row in rows:
+        assert abs(magnitude_mg(row) - 1000.0) == pytest.approx(300.0)
 
 
 def test_accel_shift_preserves_magnitude():
-    samples = synthesize_accel(single_segment(10.0, posture="shift", accel_noise_sd_mg=0.0))
-    first, last = samples[0], samples[-1]
-    assert (first.x_mg, first.y_mg, first.z_mg) == (0, 0, 1000)
-    assert (last.x_mg, last.y_mg, last.z_mg) == (600, 0, 800)
+    rows = synthesize_accel(single_segment(10.0, posture="shift", accel_noise_sd_mg=0.0))
+    first, last = rows[0], rows[-1]
+    assert first.tolist()[1:] == (0, 0, 1000)
+    assert last.tolist()[1:] == (600, 0, 800)
     assert magnitude_mg(last) == pytest.approx(1000.0)
 
 
 def test_accel_reproducible_and_clamped():
     a = synthesize_accel(single_segment(5.0, seed=3, accel_noise_sd_mg=800.0))
     b = synthesize_accel(single_segment(5.0, seed=3, accel_noise_sd_mg=800.0))
-    assert a == b
-    for s in a:
-        for axis in (s.x_mg, s.y_mg, s.z_mg):
+    assert a.tolist() == b.tolist()
+    for row in a.tolist():
+        for axis in row[1:]:
             assert -2000 <= axis <= 2000

@@ -88,11 +88,11 @@ def test_posture_schedule_switches_mid_run():
                         {"start_s": 10, "posture": "walking"}],
         },
     )
-    samples = synthesize_accel(cfg)
-    first_half = [s for s in samples if s.t_ms < 10_000]
-    second_half = [s for s in samples if s.t_ms >= 10_000]
-    assert all(s.z_mg == 1000 for s in first_half)
-    assert all(abs(abs(s.z_mg - 1000) - 300) == 0 for s in second_half)
+    rows = synthesize_accel(cfg)
+    first_half = rows[rows["t_ms"] < 10_000]
+    second_half = rows[rows["t_ms"] >= 10_000]
+    assert (first_half["z_mg"] == 1000).all()
+    assert (abs(second_half["z_mg"] - 1000) == 300).all()
 
 
 def test_session_reproducibility():
