@@ -9,6 +9,8 @@ the full key path instead of being ignored — a silently misspelled
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
 
 import yaml
@@ -148,18 +150,38 @@ class SessionConfig:
         )
 
 
+@functools.cache
+def _number_fields(cls) -> dict[str, bool]:
+    """Fields annotated int, float or ``float | None``, each with whether it takes None."""
+    fields = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        types = set(typing.get_args(hint) or (hint,))
+        if types - {type(None)} and types <= {int, float, type(None)}:
+            fields[name] = type(None) in types
+    return fields
+
+
 def _build(cls, data, path: str, nested=None):
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected a mapping, got {type(data).__name__}")
+        raise ConfigError(
+            f"{path.rstrip('.') or 'config'}: expected a mapping, got {type(data).__name__}"
+        )
     names = {f.name for f in dataclasses.fields(cls)}
+    numbers = _number_fields(cls)
     kwargs = {}
     for key, value in data.items():
         if key not in names:
             raise ConfigError(f"unknown config key '{path}{key}'")
         if nested and key in nested:
             kwargs[key] = nested[key](value, f"{path}{key}.")
-        else:
-            kwargs[key] = value
+            continue
+        # a number field's own checks compare it, which would fail on a string
+        # with a TypeError that names no key
+        if key in numbers and not (
+            isinstance(value, (int, float)) or (value is None and numbers[key])
+        ):
+            raise ConfigError(f"{path}{key}: expected a number, got {type(value).__name__}")
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
@@ -168,9 +190,10 @@ def _build(cls, data, path: str, nested=None):
 
 
 def _build_segments(cls, value, path: str) -> tuple:
+    where = path.rstrip(".")
     if not isinstance(value, list):
-        raise ConfigError(f"{path.rstrip('.')}: expected a list of segments")
-    return tuple(_build(cls, seg, f"{path}[{i}].") for i, seg in enumerate(value))
+        raise ConfigError(f"{where}: expected a list of segments")
+    return tuple(_build(cls, seg, f"{where}[{i}].") for i, seg in enumerate(value))
 
 
 def _build_scenario(value, path: str) -> ScenarioConfig:

@@ -17,7 +17,6 @@ monotonic at session scale.  seq only feeds the gap diagnostics.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -590,6 +589,10 @@ CSV_COLUMNS = [
     "rate_bpm", "breath_count", "confidence", "artifact_fraction", "note",
 ]
 
+# Rows are formatted and written this many at a time, so an export holds
+# one block of text, never the whole file.
+BLOCK_ROWS = 4096
+
 
 def format_relative_ms(t_ms: int) -> str:
     """hh:mm:ss.mmm elapsed-time stamp for a millisecond offset."""
@@ -600,58 +603,149 @@ def format_relative_ms(t_ms: int) -> str:
     return f"{h:02d}:{m:02d}:{s:02d}.{ms:03d}"
 
 
-def _rows(result: SessionAnalysis) -> Iterable[dict]:
-    """Export rows grouped by record type, each group time-ordered."""
-    for t, code, force in result.series.fsr.tolist():
-        row = {"record": "fsr", "t_ms": t, "code": code, "saturated": ""}
-        if math.isnan(force):
-            row["saturated"] = "low" if code <= 0 else "high"
-        else:
-            row["force_n"] = f"{force:.6f}"
-        yield row
-    for t, x, y, z in result.series.accel.tolist():
-        yield {"record": "accel", "t_ms": t, "x_mg": x, "y_mg": y, "z_mg": z}
-    for p in result.series.battery:
-        yield {"record": "battery", "t_ms": p.t_ms, "code": p.adc_code,
-               "percent_device": p.device_percent, "percent_host": p.host_percent,
-               "charging": int(p.charging)}
-    for b in result.breaths.tolist():
-        yield {"record": "breath", "t_ms": b}
-    for a, b in result.artifacts.intervals:
-        yield {"record": "artifact", "t_ms": a, "end_ms": b}
-    for e in result.estimates:
-        yield {"record": "estimate", "t_ms": e.window_start_ms, "end_ms": e.window_end_ms,
-               "rate_bpm": f"{e.rate_bpm:.3f}", "breath_count": e.breath_count,
-               "confidence": f"{e.confidence:.4f}",
-               "artifact_fraction": f"{e.artifact_fraction:.4f}"}
-    for alert in result.alerts:
-        yield {"record": "alert", "t_ms": alert.start_ms, "end_ms": alert.end_ms,
-               "note": alert.kind}
+_STAMP = np.frombuffer(b"00:00:00.000", dtype=np.uint8)
+_STAMP_DIGITS = [0, 1, 3, 4, 6, 7, 9, 10, 11]
+
+
+def _relative_ms_column(t_ms: np.ndarray) -> list[str]:
+    """:func:`format_relative_ms` of every entry of an int64 array.
+
+    numpy's divmod floors as Python's does.  Each stamp's 12 ASCII bytes
+    are filled one digit column at a time; stamps whose hours do not fit
+    two digits (100 h and beyond, or before 0) are formatted one by one.
+    """
+    s, ms = np.divmod(t_ms, 1000)
+    m, s = np.divmod(s, 60)
+    h, m = np.divmod(m, 60)
+    hh = np.clip(h, 0, 99)
+    chars = np.tile(_STAMP, (t_ms.size, 1))
+    chars[:, _STAMP_DIGITS] = np.stack(
+        [hh // 10, hh % 10, m // 10, m % 10, s // 10, s % 10, ms // 100, ms // 10 % 10, ms % 10],
+        axis=1,
+    ) + ord("0")
+    stamps = chars.view("S12").ravel().astype("U12").tolist()
+    for i in np.flatnonzero(h != hh).tolist():
+        stamps[i] = format_relative_ms(t_ms[i])
+    return stamps
+
+
+def _saturation(code: int) -> str:
+    return "low" if code <= 0 else "high"
+
+
+def _csv_text(text: str) -> str:
+    """A text cell as ``csv.writer`` writes it with ``lineterminator="\\n"``."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_real(x: float, digits: int) -> str:
+    """``json.dumps(float(f"{x:.{digits}f}"))``: round() rounds the same way."""
+    return repr(round(x, digits)) if math.isfinite(x) else json.dumps(x)
+
+
+# One line builder per record type and format.  Each takes a row's t_ms and
+# t_iso, then that record's fields in the order _records gives them.  A CSV
+# line leaves every other column of CSV_COLUMNS empty; a JSONL line holds
+# the record's keys as json.dumps(row, sort_keys=True) writes them.  An FSR
+# force is NaN (f != f) only at a rail, which the row marks as saturated.
+_CSV_LINES = {
+    "fsr": lambda t, iso, code, f: (
+        f"fsr,{t},{iso},,{code},{f:.6f},,,,,,,,,,,,\n" if f == f
+        else f"fsr,{t},{iso},,{code},,{_saturation(code)},,,,,,,,,,,\n"),
+    "accel": lambda t, iso, x, y, z: f"accel,{t},{iso},,,,,{x},{y},{z},,,,,,,,\n",
+    "battery": lambda t, iso, code, device, host, charging: (
+        f"battery,{t},{iso},,{code},,,,,,{device},{host},{charging},,,,,\n"),
+    "breath": lambda t, iso: f"breath,{t},{iso},,,,,,,,,,,,,,,\n",
+    "artifact": lambda t, iso, end: f"artifact,{t},{iso},{end},,,,,,,,,,,,,,\n",
+    "estimate": lambda t, iso, end, rate, count, confidence, fraction: (
+        f"estimate,{t},{iso},{end},,,,,,,,,,{rate:.3f},{count},{confidence:.4f},"
+        f"{fraction:.4f},\n"),
+    "alert": lambda t, iso, end, note: (
+        f"alert,{t},{iso},{end},,,,,,,,,,,,,,{_csv_text(note)}\n"),
+}
+_JSONL_LINES = {
+    "fsr": lambda t, iso, code, f: (
+        f'{{"code": {code}, "force_n": {_json_real(f, 6)}, "record": "fsr", '
+        f'"saturated": "", "t_iso": "{iso}", "t_ms": {t}}}\n' if f == f
+        else f'{{"code": {code}, "record": "fsr", "saturated": "{_saturation(code)}", '
+             f'"t_iso": "{iso}", "t_ms": {t}}}\n'),
+    "accel": lambda t, iso, x, y, z: (
+        f'{{"record": "accel", "t_iso": "{iso}", "t_ms": {t}, '
+        f'"x_mg": {x}, "y_mg": {y}, "z_mg": {z}}}\n'),
+    "battery": lambda t, iso, code, device, host, charging: (
+        f'{{"charging": {charging}, "code": {code}, "percent_device": {device}, '
+        f'"percent_host": {host}, "record": "battery", "t_iso": "{iso}", "t_ms": {t}}}\n'),
+    "breath": lambda t, iso: f'{{"record": "breath", "t_iso": "{iso}", "t_ms": {t}}}\n',
+    "artifact": lambda t, iso, end: (
+        f'{{"end_ms": {end}, "record": "artifact", "t_iso": "{iso}", "t_ms": {t}}}\n'),
+    "estimate": lambda t, iso, end, rate, count, confidence, fraction: (
+        f'{{"artifact_fraction": {_json_real(fraction, 4)}, "breath_count": {count}, '
+        f'"confidence": {_json_real(confidence, 4)}, "end_ms": {end}, '
+        f'"rate_bpm": {_json_real(rate, 3)}, "record": "estimate", '
+        f'"t_iso": "{iso}", "t_ms": {t}}}\n'),
+    "alert": lambda t, iso, end, note: (
+        f'{{"end_ms": {end}, "note": {json.dumps(note)}, "record": "alert", '
+        f'"t_iso": "{iso}", "t_ms": {t}}}\n'),
+}
+
+
+def _records(result: SessionAnalysis) -> list[tuple[str, np.ndarray, list[np.ndarray]]]:
+    """(record type, t_ms, field columns) per record type, in export order.
+
+    Every column is an array, text in an object array, so a block of it
+    converts back to Python values with one ``tolist()``.
+    """
+    fsr, accel = result.series.fsr, result.series.accel
+
+    def column(items, attr: str, dtype=None) -> np.ndarray:
+        return np.array([getattr(item, attr) for item in items], dtype=dtype)
+
+    battery, estimates, alerts = result.series.battery, result.estimates, result.alerts
+    intervals = np.array(result.artifacts.intervals, dtype=np.int64).reshape(-1, 2)
+    return [
+        ("fsr", fsr["t_ms"], [fsr["code"], fsr["force_n"]]),
+        ("accel", accel["t_ms"], [accel["x_mg"], accel["y_mg"], accel["z_mg"]]),
+        ("battery", column(battery, "t_ms"),
+         [column(battery, attr, np.int64)
+          for attr in ("adc_code", "device_percent", "host_percent", "charging")]),
+        ("breath", result.breaths, []),
+        ("artifact", intervals[:, 0], [intervals[:, 1]]),
+        ("estimate", column(estimates, "window_start_ms"),
+         [column(estimates, "window_end_ms", np.int64),
+          column(estimates, "rate_bpm", np.float64),
+          column(estimates, "breath_count", np.int64),
+          column(estimates, "confidence", np.float64),
+          column(estimates, "artifact_fraction", np.float64)]),
+        ("alert", column(alerts, "start_ms"),
+         [column(alerts, "end_ms", np.int64), column(alerts, "kind", object)]),
+    ]
+
+
+def _write(result: SessionAnalysis, fp: IO[str], lines: dict) -> int:
+    """Write every record through ``lines``, one block at a time; returns the row count."""
+    n = 0
+    for record, t_ms, columns in _records(result):
+        line = lines[record]
+        t_ms = np.asarray(t_ms, dtype=np.int64)
+        for lo in range(0, t_ms.size, BLOCK_ROWS):
+            t = t_ms[lo:lo + BLOCK_ROWS]
+            fields = [c[lo:lo + BLOCK_ROWS].tolist() for c in columns]
+            fp.write("".join(map(line, t.tolist(), _relative_ms_column(t), *fields)))
+        n += t_ms.size
+    return n
 
 
 def export_csv(result: SessionAnalysis, fp: IO[str]) -> int:
     """Write the session as CSV; returns the number of data rows."""
-    writer = csv.DictWriter(fp, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    n = 0
-    for row in _rows(result):
-        row["t_iso"] = format_relative_ms(row["t_ms"])
-        writer.writerow(row)
-        n += 1
-    return n
+    fp.write(",".join(CSV_COLUMNS) + "\n")
+    return _write(result, fp, _CSV_LINES)
 
 
 def export_jsonl(result: SessionAnalysis, fp: IO[str]) -> int:
     """Write the session as JSON Lines with the same fields as the CSV."""
-    n = 0
-    for row in _rows(result):
-        row["t_iso"] = format_relative_ms(row["t_ms"])
-        for key in ("force_n", "rate_bpm", "confidence", "artifact_fraction"):
-            if key in row:
-                row[key] = float(row[key])
-        fp.write(json.dumps(row, sort_keys=True) + "\n")
-        n += 1
-    return n
+    return _write(result, fp, _JSONL_LINES)
 
 
 def export(result: SessionAnalysis, path: str, fmt: str = "csv") -> int:

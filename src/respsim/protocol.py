@@ -103,6 +103,18 @@ def _check_u32(name: str, value: int) -> None:
         raise BadLength(f"{name} {value} outside u32 range")
 
 
+def _unchecked(cls, **fields):
+    """Build a frozen dataclass without running its ``__post_init__``.
+
+    Only for fields just unpacked from a struct format, which already
+    bounds them (u32 times, i16 axes, u16 seq, u8 flags); the caller checks
+    whatever the format leaves open.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class FsrBatchPayload:
     """Batch of consecutive FSR ADC codes starting at ``t0_ms``."""
@@ -133,8 +145,13 @@ class FsrBatchPayload:
             raise BadLength(
                 f"FSR batch declares {count} codes but payload is {len(raw)} bytes"
             )
+        if not count:
+            raise BadLength("FSR batch must hold at least one code")
         codes = struct.unpack_from(f"<{count}H", raw, 5)
-        return cls(t0, codes)
+        if max(codes) > MAX_CODE:
+            bad = next(c for c in codes if c > MAX_CODE)
+            raise BadLength(f"FSR code {bad} outside 12-bit range")
+        return _unchecked(cls, t0_ms=t0, codes=codes)
 
 
 @dataclass(frozen=True)
@@ -171,11 +188,11 @@ class AccelBatchPayload:
             raise BadLength(
                 f"accel batch declares {count} samples but payload is {len(raw)} bytes"
             )
+        if not count:
+            raise BadLength("accel batch must hold at least one sample")
         flat = struct.unpack_from(f"<{3 * count}h", raw, 5)
-        samples = tuple(
-            (flat[i], flat[i + 1], flat[i + 2]) for i in range(0, len(flat), 3)
-        )
-        return cls(t0, samples)
+        samples = tuple(zip(flat[0::3], flat[1::3], flat[2::3]))
+        return _unchecked(cls, t0_ms=t0, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -211,6 +228,7 @@ _PAYLOAD_TYPES: dict[FrameKind, type] = {
     FrameKind.ACCEL_BATCH: AccelBatchPayload,
     FrameKind.BATTERY_STATUS: BatteryStatusPayload,
 }
+_KINDS: dict[int, FrameKind] = {int(kind): kind for kind in FrameKind}
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +300,12 @@ def decode(data: bytes) -> TelemetryFrame:
     actual_crc = data[total - 1]
     if actual_crc != expected_crc:
         raise BadCrc(f"crc mismatch: expected 0x{expected_crc:02X}, got 0x{actual_crc:02X}")
-    try:
-        kind = FrameKind(kind_byte)
-    except ValueError:
-        raise UnknownKind(f"unknown frame kind 0x{kind_byte:02X}") from None
+    kind = _KINDS.get(kind_byte)
+    if kind is None:
+        raise UnknownKind(f"unknown frame kind 0x{kind_byte:02X}")
     payload = _PAYLOAD_TYPES[kind].from_bytes(data[HEADER_LEN:total - 1])
-    return TelemetryFrame(kind, seq, flags, payload)
+    # the header format bounds seq and flags, and the payload type follows kind
+    return _unchecked(TelemetryFrame, kind=kind, seq=seq, flags=flags, payload=payload)
 
 
 # ---------------------------------------------------------------------------

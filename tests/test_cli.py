@@ -114,6 +114,27 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     assert "duraton_s" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("scenario:\n  breathing:\n    - {start_s: 0, rate_bpm: 90}\n",
+     "scenario.breathing[0]: rate_bpm must be in (0, 60], got 90"),
+    ("scenario:\n  posture:\n    - {start_s: 0, posture: still}\n    - {start_s: 5, pose: x}\n",
+     "unknown config key 'scenario.posture[1].pose'"),
+    ("scenario:\n  breathing:\n    - 12\n",
+     "scenario.breathing[0]: expected a mapping, got int"),
+    ("duration_s: abc\n", "duration_s: expected a number, got str"),
+    ("scenario:\n  breathing:\n    - {start_s: 0, rate_bpm: fast}\n",
+     "scenario.breathing[0].rate_bpm: expected a number, got str"),
+])
+def test_config_errors_name_their_key(tmp_path, capsys, text, message):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "s.raw"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert err == f"respsim: config error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.yaml"),
                            "--out", str(tmp_path / "s.raw"))

@@ -97,6 +97,19 @@ def test_rate_out_of_range(tmp_path):
             load_config(write(tmp_path, f"rate_bpm: {rate}\n"))
 
 
+def test_non_numeric_values_are_named(tmp_path):
+    with pytest.raises(ConfigError, match=r"^duration_s: expected a number, got str$"):
+        load_config(write(tmp_path, "duration_s: abc\n"))
+    with pytest.raises(ConfigError, match=r"^adc\.bits: expected a number, got str$"):
+        from_dict({"adc": {"bits": "twelve"}})
+    with pytest.raises(ConfigError, match=r"^power\.p_idle_uw: expected a number, got list$"):
+        from_dict({"power": {"p_idle_uw": [1], "p_active_uw": 1, "p_radio_uw": 1}})
+    with pytest.raises(ConfigError, match=r"^seed: expected a number, got NoneType$"):
+        from_dict({"seed": None})
+    # a number field that defaults to None takes None
+    assert from_dict({"power": {"p_idle_uw": None}}).power.p_idle_uw is None
+
+
 def test_unknown_posture_named(tmp_path):
     with pytest.raises(ConfigError, match="sprinting"):
         load_config(write(tmp_path, "posture: sprinting\n"))

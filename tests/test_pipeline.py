@@ -4,18 +4,27 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from respsim import pipeline
 from respsim.config import from_dict
 from respsim.firmware import DeviceModel
 from respsim.pipeline import (
     ACCEL_DTYPE,
+    CSV_COLUMNS,
+    FSR_DTYPE,
+    Alert,
     AnalysisConfig,
     ArtifactMask,
+    BatteryPoint,
+    ExtractedSeries,
     InsufficientDataError,
+    RespirationEstimate,
+    SessionAnalysis,
     analyze_session,
     battery_percent,
     detect_apnea,
@@ -563,3 +572,125 @@ def test_export_empty_session_is_header_only():
     rows = export_csv(analyze_session([]), buf)
     assert rows == 0
     assert buf.getvalue().count("\n") == 1
+
+
+def reference_rows(result):
+    """The export rows as dicts, one per row, grouped by record type: the
+    reference exporters below write them with csv.DictWriter and json.dumps."""
+    for t, code, force in result.series.fsr.tolist():
+        row = {"record": "fsr", "t_ms": t, "code": code, "saturated": ""}
+        if math.isnan(force):
+            row["saturated"] = "low" if code <= 0 else "high"
+        else:
+            row["force_n"] = f"{force:.6f}"
+        yield row
+    for t, x, y, z in result.series.accel.tolist():
+        yield {"record": "accel", "t_ms": t, "x_mg": x, "y_mg": y, "z_mg": z}
+    for p in result.series.battery:
+        yield {"record": "battery", "t_ms": p.t_ms, "code": p.adc_code,
+               "percent_device": p.device_percent, "percent_host": p.host_percent,
+               "charging": int(p.charging)}
+    for b in result.breaths.tolist():
+        yield {"record": "breath", "t_ms": b}
+    for a, b in result.artifacts.intervals:
+        yield {"record": "artifact", "t_ms": a, "end_ms": b}
+    for e in result.estimates:
+        yield {"record": "estimate", "t_ms": e.window_start_ms, "end_ms": e.window_end_ms,
+               "rate_bpm": f"{e.rate_bpm:.3f}", "breath_count": e.breath_count,
+               "confidence": f"{e.confidence:.4f}",
+               "artifact_fraction": f"{e.artifact_fraction:.4f}"}
+    for alert in result.alerts:
+        yield {"record": "alert", "t_ms": alert.start_ms, "end_ms": alert.end_ms,
+               "note": alert.kind}
+
+
+def reference_csv(result, fp):
+    writer = csv.DictWriter(fp, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    n = 0
+    for row in reference_rows(result):
+        row["t_iso"] = format_relative_ms(row["t_ms"])
+        writer.writerow(row)
+        n += 1
+    return n
+
+
+def reference_jsonl(result, fp):
+    n = 0
+    for row in reference_rows(result):
+        row["t_iso"] = format_relative_ms(row["t_ms"])
+        for key in ("force_n", "rate_bpm", "confidence", "artifact_fraction"):
+            if key in row:
+                row[key] = float(row[key])
+        fp.write(json.dumps(row, sort_keys=True) + "\n")
+        n += 1
+    return n
+
+
+# instants past 1 h, around and past 100 h (three-digit hours), and before 0
+_export_times = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(3_599_000, 3_601_000),
+    st.integers(359_999_000, 360_001_000),
+    st.integers(-10**6, 10**6),
+)
+_reals = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def session_analyses(draw):
+    """Every record type, rail codes with NaN force, and empty channels."""
+    fsr = draw(st.lists(st.tuples(
+        _export_times,
+        st.sampled_from([0, 4095]) | st.integers(0, 4095),
+        st.just(math.nan) | st.floats(-1e3, 1e4) | _reals)))
+    accel = draw(st.lists(st.tuples(_export_times, *[st.integers(-32768, 32767)] * 3)))
+    battery = draw(st.lists(st.builds(
+        BatteryPoint, _export_times, st.integers(0, 4095), st.integers(0, 100),
+        st.integers(0, 100), st.booleans()), max_size=5))
+    breaths = draw(st.lists(_export_times, max_size=10))
+    intervals = draw(st.lists(st.tuples(_export_times, _export_times), max_size=5))
+    estimates = draw(st.lists(st.builds(
+        RespirationEstimate, _export_times, _export_times, st.floats(0, 60) | _reals,
+        st.integers(0, 100), st.floats(0, 1) | _reals, st.floats(0, 1) | _reals),
+        max_size=5))
+    # notes with the characters CSV quotes, and any others
+    notes = st.just("apnea") | st.text(',"\r\n a', max_size=6) | st.text(max_size=6)
+    alerts = draw(st.lists(st.builds(Alert, notes, _export_times, _export_times), max_size=3))
+    series = ExtractedSeries(
+        fsr=np.array(fsr, dtype=FSR_DTYPE),
+        accel=np.array(accel, dtype=ACCEL_DTYPE),
+        battery=battery,
+        fsr_period_ms=40.0,
+        accel_period_ms=20.0,
+        frame_counts={},
+        seq_gaps=0,
+    )
+    return SessionAnalysis(
+        series=series,
+        breaths=np.array(breaths, dtype=np.int64),
+        artifacts=ArtifactMask(tuple(intervals)),
+        estimates=estimates,
+        alerts=alerts,
+        span_ms=(0, 0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(session_analyses(), st.integers(1, 9))
+def test_exports_match_the_reference_writers(result, block_rows):
+    # small blocks put block boundaries inside every record group
+    with mock.patch.object(pipeline, "BLOCK_ROWS", block_rows):
+        for export, reference in ((export_csv, reference_csv), (export_jsonl, reference_jsonl)):
+            got, expected = io.StringIO(), io.StringIO()
+            assert export(result, got) == reference(result, expected)
+            assert got.getvalue() == expected.getvalue()
+
+
+def test_export_of_a_session_matches_the_reference_writers():
+    result = analyze_session(run_frames(duration=200.0, rate=20.0, posture="walking"))
+    assert len(result.series.fsr) > pipeline.BLOCK_ROWS
+    for export, reference in ((export_csv, reference_csv), (export_jsonl, reference_jsonl)):
+        got, expected = io.StringIO(), io.StringIO()
+        assert export(result, got) == reference(result, expected)
+        assert got.getvalue() == expected.getvalue()

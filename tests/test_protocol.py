@@ -6,6 +6,7 @@ value, so a shared mistake can't hide.
 """
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +234,139 @@ def test_decode_rejects_any_single_bit_flip():
                 corrupted[byte_idx] ^= 1 << bit
                 with pytest.raises(ProtocolError):
                     decode(bytes(corrupted))
+
+
+# ---------------------------------------------------------------------------
+# decode against a reference decode through the public constructors
+# ---------------------------------------------------------------------------
+
+def reference_decode(data: bytes) -> TelemetryFrame:
+    """decode with every value built through the public constructors, so
+    every field passes their checks."""
+    if len(data) < 8:
+        raise Truncated("short")
+    magic, version, kind_byte, seq, flags, length = struct.unpack_from("<BBBHBB", data)
+    if magic != MAGIC:
+        raise BadMagic("magic")
+    if version != VERSION:
+        raise BadVersion("version")
+    total = 8 + length
+    if len(data) < total:
+        raise Truncated("short")
+    if len(data) > total:
+        raise BadLength("trailing")
+    if data[total - 1] != crc8_oracle(data[1:total - 1]):
+        raise BadCrc("crc")
+    try:
+        kind = FrameKind(kind_byte)
+    except ValueError:
+        raise UnknownKind("kind") from None
+    raw = data[7:total - 1]
+    if kind == FrameKind.BATTERY_STATUS:
+        if len(raw) != 7:
+            raise BadLength("battery length")
+        payload = BatteryStatusPayload(*struct.unpack("<IHB", raw))
+    else:
+        width = 2 if kind == FrameKind.FSR_BATCH else 6
+        if len(raw) < 5:
+            raise BadLength("short batch")
+        t0, count = struct.unpack_from("<IB", raw)
+        if len(raw) != 5 + width * count:
+            raise BadLength("batch length")
+        if kind == FrameKind.FSR_BATCH:
+            payload = FsrBatchPayload(t0, struct.unpack_from(f"<{count}H", raw, 5))
+        else:
+            flat = struct.unpack_from(f"<{3 * count}h", raw, 5)
+            payload = AccelBatchPayload(
+                t0, tuple((flat[i], flat[i + 1], flat[i + 2]) for i in range(0, len(flat), 3))
+            )
+    return TelemetryFrame(kind, seq, flags, payload)
+
+
+def crc_valid_frame(kind_byte: int, payload: bytes, seq: int = 0, flags: int = 0) -> bytes:
+    body = struct.pack("<BBHBB", VERSION, kind_byte, seq, flags, len(payload)) + payload
+    return bytes([MAGIC]) + body + bytes([crc8_oracle(body)])
+
+
+def outcome(decoder, data: bytes):
+    """The decoded frame, or the class of the ProtocolError raised."""
+    try:
+        return decoder(data)
+    except ProtocolError as e:
+        return type(e)
+
+
+def _batch(code: str, per_sample: int, values: st.SearchStrategy) -> st.SearchStrategy:
+    """Batch payload bytes: t0, a count byte that usually matches, the values."""
+    return st.builds(
+        lambda t0, values, count: struct.pack(
+            f"<IB{len(values)}{code}", t0,
+            len(values) // per_sample if count is None else count, *values),
+        st.integers(0, 2**32 - 1), values, st.none() | st.integers(0, 255),
+    )
+
+
+_fsr_payloads = st.one_of(
+    _batch("H", 1, st.lists(st.integers(0, 0xFFF), max_size=120)),
+    # codes over the whole u16 range
+    _batch("H", 1, st.lists(st.integers(0, 0xFFFF) | st.just(0x1000), max_size=120)),
+)
+# axes over the whole i16 range
+_accel_payloads = _batch(
+    "h", 3, st.lists(st.tuples(*[st.integers(-0x8000, 0x7FFF)] * 3), max_size=41)
+    .map(lambda samples: [axis for sample in samples for axis in sample]))
+_battery_payloads = st.builds(
+    lambda t, code, pct: struct.pack("<IHB", t, code, pct),
+    st.integers(0, 2**32 - 1), st.integers(0, 0xFFFF), st.integers(0, 255))
+# (kind byte, payload bytes): mostly the payload's own kind, sometimes any byte
+_kinds_and_payloads = st.one_of(
+    st.tuples(st.just(int(FrameKind.FSR_BATCH)), _fsr_payloads),
+    st.tuples(st.just(int(FrameKind.ACCEL_BATCH)), _accel_payloads),
+    st.tuples(st.just(int(FrameKind.BATTERY_STATUS)), _battery_payloads),
+    st.tuples(st.integers(0, 255), st.one_of(
+        _fsr_payloads, _accel_payloads, _battery_payloads, st.binary(max_size=255))),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind_and_payload=_kinds_and_payloads, seq=st.integers(0, 0xFFFF), flags=st.integers(0, 0xFF))
+def test_decode_matches_the_public_constructor_decode(kind_and_payload, seq, flags):
+    kind_byte, payload = kind_and_payload
+    raw = crc_valid_frame(kind_byte, payload, seq, flags)
+    got, expected = outcome(decode, raw), outcome(reference_decode, raw)
+    assert got == expected
+    if isinstance(expected, TelemetryFrame):
+        assert type(got.kind) is FrameKind
+        assert type(got.payload) is type(expected.payload)
+        assert got.payload.to_bytes() == payload
+
+
+def test_decode_rejects_fsr_code_past_twelve_bits():
+    raw = crc_valid_frame(FrameKind.FSR_BATCH, struct.pack("<IB2H", 0, 2, 0xFFF, 0x1000))
+    with pytest.raises(BadLength, match="4096"):
+        decode(raw)
+
+
+@pytest.mark.parametrize("kind", [FrameKind.FSR_BATCH, FrameKind.ACCEL_BATCH])
+def test_decode_rejects_zero_count_batch(kind):
+    with pytest.raises(BadLength):
+        decode(crc_valid_frame(kind, struct.pack("<IB", 0, 0)))
+
+
+def test_split_resyncs_past_wide_code_and_empty_batch():
+    good = [TelemetryFrame(FrameKind.FSR_BATCH, seq, 0, FsrBatchPayload(40 * seq, (seq, 7)))
+            for seq in range(3)]
+    bad = [crc_valid_frame(FrameKind.FSR_BATCH, struct.pack("<IB2H", 0, 2, 1, 0x1000)),
+           crc_valid_frame(FrameKind.ACCEL_BATCH, struct.pack("<IB", 0, 0))]
+    assert all(MAGIC not in b[1:] for b in bad)
+    data = encode(good[0]) + bad[0] + encode(good[1]) + bad[1] + encode(good[2])
+    frames, resyncs, pending = split_stream(data)
+    assert frames == good
+    first = len(encode(good[0]))
+    second = first + len(bad[0]) + len(encode(good[1]))
+    assert [(r.offset, r.skipped) for r in resyncs] == [
+        (first, len(bad[0])), (second, len(bad[1]))]
+    assert pending == 0
 
 
 # ---------------------------------------------------------------------------
