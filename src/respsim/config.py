@@ -115,6 +115,9 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not (self.duration_s >= 0):
             raise ConfigError(f"duration_s must be >= 0, got {self.duration_s}")
+        if not (self.seed >= 0 and self.seed % 1 == 0):
+            raise ConfigError(f"seed must be a whole number >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
         # the chain and the power profile check their own limits when built
         self.device_model()
         self.power_profile()
@@ -151,68 +154,53 @@ class SessionConfig:
 
 
 @functools.cache
-def _number_fields(cls) -> dict[str, bool]:
-    """Fields annotated int, float or ``float | None``, each with whether it takes None."""
-    fields = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        types = set(typing.get_args(hint) or (hint,))
-        if types - {type(None)} and types <= {int, float, type(None)}:
-            fields[name] = type(None) in types
-    return fields
+def _field_types(cls) -> dict:
+    """Each field of a config dataclass with its resolved annotation."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _build(cls, data, path: str, nested=None):
-    if not isinstance(data, dict):
-        raise ConfigError(
-            f"{path.rstrip('.') or 'config'}: expected a mapping, got {type(data).__name__}"
-        )
-    names = {f.name for f in dataclasses.fields(cls)}
-    numbers = _number_fields(cls)
-    kwargs = {}
-    for key, value in data.items():
-        if key not in names:
-            raise ConfigError(f"unknown config key '{path}{key}'")
-        if nested and key in nested:
-            kwargs[key] = nested[key](value, f"{path}{key}.")
-            continue
-        # a number field's own checks compare it, which would fail on a string
-        # with a TypeError that names no key
-        if key in numbers and not (
-            isinstance(value, (int, float)) or (value is None and numbers[key])
-        ):
-            raise ConfigError(f"{path}{key}: expected a number, got {type(value).__name__}")
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        where = path.rstrip(".")
-        raise ConfigError(f"{where}: {e}" if where else str(e)) from e
+def _build(hint, value, where: str):
+    """Build ``value`` as the annotation ``hint`` asks, naming ``where`` in errors.
 
-
-def _build_segments(cls, value, path: str) -> tuple:
-    where = path.rstrip(".")
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list of segments")
-    return tuple(_build(cls, seg, f"{where}[{i}].") for i, seg in enumerate(value))
-
-
-def _build_scenario(value, path: str) -> ScenarioConfig:
-    return _build(
-        ScenarioConfig, value, path,
-        nested={
-            "breathing": lambda v, p: _build_segments(BreathSegment, v, p),
-            "posture": lambda v, p: _build_segments(PostureSegment, v, p),
-        },
-    )
-
-
-def _build_battery(value, path: str) -> BatteryConfig:
-    if isinstance(value, dict) and "ocv_points" in value:
-        pts = value["ocv_points"]
-        if not isinstance(pts, list):
-            raise ConfigError(f"{path}ocv_points: expected a list of [soc, volts] pairs")
-        value = dict(value, ocv_points=tuple(tuple(p) for p in pts))
-    return _build(BatteryConfig, value, path)
+    Sections recurse into their fields and tuples into their items.  Bool and
+    number fields are type-checked here: a field's own checks would compare a
+    string with a TypeError that names no key, and take YAML ``true`` for 1.
+    Every other rule is checked by the dataclass that owns the field.
+    """
+    got = type(value).__name__
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where or 'config'}: expected a mapping, got {got}")
+        fields = _field_types(hint)
+        kwargs = {}
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else str(key)
+            if key not in fields:
+                raise ConfigError(f"unknown config key '{path}'")
+            kwargs[key] = _build(fields[key], item, path)
+        try:
+            return hint(**kwargs)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{where}: {e}" if where else str(e)) from e
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {got}")
+        items = args[:1] * len(value) if args[1:] == (...,) else args
+        if len(items) != len(value):
+            raise ConfigError(f"{where}: expected {len(items)} items, got {len(value)}")
+        return tuple(_build(h, v, f"{where}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
+    types = set(args or (hint,))
+    if value is None and type(None) in types:
+        return value
+    if bool in types:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where}: expected true or false, got {got}")
+    elif types & {int, float}:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}: expected a number, got {got}")
+    return value
 
 
 def from_dict(data: dict | None) -> SessionConfig:
@@ -233,19 +221,7 @@ def from_dict(data: dict | None) -> SessionConfig:
             if "posture" in scenario:
                 raise ConfigError("give either top-level posture or scenario.posture, not both")
             scenario["posture"] = [{"start_s": 0, "posture": posture}]
-    return _build(
-        SessionConfig, data, "",
-        nested={
-            "scenario": _build_scenario,
-            "firmware": lambda v, p: _build(FirmwareConfig, v, p),
-            "fsr": lambda v, p: _build(FsrModel, v, p),
-            "divider": lambda v, p: _build(DividerConfig, v, p),
-            "adc": lambda v, p: _build(AdcConfig, v, p),
-            "battery": _build_battery,
-            "power": lambda v, p: _build(PowerConfig, v, p),
-            "analysis": lambda v, p: _build(AnalysisConfig, v, p),
-        },
-    )
+    return _build(SessionConfig, data, "")
 
 
 def load_config(path: str) -> SessionConfig:

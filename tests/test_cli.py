@@ -5,10 +5,13 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from respsim.cli import EXIT_IO, main
+from respsim.config import apply_overrides, from_dict, load_config
+from respsim.session import read_truth
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +127,9 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     ("duration_s: abc\n", "duration_s: expected a number, got str"),
     ("scenario:\n  breathing:\n    - {start_s: 0, rate_bpm: fast}\n",
      "scenario.breathing[0].rate_bpm: expected a number, got str"),
+    ("battery:\n  ocv_points: [3, 4]\n", "battery.ocv_points[0]: expected a list, got int"),
+    ("battery:\n  ocv_points: [[0, a], [1, 4.2]]\n",
+     "battery.ocv_points[0][1]: expected a number, got str"),
 ])
 def test_config_errors_name_their_key(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.yaml"
@@ -133,6 +139,44 @@ def test_config_errors_name_their_key(tmp_path, capsys, text, message):
     assert code == 1
     assert err == f"respsim: config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "stream"])
+@pytest.mark.parametrize("text, flags, seed", [
+    ("seed: 1.5\n", [], "1.5"),
+    ("", ["--seed", "-3"], "-3"),
+], ids=["fraction-in-file", "negative-flag"])
+def test_bad_seed_is_config_error(tmp_path, capsys, command, text, flags, seed):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "s.raw"
+    argv = [command, "--config", str(cfg), "--duration", "2", *flags]
+    if command == "simulate":
+        argv += ["--out", str(out)]
+    else:
+        argv += ["--connect", f"127.0.0.1:{free_port()}", "--speed", "1000"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == f"respsim: config error: seed must be a whole number >= 0, got {seed}\n"
+    assert not out.exists()
+
+
+def test_sidecar_config_reloads_to_the_config_that_made_it(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        "duration_s: 6\n"
+        "scenario:\n"
+        "  breathing: [{start_s: 0, rate_bpm: 12}, {start_s: 2.5, rate_bpm: 20}]\n"
+        "  posture: [{start_s: 0, posture: still}, {start_s: 3, posture: walking}]\n"
+        "battery: {charging: true, ocv_points: [[0, 3.0], [0.5, 3.7], [1, 4.1]]}\n"
+        "power: {p_idle_uw: 10, p_active_uw: 200.5, p_radio_uw: 5000}\n"
+        "analysis: {window_s: 30}\n"
+    )
+    out = str(tmp_path / "s.raw")
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", out, "--seed", "7")
+    assert code == 0
+    made = apply_overrides(load_config(str(cfg)), seed=7)
+    assert from_dict(read_truth(out)["config"]) == made
 
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):
@@ -197,7 +241,7 @@ def test_decode_pure_garbage_is_corrupt(tmp_path, capsys):
 
 
 def test_decode_survives_mid_stream_corruption(capture_path, tmp_path, capsys):
-    raw = bytearray(open(capture_path, "rb").read())
+    raw = bytearray(Path(capture_path).read_bytes())
     for i in range(40, 400, 60):
         raw[i] ^= 0xFF
     p = tmp_path / "dented.raw"
@@ -289,7 +333,7 @@ def test_stream_round_trip_over_tcp(tmp_path, capsys):
     ref = str(tmp_path / "ref.raw")
     assert main(["simulate", "--out", ref, "--duration", "10"]) == 0
     capsys.readouterr()
-    assert received["data"] == open(ref, "rb").read()
+    assert received["data"] == Path(ref).read_bytes()
 
 
 def test_stream_listen_captures_to_file(tmp_path, capsys):
@@ -315,11 +359,11 @@ def test_stream_listen_captures_to_file(tmp_path, capsys):
     capsys.readouterr()
     assert sender == 0
     assert result["code"] == 0
-    data = open(out, "rb").read()
+    data = Path(out).read_bytes()
     ref = str(tmp_path / "ref.raw")
     assert main(["simulate", "--out", ref, "--duration", "4"]) == 0
     capsys.readouterr()
-    assert data == open(ref, "rb").read()
+    assert data == Path(ref).read_bytes()
 
 
 def test_stream_connection_refused_is_io_error(capsys):

@@ -1,11 +1,18 @@
 """Config loading: defaults, one-line configs, and unknown-key rejection."""
 
 import dataclasses
+import itertools
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from respsim.config import (
+    BatteryConfig,
+    BreathSegment,
     ConfigError,
+    PostureSegment,
+    PowerConfig,
     ScenarioConfig,
     SessionConfig,
     apply_overrides,
@@ -13,7 +20,9 @@ from respsim.config import (
     load_config,
 )
 from respsim.firmware import DeviceModel, InvalidConfigError
-from respsim.sensor import AdcConfig
+from respsim.pipeline import AnalysisConfig
+from respsim.power import PRESETS
+from respsim.sensor import POSTURES, AdcConfig
 
 
 def write(tmp_path, text):
@@ -45,6 +54,13 @@ def test_json_is_accepted_too(tmp_path):
     cfg = load_config(write(tmp_path, '{"duration_s": 30, "seed": 5}'))
     assert cfg.duration_s == 30
     assert cfg.seed == 5
+
+
+def test_seed_is_a_whole_number_at_least_zero(tmp_path):
+    with pytest.raises(ConfigError, match=r"^seed must be a whole number >= 0, got nan$"):
+        load_config(write(tmp_path, "seed: .nan\n"))
+    cfg = from_dict({"seed": 2.0})
+    assert cfg.seed == 2 and type(cfg.seed) is int
 
 
 def test_unknown_top_level_key_is_named(tmp_path):
@@ -106,6 +122,18 @@ def test_non_numeric_values_are_named(tmp_path):
         from_dict({"power": {"p_idle_uw": [1], "p_active_uw": 1, "p_radio_uw": 1}})
     with pytest.raises(ConfigError, match=r"^seed: expected a number, got NoneType$"):
         from_dict({"seed": None})
+    # YAML booleans are ints to Python, but not numbers to a config
+    with pytest.raises(ConfigError, match=r"^duration_s: expected a number, got bool$"):
+        load_config(write(tmp_path, "duration_s: true\n"))
+    with pytest.raises(ConfigError, match=r"^seed: expected a number, got bool$"):
+        from_dict({"seed": True})
+    with pytest.raises(ConfigError,
+                       match=r"^scenario\.breathing\[0\]\.rate_bpm: expected a number, got bool$"):
+        from_dict({"rate_bpm": True})
+    with pytest.raises(ConfigError, match=r"^battery\.charging: expected true or false, got str$"):
+        load_config(write(tmp_path, "battery: {charging: x}\n"))
+    with pytest.raises(ConfigError, match=r"^battery\.charging: expected true or false, got int$"):
+        from_dict({"battery": {"charging": 1}})
     # a number field that defaults to None takes None
     assert from_dict({"power": {"p_idle_uw": None}}).power.p_idle_uw is None
 
@@ -205,3 +233,51 @@ def test_from_dict_none_is_defaults():
 def test_invalid_config_is_rejected_at_construction(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+@st.composite
+def session_configs(draw):
+    """Valid configs built as dataclasses, not through the builder under test."""
+    def schedule(segment, values):
+        gaps = draw(st.lists(st.floats(0.001, 600), max_size=4))
+        return tuple(segment(start, draw(values))
+                     for start in itertools.accumulate(gaps, initial=0.0))
+
+    baseline = draw(st.floats(0, 50))
+    scenario = ScenarioConfig(
+        breathing=schedule(BreathSegment, st.floats(0.1, 60) | st.integers(1, 60)),
+        posture=schedule(PostureSegment, st.sampled_from(POSTURES)),
+        amplitude_n=draw(st.floats(0, baseline)),
+        baseline_n=baseline,
+        noise_sd_n=draw(st.floats(0, 5)),
+    )
+    socs = [0.0, *sorted(draw(st.lists(st.floats(0.01, 0.99), unique=True, max_size=3))), 1.0]
+    volts = sorted(draw(st.lists(st.floats(2.5, 4.4), unique=True,
+                                 min_size=len(socs), max_size=len(socs))))
+    battery = BatteryConfig(
+        initial_soc=draw(st.floats(0, 1)),
+        charging=draw(st.booleans()),
+        ocv_points=tuple(zip(socs, volts)),
+    )
+    watts = st.floats(0, 1e4)
+    idle, active, radio = draw(st.none() | st.tuples(watts, watts, watts)) or (None,) * 3
+    power = PowerConfig(
+        preset=draw(st.sampled_from(sorted(PRESETS))),
+        p_idle_uw=idle, p_active_uw=active, p_radio_uw=radio,
+        tx_ms_per_frame=draw(st.integers(0, 10)),
+    )
+    analysis = AnalysisConfig(**{
+        f.name: draw(st.floats(0.01, 1000)) for f in dataclasses.fields(AnalysisConfig)
+    })
+    return SessionConfig(
+        duration_s=draw(st.floats(0, 3600)),
+        seed=draw(st.integers(0, 2**32)),
+        scenario=scenario, battery=battery, power=power, analysis=analysis,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=session_configs())
+def test_sidecar_config_reloads_to_the_same_config(cfg):
+    # the truth sidecar stores dataclasses.asdict(cfg) as JSON
+    assert from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
