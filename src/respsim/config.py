@@ -18,7 +18,9 @@ import yaml
 from .firmware import DeviceModel, FirmwareConfig
 from .pipeline import AnalysisConfig
 from .power import PRESETS, PowerProfile
-from .sensor import POSTURES, AdcConfig, DividerConfig, FsrModel, OcvCurve
+from .sensor import (
+    POSTURES, AdcConfig, DividerConfig, FsrModel, OcvCurve, ParameterError, SenseRangeError,
+)
 
 
 class ConfigError(ValueError):
@@ -123,15 +125,22 @@ class SessionConfig:
         self.power_profile()
 
     def device_model(self) -> DeviceModel:
-        return DeviceModel(
-            fsr=self.fsr,
-            divider=self.divider,
-            adc=self.adc,
-            ocv=OcvCurve(self.battery.ocv_points),
-            sense_ratio=self.battery.sense_ratio,
-            capacity_mah=self.battery.capacity_mah,
-            nominal_v=self.battery.nominal_v,
-        )
+        try:
+            ocv = OcvCurve(self.battery.ocv_points)
+        except ParameterError as e:
+            raise ConfigError(f"battery.ocv_points: {e}") from e
+        try:
+            return DeviceModel(
+                fsr=self.fsr,
+                divider=self.divider,
+                adc=self.adc,
+                ocv=ocv,
+                sense_ratio=self.battery.sense_ratio,
+                capacity_mah=self.battery.capacity_mah,
+                nominal_v=self.battery.nominal_v,
+            )
+        except SenseRangeError as e:
+            raise ConfigError(f"battery.sense_ratio: {e}") from e
 
     def power_profile(self) -> PowerProfile:
         p = self.power
@@ -163,9 +172,10 @@ def _field_types(cls) -> dict:
 def _build(hint, value, where: str):
     """Build ``value`` as the annotation ``hint`` asks, naming ``where`` in errors.
 
-    Sections recurse into their fields and tuples into their items.  Bool and
-    number fields are type-checked here: a field's own checks would compare a
-    string with a TypeError that names no key, and take YAML ``true`` for 1.
+    Sections recurse into their fields and tuples into their items.  Bool,
+    number and string fields are type-checked here: a field's own checks
+    would fail on a wrong type with a TypeError that names no key, and take
+    YAML ``true`` for 1.
     Every other rule is checked by the dataclass that owns the field.
     """
     got = type(value).__name__
@@ -200,6 +210,8 @@ def _build(hint, value, where: str):
     elif types & {int, float}:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {got}")
+    elif str in types and not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {got}")
     return value
 
 
@@ -210,9 +222,11 @@ def from_dict(data: dict | None) -> SessionConfig:
     rate = data.pop("rate_bpm", None)
     posture = data.pop("posture", None)
     if rate is not None or posture is not None:
-        scenario = data.setdefault("scenario", {})
+        scenario = data.get("scenario", {})
         if not isinstance(scenario, dict):
             raise ConfigError("scenario: expected a mapping")
+        # a copy: the caller's own nested mapping stays as it was
+        scenario = data["scenario"] = dict(scenario)
         if rate is not None:
             if "breathing" in scenario:
                 raise ConfigError("give either top-level rate_bpm or scenario.breathing, not both")

@@ -18,10 +18,11 @@ per-tick states are kept as a :class:`~respsim.power.Timeline`, which
 :meth:`FirmwareEmulator.tick` steps that schedule one tick at a time and is
 the reference.  :meth:`FirmwareEmulator.run` derives the same schedule in
 bulk instead: sampling instants from ranges, ADC codes from one array pass
-through the FSR chain, radio airtime walked only over the ticks that emit
-frames, and energy summed per battery period with ``np.cumsum``, which
-adds in the same sequence as the per-tick ``+=``.  The tests hold ``run``
-to a tick loop frame for frame, float for float.
+through the FSR chain, each batch cut as a slice of those arrays, radio
+airtime walked only over the ticks that emit frames, and energy summed per
+battery period with ``np.cumsum``, which adds in the same sequence as the
+per-tick ``+=``.  Both frame every batch through one builder.  The tests
+hold ``run`` to a tick loop frame for frame, float for float.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Protocol
 import numpy as np
 
 from . import protocol
+from .protocol import FrameKind
 from .power import ACTIVITY_STATES, PowerProfile, PRESETS, Timeline, UW_MS_PER_MWH
 from .sensor import (
     AdcConfig,
@@ -96,18 +98,15 @@ class FirmwareConfig:
                 raise InvalidConfigError(
                     f"{name} period {period} ms is not a multiple of tick_ms={self.tick_ms}"
                 )
-        fsr_payload = 5 + 2 * self.fsr_batch
-        if fsr_payload > protocol.MAX_PAYLOAD:
-            raise InvalidConfigError(
-                f"fsr_batch={self.fsr_batch} needs a {fsr_payload}-byte payload, "
-                f"MTU budget allows {protocol.MAX_PAYLOAD}"
-            )
-        accel_payload = 5 + 6 * self.accel_batch
-        if accel_payload > protocol.MAX_PAYLOAD:
-            raise InvalidConfigError(
-                f"accel_batch={self.accel_batch} needs a {accel_payload}-byte payload, "
-                f"MTU budget allows {protocol.MAX_PAYLOAD}"
-            )
+        for name, kind in (("fsr_batch", FrameKind.FSR_BATCH),
+                           ("accel_batch", FrameKind.ACCEL_BATCH)):
+            count = getattr(self, name)
+            size = protocol.batch_payload_len(kind, count)
+            if size > protocol.MAX_PAYLOAD:
+                raise InvalidConfigError(
+                    f"{name}={count} needs a {size}-byte payload, "
+                    f"MTU budget allows {protocol.MAX_PAYLOAD}"
+                )
 
     @property
     def fsr_period_ms(self) -> int:
@@ -276,36 +275,26 @@ class FirmwareEmulator:
         self._seq = (self._seq + 1) & 0xFFFF
         return seq
 
-    def _make_fsr_frame(self, final_flush: bool = False) -> protocol.TelemetryFrame:
-        t0 = self._fsr_buf[0][0]
-        codes = tuple(code for _, code in self._fsr_buf)
-        self._fsr_buf.clear()
+    def _batch_frame(
+        self, kind: FrameKind, t0: int, samples: list, final_flush: bool = False
+    ) -> protocol.TelemetryFrame:
+        """Frame one FSR or accel batch whose first sample was taken at ``t0``."""
         return protocol.TelemetryFrame(
-            protocol.FrameKind.FSR_BATCH,
-            self._next_seq(),
-            self._flags(final_flush),
-            protocol.FsrBatchPayload(t0, codes),
+            kind, self._next_seq(), self._flags(final_flush),
+            protocol.PAYLOAD_TYPES[kind](t0, samples),
         )
 
-    def _make_accel_frame(self, final_flush: bool = False) -> protocol.TelemetryFrame:
-        t0 = self._accel_buf[0][0]
-        samples = tuple(s for _, s in self._accel_buf)
-        self._accel_buf.clear()
-        return protocol.TelemetryFrame(
-            protocol.FrameKind.ACCEL_BATCH,
-            self._next_seq(),
-            self._flags(final_flush),
-            protocol.AccelBatchPayload(t0, samples),
-        )
-
-    def _measure_battery(self, t_ms: int) -> protocol.BatteryStatusPayload:
+    def _battery_frame(self, t_ms: int) -> protocol.TelemetryFrame:
         soc = self.soc
         v = self.model.ocv.voltage(soc)
         sense = battery_sense_voltage(v, self.model.sense_ratio, self.model.adc.v_ref)
         code = adc_quantize(sense, self.model.adc)
         percent = self.model.device_percent(v)
         self.battery_log.append(BatteryMeasurement(t_ms, soc, v, sense, code, percent))
-        return protocol.BatteryStatusPayload(t_ms, code, percent)
+        return protocol.TelemetryFrame(
+            FrameKind.BATTERY_STATUS, self._next_seq(), self._flags(),
+            protocol.BatteryStatusPayload(t_ms, code, percent),
+        )
 
     def _record_activity(self, state: str, t_ms: int) -> None:
         code = _STATE_CODE[state]
@@ -347,7 +336,7 @@ class FirmwareEmulator:
             self._fsr_buf.append((t, code))
             sampled = True
             if len(self._fsr_buf) == cfg.fsr_batch:
-                frames.append(self._make_fsr_frame())
+                frames.append(self._batch_frame(FrameKind.FSR_BATCH, *_drain(self._fsr_buf)))
 
         if t % cfg.accel_period_ms == 0:
             if accel_mg is None:
@@ -355,15 +344,10 @@ class FirmwareEmulator:
             self._accel_buf.append((t, (int(accel_mg[0]), int(accel_mg[1]), int(accel_mg[2]))))
             sampled = True
             if len(self._accel_buf) == cfg.accel_batch:
-                frames.append(self._make_accel_frame())
+                frames.append(self._batch_frame(FrameKind.ACCEL_BATCH, *_drain(self._accel_buf)))
 
         if t % cfg.battery_period_ms == 0:
-            payload = self._measure_battery(t)
-            frames.append(
-                protocol.TelemetryFrame(
-                    protocol.FrameKind.BATTERY_STATUS, self._next_seq(), self._flags(), payload
-                )
-            )
+            frames.append(self._battery_frame(t))
             sampled = True
 
         # energy accounting: pending radio airtime outranks sampling work
@@ -386,12 +370,9 @@ class FirmwareEmulator:
     def flush(self) -> list[protocol.TelemetryFrame]:
         """Emit any partially filled batches with the final-flush flag set."""
         self._require_boot()
-        frames: list[protocol.TelemetryFrame] = []
-        if self._fsr_buf:
-            frames.append(self._make_fsr_frame(final_flush=True))
-        if self._accel_buf:
-            frames.append(self._make_accel_frame(final_flush=True))
-        return frames
+        return [self._batch_frame(kind, *_drain(buf), final_flush=True)
+                for kind, buf in ((FrameKind.FSR_BATCH, self._fsr_buf),
+                                  (FrameKind.ACCEL_BATCH, self._accel_buf)) if buf]
 
     def run(self, stimulus: StimulusSource, duration_s: float) -> list[protocol.TelemetryFrame]:
         """Boot fresh, run the schedule for a duration, and flush.
@@ -400,8 +381,9 @@ class FirmwareEmulator:
         is every frame the device would have sent, in transmit order.
 
         The schedule is derived in bulk, not stepped: the stimulus is
-        queried once per sampling instant, and activity, energy and battery
-        readings follow from the ticks that emit frames.  Frames, battery
+        queried once per sampling instant, each batch is a slice of the
+        samples, and activity, energy and battery readings follow from the
+        ticks that emit frames.  Frames, battery
         log, timeline, energy and the state left behind are those of
         :meth:`boot`, then :meth:`tick` at every tick, then :meth:`flush`.
         """
@@ -421,51 +403,41 @@ class FirmwareEmulator:
         accel_t = range(0, total_ms, cfg.accel_period_ms)
         codes = fsr_codes([stimulus.force_n(t) for t in fsr_t],
                           self.model.fsr, self.model.divider, self.model.adc).tolist()
-        accel = []
-        for t in accel_t:
-            a = stimulus.accel_mg(t)
-            accel.append((int(a[0]), int(a[1]), int(a[2])))
+        accel = [(int(a[0]), int(a[1]), int(a[2])) for a in map(stimulus.accel_mg, accel_t)]
 
-        # (instant, channel) of every frame; within a tick the firmware
-        # sends the FSR batch, then the accel batch, then battery status
-        fsr_n, accel_n = cfg.fsr_batch, cfg.accel_batch
-        events = sorted(
-            [(t, 0) for t in fsr_t[fsr_n - 1::fsr_n]]
-            + [(t, 1) for t in accel_t[accel_n - 1::accel_n]]
-            + [(t, 2) for t in range(0, total_ms, cfg.battery_period_ms)]
-        )
-        states = self._tick_activity(Counter(t for t, _ in events), total_ms)
+        # samples, sample instants and batch size of each batch kind
+        batches = {FrameKind.FSR_BATCH: (codes, fsr_t, cfg.fsr_batch),
+                   FrameKind.ACCEL_BATCH: (accel, accel_t, cfg.accel_batch)}
+        # (instant, kind, first sample) of every frame; within a tick the
+        # firmware sends the FSR batch, then the accel batch, then battery
+        # status, which is the order of their kind codes
+        events = [(times[i + n - 1], kind, i) for kind, (_, times, n) in batches.items()
+                  for i in range(0, len(times) - n + 1, n)]
+        events += [(t, FrameKind.BATTERY_STATUS, 0)
+                   for t in range(0, total_ms, cfg.battery_period_ms)]
+        events.sort()
+        states = self._tick_activity(Counter(t for t, _, _ in events), total_ms)
         self._timeline = Timeline.from_ticks(states, cfg.tick_ms)
         tick_mwh = self.power_profile.state_powers_uw() * cfg.tick_ms / UW_MS_PER_MWH
 
         frames: list[protocol.TelemetryFrame] = []
-        fsr_next = accel_next = metered = 0
-        for t, channel in events:
-            if channel == 0:
-                end = fsr_next + fsr_n
-                self._fsr_buf.extend(zip(fsr_t[fsr_next:end], codes[fsr_next:end]))
-                fsr_next = end
-                frames.append(self._make_fsr_frame())
-            elif channel == 1:
-                end = accel_next + accel_n
-                self._accel_buf.extend(zip(accel_t[accel_next:end], accel[accel_next:end]))
-                accel_next = end
-                frames.append(self._make_accel_frame())
-            else:
+        metered = 0
+        for t, kind, i in events:
+            if kind is FrameKind.BATTERY_STATUS:
                 k = t // cfg.tick_ms
                 self._add_energy(tick_mwh[states[metered:k]])
                 metered = k
-                payload = self._measure_battery(t)
-                frames.append(
-                    protocol.TelemetryFrame(
-                        protocol.FrameKind.BATTERY_STATUS, self._next_seq(), self._flags(), payload
-                    )
-                )
+                frames.append(self._battery_frame(t))
+            else:
+                samples, times, n = batches[kind]
+                frames.append(self._batch_frame(kind, times[i], samples[i:i + n]))
         self._add_energy(tick_mwh[states[metered:]])
-        self._fsr_buf.extend(zip(fsr_t[fsr_next:], codes[fsr_next:]))
-        self._accel_buf.extend(zip(accel_t[accel_next:], accel[accel_next:]))
+        # the partial batches the tick loop's final flush would send
+        for kind, (samples, times, n) in batches.items():
+            i = len(samples) // n * n
+            if i < len(samples):
+                frames.append(self._batch_frame(kind, times[i], samples[i:], final_flush=True))
         self._clock_ms = total_ms
-        frames.extend(self.flush())
         return frames
 
     def _tick_activity(self, emitted: dict[int, int], total_ms: int) -> np.ndarray:
@@ -504,6 +476,14 @@ class FirmwareEmulator:
         if tick_mwh.size:
             tick_mwh[0] += self._energy_mwh
             self._energy_mwh = float(np.cumsum(tick_mwh)[-1])
+
+
+def _drain(buf: list) -> tuple[int, list]:
+    """``(t0, samples)`` of a buffer of ``(t, sample)`` pairs, which is emptied."""
+    t0 = buf[0][0]
+    samples = [sample for _, sample in buf]
+    buf.clear()
+    return t0, samples
 
 
 def encode_session(frames: list[protocol.TelemetryFrame]) -> bytes:

@@ -10,6 +10,9 @@ the CRC byte itself and is always rejected.
 may arrive split across arbitrary chunk boundaries and interleaved with
 garbage; it scans forward to the next magic byte, validates candidates,
 and coalesces each maximal run of discarded bytes into one resync event.
+A candidate whose declared length runs past the data is held for more
+bytes; at the end of a capture, :meth:`StreamSplitter.finish` drops it
+when a frame follows its magic byte.
 """
 
 from __future__ import annotations
@@ -115,6 +118,31 @@ def _unchecked(cls, **fields):
     return obj
 
 
+# Both batch kinds share one layout: a head of t0_ms (u32) and the sample
+# count (u8), then per sample one u16 FSR code or an i16 x, y, z triple.
+_BATCH_HEAD = struct.Struct("<IB")
+_SAMPLE_BYTES = {FrameKind.FSR_BATCH: 2, FrameKind.ACCEL_BATCH: 6}
+
+
+def batch_payload_len(kind: FrameKind, count: int) -> int:
+    """Bytes in a batch payload of ``count`` samples of ``kind``."""
+    return _BATCH_HEAD.size + _SAMPLE_BYTES[kind] * count
+
+
+def _batch_head(raw: bytes, kind: FrameKind, name: str, unit: str) -> tuple[int, int]:
+    """``(t0_ms, count)`` of a batch payload whose length matches its count."""
+    if len(raw) < _BATCH_HEAD.size:
+        raise BadLength(f"{name} batch payload too short ({len(raw)} bytes)")
+    t0, count = _BATCH_HEAD.unpack_from(raw)
+    if len(raw) != batch_payload_len(kind, count):
+        raise BadLength(
+            f"{name} batch declares {count} {unit}s but payload is {len(raw)} bytes"
+        )
+    if not count:
+        raise BadLength(f"{name} batch must hold at least one {unit}")
+    return t0, count
+
+
 @dataclass(frozen=True)
 class FsrBatchPayload:
     """Batch of consecutive FSR ADC codes starting at ``t0_ms``."""
@@ -133,21 +161,13 @@ class FsrBatchPayload:
 
     def to_bytes(self) -> bytes:
         return struct.pack(
-            f"<IB{len(self.codes)}H", self.t0_ms, len(self.codes), *self.codes
+            f"{_BATCH_HEAD.format}{len(self.codes)}H", self.t0_ms, len(self.codes), *self.codes
         )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "FsrBatchPayload":
-        if len(raw) < 5:
-            raise BadLength(f"FSR batch payload too short ({len(raw)} bytes)")
-        t0, count = struct.unpack_from("<IB", raw)
-        if len(raw) != 5 + 2 * count:
-            raise BadLength(
-                f"FSR batch declares {count} codes but payload is {len(raw)} bytes"
-            )
-        if not count:
-            raise BadLength("FSR batch must hold at least one code")
-        codes = struct.unpack_from(f"<{count}H", raw, 5)
+        t0, count = _batch_head(raw, FrameKind.FSR_BATCH, "FSR", "code")
+        codes = struct.unpack_from(f"<{count}H", raw, _BATCH_HEAD.size)
         if max(codes) > MAX_CODE:
             bad = next(c for c in codes if c > MAX_CODE)
             raise BadLength(f"FSR code {bad} outside 12-bit range")
@@ -176,21 +196,13 @@ class AccelBatchPayload:
     def to_bytes(self) -> bytes:
         flat = [v for s in self.samples for v in s]
         return struct.pack(
-            f"<IB{len(flat)}h", self.t0_ms, len(self.samples), *flat
+            f"{_BATCH_HEAD.format}{len(flat)}h", self.t0_ms, len(self.samples), *flat
         )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "AccelBatchPayload":
-        if len(raw) < 5:
-            raise BadLength(f"accel batch payload too short ({len(raw)} bytes)")
-        t0, count = struct.unpack_from("<IB", raw)
-        if len(raw) != 5 + 6 * count:
-            raise BadLength(
-                f"accel batch declares {count} samples but payload is {len(raw)} bytes"
-            )
-        if not count:
-            raise BadLength("accel batch must hold at least one sample")
-        flat = struct.unpack_from(f"<{3 * count}h", raw, 5)
+        t0, count = _batch_head(raw, FrameKind.ACCEL_BATCH, "accel", "sample")
+        flat = struct.unpack_from(f"<{3 * count}h", raw, _BATCH_HEAD.size)
         samples = tuple(zip(flat[0::3], flat[1::3], flat[2::3]))
         return _unchecked(cls, t0_ms=t0, samples=samples)
 
@@ -223,7 +235,7 @@ class BatteryStatusPayload:
 
 Payload = FsrBatchPayload | AccelBatchPayload | BatteryStatusPayload
 
-_PAYLOAD_TYPES: dict[FrameKind, type] = {
+PAYLOAD_TYPES: dict[FrameKind, type] = {
     FrameKind.FSR_BATCH: FsrBatchPayload,
     FrameKind.ACCEL_BATCH: AccelBatchPayload,
     FrameKind.BATTERY_STATUS: BatteryStatusPayload,
@@ -247,7 +259,7 @@ class TelemetryFrame:
             raise BadLength(f"seq {self.seq} outside u16 range")
         if not (0 <= self.flags <= 0xFF):
             raise BadLength(f"flags {self.flags} outside u8 range")
-        expected = _PAYLOAD_TYPES[FrameKind(self.kind)]
+        expected = PAYLOAD_TYPES[FrameKind(self.kind)]
         if not isinstance(self.payload, expected):
             raise BadLength(
                 f"kind {FrameKind(self.kind).name} requires {expected.__name__}, "
@@ -303,7 +315,7 @@ def decode(data: bytes) -> TelemetryFrame:
     kind = _KINDS.get(kind_byte)
     if kind is None:
         raise UnknownKind(f"unknown frame kind 0x{kind_byte:02X}")
-    payload = _PAYLOAD_TYPES[kind].from_bytes(data[HEADER_LEN:total - 1])
+    payload = PAYLOAD_TYPES[kind].from_bytes(data[HEADER_LEN:total - 1])
     # the header format bounds seq and flags, and the payload type follows kind
     return _unchecked(TelemetryFrame, kind=kind, seq=seq, flags=flags, payload=payload)
 
@@ -327,7 +339,8 @@ class StreamSplitter:
     that cannot start a valid frame are dropped one at a time and coalesced
     into :class:`ResyncEvent` runs.  A partial frame at the tail is held
     until more bytes arrive, so splitting a valid stream at any point
-    yields a prefix of its frame sequence.
+    yields a prefix of its frame sequence.  Call :meth:`finish` once the
+    stream has ended.
     """
 
     def __init__(self) -> None:
@@ -385,12 +398,37 @@ class StreamSplitter:
             self.frames_out += 1
         return out
 
+    def finish(self) -> list[TelemetryFrame]:
+        """End of stream: resolve a held candidate that can no longer grow.
+
+        While a whole valid frame starts anywhere after the held candidate's
+        magic byte, that byte is dropped as a resync and splitting goes on.
+        A candidate that no frame follows, such as a cut-off last frame,
+        stays pending.
+        """
+        out: list[TelemetryFrame] = []
+        while any(_frame_at(self._buf, i) for i in range(1, len(self._buf))):
+            self._discard_one()
+            out.extend(self.feed(b""))
+        return out
+
+
+def _frame_at(buf: bytearray, i: int) -> bool:
+    """Whether a whole valid frame starts at ``buf[i]``."""
+    if buf[i] != MAGIC or len(buf) < i + HEADER_LEN:
+        return False
+    try:
+        decode(bytes(buf[i:i + FRAME_OVERHEAD + buf[i + 6]]))
+    except ProtocolError:  # Truncated too, where the frame runs past the end
+        return False
+    return True
+
 
 def split_stream(data: bytes) -> tuple[list[TelemetryFrame], list[ResyncEvent], int]:
-    """One-shot convenience over :class:`StreamSplitter`.
+    """One-shot convenience over :class:`StreamSplitter` for a whole capture.
 
     Returns (frames, resync events, unresolved tail bytes).
     """
     splitter = StreamSplitter()
-    frames = splitter.feed(data)
+    frames = splitter.feed(data) + splitter.finish()
     return frames, splitter.resyncs, splitter.pending_bytes

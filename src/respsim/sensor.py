@@ -101,8 +101,9 @@ class AdcConfig:
     v_ref: float = 1.8
 
     def __post_init__(self) -> None:
-        if not (1 <= self.bits <= 16):
-            raise ParameterError(f"bits must be in 1..16, got {self.bits}")
+        if not (1 <= self.bits <= 16 and self.bits % 1 == 0):
+            raise ParameterError(f"bits must be a whole number in 1..16, got {self.bits}")
+        object.__setattr__(self, "bits", int(self.bits))
         if not (self.v_ref > 0):
             raise ParameterError(f"v_ref must be positive, got {self.v_ref}")
 

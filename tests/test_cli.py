@@ -130,6 +130,13 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     ("battery:\n  ocv_points: [3, 4]\n", "battery.ocv_points[0]: expected a list, got int"),
     ("battery:\n  ocv_points: [[0, a], [1, 4.2]]\n",
      "battery.ocv_points[0][1]: expected a number, got str"),
+    ("adc:\n  bits: 12.5\n", "adc: bits must be a whole number in 1..16, got 12.5"),
+    ("battery:\n  ocv_points: [[0, 3.3]]\n",
+     "battery.ocv_points: OcvCurve needs at least two points"),
+    ("battery:\n  sense_ratio: 0.6\n",
+     "battery.sense_ratio: sense output 2.5200 V exceeds ADC reference 1.8 V "
+     "(v_batt=4.2, ratio=0.6)"),
+    ("power:\n  preset: [1]\n", "power.preset: expected a string, got list"),
 ])
 def test_config_errors_name_their_key(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.yaml"

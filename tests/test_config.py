@@ -222,6 +222,19 @@ def test_from_dict_none_is_defaults():
     assert from_dict(None) == SessionConfig()
 
 
+def test_from_dict_leaves_its_input_alone():
+    data = {"rate_bpm": 12, "posture": "walking", "scenario": {"amplitude_n": 1.0}}
+    first = from_dict(data)
+    assert data == {"rate_bpm": 12, "posture": "walking", "scenario": {"amplitude_n": 1.0}}
+    assert from_dict(data) == first
+
+
+def test_whole_float_adc_bits_run_as_int():
+    adc = from_dict({"adc": {"bits": 12.0}}).adc
+    assert adc == AdcConfig()
+    assert type(adc.bits) is int
+
+
 @pytest.mark.parametrize("build, error, match", [
     (lambda: ScenarioConfig(amplitude_n=9.0), ConfigError, "amplitude_n"),
     (lambda: ScenarioConfig(breathing=()), ConfigError, "breathing: the schedule is empty"),

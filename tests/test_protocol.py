@@ -9,8 +9,9 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from respsim.firmware import ConstantStimulus, FirmwareEmulator
 from respsim.protocol import (
     MAGIC,
     MAX_PAYLOAD,
@@ -434,6 +435,22 @@ def test_split_holds_partial_tail():
     assert splitter.pending_bytes == 0
 
 
+def test_split_drops_a_stray_magic_byte_at_the_end_of_a_capture():
+    frames = FirmwareEmulator().run(ConstantStimulus(), 2.0)
+    head = b"".join(encode(f) for f in frames[:-2])
+    tail = b"".join(encode(f) for f in frames[-2:])
+    stray = bytes([MAGIC, VERSION, 0x01, 0x00, 0x00, 0x00, 0xFF])  # declares 263 bytes
+    out, resyncs, pending = split_stream(head + stray + tail)
+    assert out == frames
+    assert [(r.offset, r.skipped) for r in resyncs] == [(len(head), len(stray))]
+    assert pending == 0
+    # a cut-off last frame has nothing after it, so it stays pending
+    out, resyncs, pending = split_stream((head + tail)[:-3])
+    assert out == frames[:-1]
+    assert resyncs == []
+    assert pending == len(encode(frames[-1])) - 3
+
+
 def test_split_byte_at_a_time_equals_one_shot():
     rng = random.Random(53)
     frames, data = _frames_bytes(rng, 10)
@@ -496,9 +513,35 @@ def test_split_damaged_stream_is_chunking_invariant(seed, n_frames, flips, chunk
         got.extend(splitter.feed(damaged[i:i + size]))
         i += size
     got.extend(splitter.feed(damaged[i:]))
+    got.extend(splitter.finish())
     assert got == one_shot
     assert splitter.resyncs == one_resyncs
     assert splitter.pending_bytes == one_pending
+
+
+@example(seed=1, n_frames=2, offset=0, bit=0)  # a spurious magic byte is held at the end
+@example(seed=40430, n_frames=3, offset=227, bit=0)  # and a second one inside the first
+@settings(max_examples=500, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_frames=st.integers(1, 12),
+    offset=st.integers(0, 2**20),
+    bit=st.integers(0, 7),
+)
+def test_split_one_bit_flip_costs_at_most_the_frames_that_hold_it(seed, n_frames, offset, bit):
+    frames, data = _frames_bytes(random.Random(seed), n_frames)
+    damaged = bytearray(data)
+    pos = offset % len(data)
+    damaged[pos] ^= 1 << bit
+    out, _, _ = split_stream(bytes(damaged))
+    if any(f not in frames for f in out):
+        return  # a false candidate passed the CRC and may cover good frames
+    start = 0
+    for frame in frames:
+        end = start + len(encode(frame))
+        if not start <= pos < end:
+            assert frame in out
+        start = end
 
 
 _stream_pieces = st.one_of(
