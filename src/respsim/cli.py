@@ -218,7 +218,7 @@ def cmd_analyze(args) -> int:
     if data and not frames:
         print("no decodable frames in input", file=sys.stderr)
         return EXIT_CORRUPT
-    result = pipeline.analyze_session(frames, cfg.analysis, cfg.device_model())
+    result = pipeline.analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware)
     summary = pipeline.summarize(result)
     summary["resyncs"] = len(resyncs)
     summary["skipped_bytes"] = sum(ev.skipped for ev in resyncs)

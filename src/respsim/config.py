@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -175,7 +176,8 @@ def _build(hint, value, where: str):
     Sections recurse into their fields and tuples into their items.  Bool,
     number and string fields are type-checked here: a field's own checks
     would fail on a wrong type with a TypeError that names no key, and take
-    YAML ``true`` for 1.
+    YAML ``true`` for 1.  Numbers must be finite, as in the JSON truth
+    sidecar: YAML's ``.inf`` and ``.nan`` pass most range checks.
     Every other rule is checked by the dataclass that owns the field.
     """
     got = type(value).__name__
@@ -210,6 +212,8 @@ def _build(hint, value, where: str):
     elif types & {int, float}:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {got}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite number, got {value}")
     elif str in types and not isinstance(value, str):
         raise ConfigError(f"{where}: expected a string, got {got}")
     return value

@@ -2,7 +2,12 @@
 
 The schedule mirrors the device firmware: FSR sampling at 25 Hz, the
 accelerometer at 50 Hz, and a battery measurement every 2 s, all phased so
-every channel takes its first sample at t=0.  Samples accumulate into
+every channel takes its first sample at t=0.  :class:`FirmwareConfig` owns
+it: :meth:`FirmwareConfig.session_ms` turns a session's duration into whole
+milliseconds and ticks, and each channel samples at
+``range(0, session_ms, period)``.  The emulator runs that schedule, and
+:mod:`respsim.session` synthesizes its stimulus at the same instants.
+Samples accumulate into
 fixed-size batches (5 FSR codes, 10 accel triples per frame) and each
 completed batch is framed immediately; partially filled batches are flushed
 with the final-flush flag when a run ends.
@@ -27,6 +32,7 @@ hold ``run`` to a tick loop frame for frame, float for float.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol
@@ -115,6 +121,22 @@ class FirmwareConfig:
     @property
     def accel_period_ms(self) -> int:
         return 1000 // self.accel_rate_hz
+
+    def session_ms(self, duration_s: float) -> int:
+        """A session's length in ms, where every channel's ``range(0, ms, period)`` ends."""
+        exact_ms = duration_s * 1000.0
+        if not (math.isfinite(exact_ms) and exact_ms >= 0):
+            raise InvalidConfigError(f"duration_s must be finite and >= 0, got {duration_s}")
+        total_ms = round(exact_ms)
+        if abs(exact_ms - total_ms) > 1e-6:
+            raise InvalidConfigError(
+                f"duration_s={duration_s} is not a whole number of milliseconds"
+            )
+        if total_ms % self.tick_ms != 0:
+            raise InvalidConfigError(
+                f"duration {total_ms} ms is not a multiple of tick_ms={self.tick_ms}"
+            )
+        return total_ms
 
 
 @dataclass(frozen=True)
@@ -324,25 +346,31 @@ class FirmwareEmulator:
         cfg = self.config
         t = self._clock_ms
         frames: list[protocol.TelemetryFrame] = []
-        sampled = False
+        fsr_due = t % cfg.fsr_period_ms == 0
+        accel_due = t % cfg.accel_period_ms == 0
+        sampled = fsr_due or accel_due
 
-        if t % cfg.fsr_period_ms == 0:
+        # read every due sample before any state changes, so a tick that
+        # raises leaves the emulator as it found it
+        if fsr_due:
             if force_n is None:
                 raise StimulusError(f"FSR sample due at t={t} ms but no force supplied")
             code = adc_quantize(
                 divider_voltage(fsr_resistance(force_n, self.model.fsr), self.model.divider),
                 self.model.adc,
             )
+        if accel_due:
+            if accel_mg is None:
+                raise StimulusError(f"accel sample due at t={t} ms but none supplied")
+            accel = (int(accel_mg[0]), int(accel_mg[1]), int(accel_mg[2]))
+
+        if fsr_due:
             self._fsr_buf.append((t, code))
-            sampled = True
             if len(self._fsr_buf) == cfg.fsr_batch:
                 frames.append(self._batch_frame(FrameKind.FSR_BATCH, *_drain(self._fsr_buf)))
 
-        if t % cfg.accel_period_ms == 0:
-            if accel_mg is None:
-                raise StimulusError(f"accel sample due at t={t} ms but none supplied")
-            self._accel_buf.append((t, (int(accel_mg[0]), int(accel_mg[1]), int(accel_mg[2]))))
-            sampled = True
+        if accel_due:
+            self._accel_buf.append((t, accel))
             if len(self._accel_buf) == cfg.accel_batch:
                 frames.append(self._batch_frame(FrameKind.ACCEL_BATCH, *_drain(self._accel_buf)))
 
@@ -377,8 +405,9 @@ class FirmwareEmulator:
     def run(self, stimulus: StimulusSource, duration_s: float) -> list[protocol.TelemetryFrame]:
         """Boot fresh, run the schedule for a duration, and flush.
 
-        ``duration_s`` must be a whole number of ticks.  The returned list
-        is every frame the device would have sent, in transmit order.
+        :meth:`FirmwareConfig.session_ms` turns ``duration_s`` into the
+        schedule's length.  The returned list is every frame the device would
+        have sent, in transmit order.
 
         The schedule is derived in bulk, not stepped: the stimulus is
         queried once per sampling instant, each batch is a slice of the
@@ -387,16 +416,7 @@ class FirmwareEmulator:
         log, timeline, energy and the state left behind are those of
         :meth:`boot`, then :meth:`tick` at every tick, then :meth:`flush`.
         """
-        total_ms_exact = duration_s * 1000.0
-        total_ms = int(round(total_ms_exact))
-        if abs(total_ms_exact - total_ms) > 1e-6 or total_ms < 0:
-            raise InvalidConfigError(
-                f"duration_s={duration_s} is not a whole number of milliseconds"
-            )
-        if total_ms % self.config.tick_ms != 0:
-            raise InvalidConfigError(
-                f"duration {total_ms} ms is not a multiple of tick_ms={self.config.tick_ms}"
-            )
+        total_ms = self.config.session_ms(duration_s)
         self.boot()
         cfg = self.config
         fsr_t = range(0, total_ms, cfg.fsr_period_ms)

@@ -28,9 +28,9 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 from scipy.signal import find_peaks
 
-from .firmware import DeviceModel
+from .firmware import DeviceModel, FirmwareConfig
 from .protocol import FrameKind, TelemetryFrame
-from .sensor import ACCEL_DTYPE, adc_to_voltage
+from .sensor import ACCEL_DTYPE, ParameterError, adc_to_voltage
 
 log = logging.getLogger("respsim.pipeline")
 
@@ -153,8 +153,13 @@ class ExtractedSeries:
 def extract_series(
     frames: Iterable[TelemetryFrame],
     model: DeviceModel = DeviceModel(),
+    firmware: FirmwareConfig = FirmwareConfig(),
 ) -> ExtractedSeries:
-    """Unpack frames into time-ordered per-channel sample series."""
+    """Unpack frames into time-ordered per-channel sample series.
+
+    Sample periods are inferred from the batches' start times; a channel
+    with a single batch takes its period from ``firmware``.
+    """
     frames = list(frames)
     counts = {"fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
     fsr_batches: list[tuple[int, tuple[int, ...]]] = []
@@ -184,12 +189,11 @@ def extract_series(
     accel_batches.sort(key=itemgetter(0))
     battery_points.sort(key=lambda p: p.t_ms)
 
-    fsr_period = _infer_period_ms(
-        [t for t, _ in fsr_batches], [len(c) for _, c in fsr_batches], fallback=40
-    )
-    accel_period = _infer_period_ms(
-        [t for t, _ in accel_batches], [len(s) for _, s in accel_batches], fallback=20
-    )
+    fsr_period = _infer_period_ms([t for t, _ in fsr_batches], [len(c) for _, c in fsr_batches],
+                                  fallback=firmware.fsr_period_ms)
+    accel_period = _infer_period_ms([t for t, _ in accel_batches],
+                                    [len(s) for _, s in accel_batches],
+                                    fallback=firmware.accel_period_ms)
 
     fsr = np.empty(sum(len(c) for _, c in fsr_batches), dtype=FSR_DTYPE)
     fsr["t_ms"] = _sample_times(fsr_batches, fsr_period)
@@ -467,6 +471,13 @@ class AnalysisConfig:
     artifact_min_duration_ms: float = 500.0
     apnea_timeout_s: float = 30.0
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not (value > 0):
+                raise ParameterError(f"{name} must be > 0, got {value}")
+        if not (self.window_s * 1000 >= 1):
+            raise ParameterError(f"window_s must be at least 1 ms, got {self.window_s}")
+
 
 @dataclass
 class SessionAnalysis:
@@ -482,9 +493,10 @@ def analyze_session(
     frames: Iterable[TelemetryFrame],
     analysis: AnalysisConfig = AnalysisConfig(),
     model: DeviceModel = DeviceModel(),
+    firmware: FirmwareConfig = FirmwareConfig(),
 ) -> SessionAnalysis:
     """Run the full host pipeline over a decoded frame sequence."""
-    series = extract_series(frames, model)
+    series = extract_series(frames, model, firmware)
     fsr_t, accel_t, battery = series.fsr["t_ms"], series.accel["t_ms"], series.battery
 
     # each series is time-ordered, so its first and last entries bound it
@@ -527,7 +539,7 @@ def analyze_session(
 
     window_ms = int(round(analysis.window_s * 1000))
     estimates: list[RespirationEstimate] = []
-    n_windows = max((span_end - span_start) // window_ms, 0) if window_ms > 0 else 0
+    n_windows = (span_end - span_start) // window_ms
     if n_windows == 0:
         estimates.append(estimate_rate(breaths, span_start, span_end, artifacts))
     else:

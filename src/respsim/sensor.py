@@ -254,22 +254,8 @@ def battery_sense_voltage(v_batt: float, ratio: float = 0.4, v_ref: float = 1.8)
 
 
 # ---------------------------------------------------------------------------
-# synthetic stimulus: sample grids and posture shapes for respsim.session
+# synthetic stimulus: posture shapes for respsim.session
 # ---------------------------------------------------------------------------
-
-def _sample_grid(duration_s: float, sample_rate_hz: int) -> tuple[int, int]:
-    """Return (sample count, period in ms) for an even millisecond grid.
-
-    The rate divides 1000 and the duration is >= 0: the configs check both.
-    """
-    n_exact = duration_s * sample_rate_hz
-    n = int(round(n_exact))
-    if abs(n_exact - n) > 1e-9:
-        raise ParameterError(
-            f"duration_s={duration_s} is not a whole number of samples at {sample_rate_hz} Hz"
-        )
-    return n, 1000 // sample_rate_hz
-
 
 POSTURES = ("still", "walking", "shift")
 

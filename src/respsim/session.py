@@ -7,6 +7,11 @@ them, and returns the raw frame bytes plus a ground-truth record: analytic
 breath instants, the battery trajectory, and the energy spent.  The truth
 sidecar travels next to the capture file so analysis results can always be
 scored against what actually happened.
+
+The stimulus is synthesized at the emulator's own sampling instants:
+``range(0, session_ms, period)`` per channel, with the session length from
+:meth:`~respsim.firmware.FirmwareConfig.session_ms`, so every sample the
+firmware takes finds one and no sample goes unread.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .sensor import (
     FULL_SCALE_MG,
     ForceSample,
     _posture_base_mg,
-    _sample_grid,
 )
 
 TRUTH_SUFFIX = ".truth.json"
@@ -84,8 +88,8 @@ def true_breath_times_ms(scenario: ScenarioConfig, duration_s: float) -> list[fl
 def synthesize_force(cfg: SessionConfig) -> list[ForceSample]:
     """Force samples on the FSR grid for the whole breathing schedule."""
     sc = cfg.scenario
-    n, period_ms = _sample_grid(cfg.duration_s, cfg.firmware.fsr_rate_hz)
-    t_ms = np.arange(n, dtype=np.int64) * period_ms
+    fw = cfg.firmware
+    t_ms = np.arange(0, fw.session_ms(cfg.duration_s), fw.fsr_period_ms, dtype=np.int64)
     t_s = t_ms.astype(np.float64) / 1000.0
 
     spans = _segment_spans(sc.breathing, cfg.duration_s)
@@ -101,7 +105,7 @@ def synthesize_force(cfg: SessionConfig) -> list[ForceSample]:
     force = sc.baseline_n + sc.amplitude_n * np.sin(phase)
     if sc.noise_sd_n > 0:
         rng = np.random.default_rng([cfg.seed, 0])
-        force = force + rng.normal(0.0, sc.noise_sd_n, n)
+        force = force + rng.normal(0.0, sc.noise_sd_n, t_ms.size)
     force = np.maximum(force, 0.0)
     return [ForceSample(int(t), float(f)) for t, f in zip(t_ms, force)]
 
@@ -109,8 +113,9 @@ def synthesize_force(cfg: SessionConfig) -> list[ForceSample]:
 def synthesize_accel(cfg: SessionConfig) -> np.ndarray:
     """Accelerometer rows (``ACCEL_DTYPE``) on the accel grid for the posture schedule."""
     sc = cfg.scenario
-    n, period_ms = _sample_grid(cfg.duration_s, cfg.firmware.accel_rate_hz)
-    t_ms = np.arange(n, dtype=np.int64) * period_ms
+    fw = cfg.firmware
+    t_ms = np.arange(0, fw.session_ms(cfg.duration_s), fw.accel_period_ms, dtype=np.int64)
+    n = t_ms.size
     base = np.zeros((n, 3), dtype=np.float64)
     for start, end, seg in _segment_spans(sc.posture, cfg.duration_s):
         sel = (t_ms >= start * 1000.0) & (t_ms < end * 1000.0)

@@ -1,16 +1,23 @@
 """CLI harness: subcommands, exit codes, and the TCP stream path."""
 
+import copy
+import dataclasses
 import hashlib
 import json
+import math
+import re
 import socket
 import threading
 import time
+import typing
+import warnings
 from pathlib import Path
 
 import pytest
+import yaml
 
 from respsim.cli import EXIT_IO, main
-from respsim.config import apply_overrides, from_dict, load_config
+from respsim.config import SessionConfig, apply_overrides, from_dict, load_config
 from respsim.session import read_truth
 
 
@@ -108,6 +115,30 @@ def test_simulate_rejects_negative_duration(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_and_power_run_the_same_durations(tmp_path, capsys):
+    # 1.01 s is whole milliseconds, 1.0005 s is not; neither is whole 25 Hz samples
+    out = ["--out", str(tmp_path / "s.raw")]
+    assert run_cli(capsys, "simulate", "--duration", "1.01", *out)[0] == 0
+    assert run_cli(capsys, "power", "--duration", "1.01")[0] == 0
+    message = "respsim: config error: duration_s=1.0005 is not a whole number of milliseconds\n"
+    assert run_cli(capsys, "simulate", "--duration", "1.0005", *out)[::2] == (1, message)
+    assert run_cli(capsys, "power", "--duration", "1.0005")[::2] == (1, message)
+
+
+@pytest.mark.parametrize("duration", ["inf", "1e308"])
+@pytest.mark.parametrize("command", ["simulate", "power", "stream"])
+def test_unbounded_duration_is_config_error(tmp_path, capsys, command, duration):
+    argv = [command, "--duration", duration]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "s.raw")]
+    if command == "stream":
+        argv += ["--connect", f"127.0.0.1:{free_port()}"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == ("respsim: config error: duration_s must be finite and >= 0, "
+                   f"got {float(duration)}\n")
+
+
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("duraton_s: 10\n")
@@ -146,6 +177,61 @@ def test_config_errors_name_their_key(tmp_path, capsys, text, message):
     assert code == 1
     assert err == f"respsim: config error: {message}\n"
     assert not out.exists()
+
+
+def number_fields(hint, value, path=""):
+    """Key path of every number field in ``value``, a config as the builder reads it."""
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        for f in dataclasses.fields(hint):
+            yield from number_fields(hints[f.name], value[f.name],
+                                     f"{path}.{f.name}" if path else f.name)
+    elif typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        for i, item in enumerate(value):
+            yield from number_fields(args[0] if args[1:] == (...,) else args[i], item,
+                                     f"{path}[{i}]")
+    elif {int, float} & set(typing.get_args(hint) or (hint,)):
+        yield path
+
+
+def set_field(data, path, value):
+    *keys, last = re.findall(r"[^.\[\]]+", path)
+    for key in keys:
+        data = data[int(key) if key.isdigit() else key]
+    data[int(last) if last.isdigit() else last] = value
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, value):
+    # every number field, found through the config's annotations, set from YAML
+    base = json.loads(json.dumps(dataclasses.asdict(SessionConfig(duration_s=1.0))))
+    capture = tmp_path / "s.raw"
+    assert main(["simulate", "--duration", "1", "--out", str(capture)]) == 0
+    commands = [["simulate", "--out", str(tmp_path / "o.raw")], ["power"],
+                ["analyze", str(capture)]]
+    paths = list(number_fields(SessionConfig, base))
+    assert "scenario.breathing[0].rate_bpm" in paths and "battery.ocv_points[1][0]" in paths
+    problems = []
+    for path in paths:
+        data = copy.deepcopy(base)
+        set_field(data, path, value)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(data))
+        for command in commands:
+            capsys.readouterr()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main([*command, "--config", str(cfg)])
+            except Exception as e:  # collect every failing case, not only the first
+                problems.append(f"{path} {command[0]}: {e!r}")
+                continue
+            err = capsys.readouterr().err
+            if code != 0 and not (code == 1 and err.startswith("respsim: config error: ")
+                                  and path in err):
+                problems.append(f"{path} {command[0]}: exit {code}, {err!r}")
+    assert problems == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "stream"])
@@ -301,6 +387,16 @@ def test_analyze_empty_capture(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "analyze", str(p))
     assert code == 0
     assert json.loads(stdout)["fsr_samples"] == 0
+
+
+def test_analyze_times_single_batch_channels_by_the_config(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("duration_s: 0.1\nfirmware: {fsr_rate_hz: 50, accel_rate_hz: 100}\n")
+    capture = str(tmp_path / "s.raw")
+    assert run_cli(capsys, "simulate", "--config", str(cfg), "--out", capture)[0] == 0
+    code, stdout, _ = run_cli(capsys, "analyze", "--config", str(cfg), capture)
+    assert code == 0
+    assert json.loads(stdout)["span_ms"] == [0, 100]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from respsim.config import (
 from respsim.firmware import DeviceModel, InvalidConfigError
 from respsim.pipeline import AnalysisConfig
 from respsim.power import PRESETS
-from respsim.sensor import POSTURES, AdcConfig
+from respsim.sensor import POSTURES, AdcConfig, ParameterError
 
 
 def write(tmp_path, text):
@@ -57,8 +58,11 @@ def test_json_is_accepted_too(tmp_path):
 
 
 def test_seed_is_a_whole_number_at_least_zero(tmp_path):
-    with pytest.raises(ConfigError, match=r"^seed must be a whole number >= 0, got nan$"):
+    # a file's NaN is caught as a non-finite number, one built in code by the seed rule
+    with pytest.raises(ConfigError, match=r"^seed: expected a finite number, got nan$"):
         load_config(write(tmp_path, "seed: .nan\n"))
+    with pytest.raises(ConfigError, match=r"^seed must be a whole number >= 0, got nan$"):
+        SessionConfig(seed=float("nan"))
     cfg = from_dict({"seed": 2.0})
     assert cfg.seed == 2 and type(cfg.seed) is int
 
@@ -205,6 +209,20 @@ def test_amplitude_above_baseline_rejected(tmp_path):
 def test_negative_noise_rejected(key):
     with pytest.raises(ConfigError, match=key):
         from_dict({"scenario": {key: -1.0}})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    *((f.name, 0, f"{f.name} must be > 0, got 0") for f in dataclasses.fields(AnalysisConfig)),
+    ("window_s", -60, "window_s must be > 0, got -60"),
+    ("window_s", 0.0004, "window_s must be at least 1 ms, got 0.0004"),
+    ("apnea_timeout_s", -1.5, "apnea_timeout_s must be > 0, got -1.5"),
+])
+def test_analysis_values_must_be_positive(field, value, message):
+    with pytest.raises(ConfigError) as raised:
+        from_dict({"analysis": {field: value}})
+    assert str(raised.value) == f"analysis: {message}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        AnalysisConfig(**{field: value})
 
 
 def test_top_level_must_be_mapping(tmp_path):

@@ -162,6 +162,42 @@ def test_missing_due_sample_raises():
         emu.tick(force_n=None, accel_mg=(0, 0, 1000))
 
 
+@pytest.mark.parametrize("config", [FirmwareConfig(), FirmwareConfig(fsr_batch=1)],
+                         ids=["default", "fsr-batch-1"])
+def test_a_tick_missing_a_sample_changes_no_state(config):
+    clean = FirmwareEmulator(config)
+    clean.boot()
+    expected = observed(clean, clean.tick(4.0, (0, 0, 1000)))
+    emu = FirmwareEmulator(config)
+    emu.boot()
+    with pytest.raises(StimulusError):
+        emu.tick(4.0, None)
+    assert observed(emu, emu.tick(4.0, (0, 0, 1000))) == expected
+
+
+def test_session_ms_is_the_length_of_every_sampling_range():
+    assert FirmwareConfig().session_ms(1.01) == 1010
+    assert FirmwareConfig(tick_ms=2).session_ms(0.002) == 2
+    assert FirmwareConfig().session_ms(0) == 0
+
+
+@pytest.mark.parametrize("config, duration_s, message", [
+    (FirmwareConfig(), math.inf, "duration_s must be finite and >= 0, got inf"),
+    (FirmwareConfig(), 1e308, "duration_s must be finite and >= 0, got 1e+308"),
+    (FirmwareConfig(), math.nan, "duration_s must be finite and >= 0, got nan"),
+    (FirmwareConfig(), -0.5, "duration_s must be finite and >= 0, got -0.5"),
+    (FirmwareConfig(), 1.0005, "duration_s=1.0005 is not a whole number of milliseconds"),
+    (FirmwareConfig(tick_ms=2), 1.001, "duration 1001 ms is not a multiple of tick_ms=2"),
+], ids=["inf", "1e308", "nan", "negative", "fraction-of-a-ms", "fraction-of-a-tick"])
+def test_session_ms_rejects_what_no_tick_loop_can_run(config, duration_s, message):
+    with pytest.raises(InvalidConfigError) as raised:
+        config.session_ms(duration_s)
+    assert str(raised.value) == message
+    with pytest.raises(InvalidConfigError) as raised:
+        FirmwareEmulator(config).run(ConstantStimulus(), duration_s)
+    assert str(raised.value) == message
+
+
 def test_run_is_byte_deterministic():
     a = encode_session(FirmwareEmulator().run(ConstantStimulus(), 10.0))
     b = encode_session(FirmwareEmulator().run(ConstantStimulus(), 10.0))

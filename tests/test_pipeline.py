@@ -1,6 +1,7 @@
 """Host pipeline: chain inversion, breath/artifact detection, export."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from respsim import pipeline
 from respsim.config import from_dict
-from respsim.firmware import DeviceModel
+from respsim.firmware import DeviceModel, FirmwareConfig
 from respsim.pipeline import (
     ACCEL_DTYPE,
     CSV_COLUMNS,
@@ -449,6 +450,22 @@ def test_extract_series_reports_seq_gaps():
     thinned = [f for f in frames if f.seq % 7 != 3]
     series = extract_series(thinned)
     assert series.seq_gaps == len(frames) - len(thinned)
+
+
+def test_single_batch_channels_take_their_period_from_the_firmware_config():
+    # one batch per channel leaves no batch spacing to infer a period from
+    cfg = from_dict({"duration_s": 0.1,
+                     "firmware": {"fsr_rate_hz": 50, "accel_rate_hz": 100}})
+    frames = run_session(cfg).frames
+    result = analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware)
+    assert result.series.fsr["t_ms"].tolist() == list(range(0, 100, 20))
+    assert result.series.accel["t_ms"].tolist() == list(range(0, 100, 10))
+    assert result.span_ms == (0, 100)
+    # from two batches on the spacing is inferred, whatever config is given
+    cfg = dataclasses.replace(cfg, duration_s=0.2)
+    series = extract_series(run_session(cfg).frames, cfg.device_model(), FirmwareConfig())
+    assert series.fsr["t_ms"].tolist() == list(range(0, 200, 20))
+    assert series.accel["t_ms"].tolist() == list(range(0, 200, 10))
 
 
 def battery_frames(seqs):

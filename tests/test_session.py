@@ -8,7 +8,7 @@ import pytest
 
 from respsim.config import SessionConfig, from_dict
 from respsim.pipeline import analyze_session
-from respsim.protocol import split_stream
+from respsim.protocol import FrameKind, split_stream
 from respsim.session import (
     read_truth,
     run_session,
@@ -93,6 +93,17 @@ def test_posture_schedule_switches_mid_run():
     second_half = rows[rows["t_ms"] >= 10_000]
     assert (first_half["z_mg"] == 1000).all()
     assert (abs(second_half["z_mg"] - 1000) == 300).all()
+
+
+def test_stimulus_is_synthesized_where_the_emulator_samples():
+    # 1.01 s is a whole number of milliseconds but not of samples at 25 Hz
+    cfg = cfg_with(duration_s=1.01)
+    force, accel = synthesize_force(cfg), synthesize_accel(cfg)
+    assert [s.t_ms for s in force] == list(range(0, 1010, 40))
+    assert accel["t_ms"].tolist() == list(range(0, 1010, 20))
+    frames = run_session(cfg).frames
+    assert sum(len(f.payload.codes) for f in frames if f.kind == FrameKind.FSR_BATCH) == 26
+    assert sum(len(f.payload.samples) for f in frames if f.kind == FrameKind.ACCEL_BATCH) == 51
 
 
 def test_session_reproducibility():
