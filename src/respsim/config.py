@@ -170,6 +170,14 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
+def _fits_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _build(hint, value, where: str):
     """Build ``value`` as the annotation ``hint`` asks, naming ``where`` in errors.
 
@@ -177,7 +185,8 @@ def _build(hint, value, where: str):
     number and string fields are type-checked here: a field's own checks
     would fail on a wrong type with a TypeError that names no key, and take
     YAML ``true`` for 1.  Numbers must be finite, as in the JSON truth
-    sidecar: YAML's ``.inf`` and ``.nan`` pass most range checks.
+    sidecar: YAML's ``.inf`` and ``.nan`` pass most range checks, and an
+    integer in a float field must not overflow a float.
     Every other rule is checked by the dataclass that owns the field.
     """
     got = type(value).__name__
@@ -214,6 +223,8 @@ def _build(hint, value, where: str):
             raise ConfigError(f"{where}: expected a number, got {got}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{where}: expected a finite number, got {value}")
+        if float in types and isinstance(value, int) and not _fits_float(value):
+            raise ConfigError(f"{where}: expected a finite number")
     elif str in types and not isinstance(value, str):
         raise ConfigError(f"{where}: expected a string, got {got}")
     return value

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Protocol
 
 import numpy as np
@@ -45,6 +46,7 @@ from .power import ACTIVITY_STATES, PowerProfile, PRESETS, Timeline, UW_MS_PER_M
 from .sensor import (
     AdcConfig,
     DividerConfig,
+    FULL_SCALE_MG,
     FsrModel,
     LINEAR_OCV,
     OcvCurve,
@@ -303,7 +305,7 @@ class FirmwareEmulator:
         """Frame one FSR or accel batch whose first sample was taken at ``t0``."""
         return protocol.TelemetryFrame(
             kind, self._next_seq(), self._flags(final_flush),
-            protocol.PAYLOAD_TYPES[kind](t0, samples),
+            protocol.PAYLOAD_TYPES[kind](t0, tuple(samples)),
         )
 
     def _battery_frame(self, t_ms: int) -> protocol.TelemetryFrame:
@@ -363,6 +365,7 @@ class FirmwareEmulator:
             if accel_mg is None:
                 raise StimulusError(f"accel sample due at t={t} ms but none supplied")
             accel = (int(accel_mg[0]), int(accel_mg[1]), int(accel_mg[2]))
+            _check_accel([accel], [t])
 
         if fsr_due:
             self._fsr_buf.append((t, code))
@@ -424,6 +427,7 @@ class FirmwareEmulator:
         codes = fsr_codes([stimulus.force_n(t) for t in fsr_t],
                           self.model.fsr, self.model.divider, self.model.adc).tolist()
         accel = [(int(a[0]), int(a[1]), int(a[2])) for a in map(stimulus.accel_mg, accel_t)]
+        _check_accel(accel, accel_t)
 
         # samples, sample instants and batch size of each batch kind
         batches = {FrameKind.FSR_BATCH: (codes, fsr_t, cfg.fsr_batch),
@@ -496,6 +500,15 @@ class FirmwareEmulator:
         if tick_mwh.size:
             tick_mwh[0] += self._energy_mwh
             self._energy_mwh = float(np.cumsum(tick_mwh)[-1])
+
+
+def _check_accel(samples: list[tuple[int, int, int]], times) -> None:
+    """Reject accel triples past the sensor's full scale, as a negative force is rejected."""
+    if samples and max(map(abs, chain.from_iterable(samples))) > FULL_SCALE_MG:
+        i = next(i for i, s in enumerate(samples) if max(map(abs, s)) > FULL_SCALE_MG)
+        raise ParameterError(
+            f"accel sample {samples[i]} at t={times[i]} ms is beyond ±{FULL_SCALE_MG} mg"
+        )
 
 
 def _drain(buf: list) -> tuple[int, list]:

@@ -329,6 +329,7 @@ def detect_motion_artifacts(
     samples: np.ndarray,
     threshold_mg: float = 250.0,
     min_duration_ms: float = 500.0,
+    fallback_period_ms: float = FirmwareConfig().accel_period_ms,
 ) -> ArtifactMask:
     """Flag spans where |acceleration magnitude - 1 g| stays above threshold.
 
@@ -338,7 +339,8 @@ def detect_motion_artifacts(
     change that merely reorients gravity keeps magnitude at 1 g and is
     correctly not an artifact.  A run ends one sample period after its last
     hot sample, but never after the next sample, so intervals stay disjoint
-    even where timestamps crowd closer than the period.
+    even where timestamps crowd closer than the period.  The period is the
+    median sample spacing, or ``fallback_period_ms`` for a single sample.
     """
     if len(samples) == 0:
         return ArtifactMask()
@@ -346,10 +348,7 @@ def detect_motion_artifacts(
     x, y, z = (samples[axis].astype(np.float64) for axis in ("x_mg", "y_mg", "z_mg"))
     mag = np.sqrt(x ** 2 + y ** 2 + z ** 2)
     hot = np.abs(mag - 1000.0) > threshold_mg
-    if t.size > 1:
-        period_ms = float(np.median(np.diff(t)))
-    else:
-        period_ms = 20.0
+    period_ms = float(np.median(np.diff(t))) if t.size > 1 else fallback_period_ms
     intervals: list[tuple[int, int]] = []
     edges = np.flatnonzero(np.diff(np.concatenate(([False], hot, [False])).astype(np.int8)))
     for start_idx, stop_idx in zip(edges[::2], edges[1::2]):
@@ -535,6 +534,7 @@ def analyze_session(
         series.accel,
         threshold_mg=analysis.artifact_threshold_mg,
         min_duration_ms=analysis.artifact_min_duration_ms,
+        fallback_period_ms=series.accel_period_ms,
     )
 
     window_ms = int(round(analysis.window_s * 1000))

@@ -13,6 +13,13 @@ and coalesces each maximal run of discarded bytes into one resync event.
 A candidate whose declared length runs past the data is held for more
 bytes; at the end of a capture, :meth:`StreamSplitter.finish` drops it
 when a frame follows its magic byte.
+
+:class:`TelemetryFrame` and its payloads are plain records, checked at the
+two borders of the program instead of when built: :func:`encode` for
+frames leaving it and :func:`decode` for bytes arriving.  The struct
+layouts bound every field width, and one function holds the rules they
+leave open, which both call.  ``encode`` raises only :class:`ProtocolError`
+subclasses.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import starmap
 
 MAGIC = 0xA5
 VERSION = 0x01
@@ -101,27 +109,12 @@ def crc8(data: bytes) -> int:
 # payloads
 # ---------------------------------------------------------------------------
 
-def _check_u32(name: str, value: int) -> None:
-    if not (0 <= value <= 0xFFFFFFFF):
-        raise BadLength(f"{name} {value} outside u32 range")
-
-
-def _unchecked(cls, **fields):
-    """Build a frozen dataclass without running its ``__post_init__``.
-
-    Only for fields just unpacked from a struct format, which already
-    bounds them (u32 times, i16 axes, u16 seq, u8 flags); the caller checks
-    whatever the format leaves open.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 # Both batch kinds share one layout: a head of t0_ms (u32) and the sample
 # count (u8), then per sample one u16 FSR code or an i16 x, y, z triple.
 _BATCH_HEAD = struct.Struct("<IB")
-_SAMPLE_BYTES = {FrameKind.FSR_BATCH: 2, FrameKind.ACCEL_BATCH: 6}
+_XYZ = struct.Struct("<3h")
+_SAMPLE_BYTES = {FrameKind.FSR_BATCH: 2, FrameKind.ACCEL_BATCH: _XYZ.size}
+_BATTERY = struct.Struct("<IHB")
 
 
 def batch_payload_len(kind: FrameKind, count: int) -> int:
@@ -129,17 +122,13 @@ def batch_payload_len(kind: FrameKind, count: int) -> int:
     return _BATCH_HEAD.size + _SAMPLE_BYTES[kind] * count
 
 
-def _batch_head(raw: bytes, kind: FrameKind, name: str, unit: str) -> tuple[int, int]:
+def _batch_head(raw: bytes, kind: FrameKind, name: str) -> tuple[int, int]:
     """``(t0_ms, count)`` of a batch payload whose length matches its count."""
     if len(raw) < _BATCH_HEAD.size:
         raise BadLength(f"{name} batch payload too short ({len(raw)} bytes)")
     t0, count = _BATCH_HEAD.unpack_from(raw)
     if len(raw) != batch_payload_len(kind, count):
-        raise BadLength(
-            f"{name} batch declares {count} {unit}s but payload is {len(raw)} bytes"
-        )
-    if not count:
-        raise BadLength(f"{name} batch must hold at least one {unit}")
+        raise BadLength(f"{name} batch declares {count} samples but payload is {len(raw)} bytes")
     return t0, count
 
 
@@ -150,15 +139,6 @@ class FsrBatchPayload:
     t0_ms: int
     codes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", tuple(int(c) for c in self.codes))
-        _check_u32("t0_ms", self.t0_ms)
-        if not self.codes:
-            raise BadLength("FSR batch must hold at least one code")
-        for c in self.codes:
-            if not (0 <= c <= MAX_CODE):
-                raise BadLength(f"FSR code {c} outside 12-bit range")
-
     def to_bytes(self) -> bytes:
         return struct.pack(
             f"{_BATCH_HEAD.format}{len(self.codes)}H", self.t0_ms, len(self.codes), *self.codes
@@ -166,12 +146,8 @@ class FsrBatchPayload:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "FsrBatchPayload":
-        t0, count = _batch_head(raw, FrameKind.FSR_BATCH, "FSR", "code")
-        codes = struct.unpack_from(f"<{count}H", raw, _BATCH_HEAD.size)
-        if max(codes) > MAX_CODE:
-            bad = next(c for c in codes if c > MAX_CODE)
-            raise BadLength(f"FSR code {bad} outside 12-bit range")
-        return _unchecked(cls, t0_ms=t0, codes=codes)
+        t0, count = _batch_head(raw, FrameKind.FSR_BATCH, "FSR")
+        return cls(t0, struct.unpack_from(f"<{count}H", raw, _BATCH_HEAD.size))
 
 
 @dataclass(frozen=True)
@@ -181,30 +157,14 @@ class AccelBatchPayload:
     t0_ms: int
     samples: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "samples", tuple((int(x), int(y), int(z)) for x, y, z in self.samples)
-        )
-        _check_u32("t0_ms", self.t0_ms)
-        if not self.samples:
-            raise BadLength("accel batch must hold at least one sample")
-        for s in self.samples:
-            for axis in s:
-                if not (-32768 <= axis <= 32767):
-                    raise BadLength(f"accel axis {axis} outside i16 range")
-
     def to_bytes(self) -> bytes:
-        flat = [v for s in self.samples for v in s]
-        return struct.pack(
-            f"{_BATCH_HEAD.format}{len(flat)}h", self.t0_ms, len(self.samples), *flat
-        )
+        return b"".join((_BATCH_HEAD.pack(self.t0_ms, len(self.samples)),
+                         *starmap(_XYZ.pack, self.samples)))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "AccelBatchPayload":
-        t0, count = _batch_head(raw, FrameKind.ACCEL_BATCH, "accel", "sample")
-        flat = struct.unpack_from(f"<{3 * count}h", raw, _BATCH_HEAD.size)
-        samples = tuple(zip(flat[0::3], flat[1::3], flat[2::3]))
-        return _unchecked(cls, t0_ms=t0, samples=samples)
+        t0, _ = _batch_head(raw, FrameKind.ACCEL_BATCH, "accel")
+        return cls(t0, tuple(_XYZ.iter_unpack(raw[_BATCH_HEAD.size:])))
 
 
 @dataclass(frozen=True)
@@ -215,22 +175,14 @@ class BatteryStatusPayload:
     adc_code: int
     percent: int
 
-    def __post_init__(self) -> None:
-        _check_u32("t_ms", self.t_ms)
-        if not (0 <= self.adc_code <= MAX_CODE):
-            raise BadLength(f"battery adc_code {self.adc_code} outside 12-bit range")
-        if not (0 <= self.percent <= 100):
-            raise BadLength(f"battery percent {self.percent} outside 0..100")
-
     def to_bytes(self) -> bytes:
-        return struct.pack("<IHB", self.t_ms, self.adc_code, self.percent)
+        return _BATTERY.pack(self.t_ms, self.adc_code, self.percent)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "BatteryStatusPayload":
-        if len(raw) != 7:
-            raise BadLength(f"battery payload must be 7 bytes, got {len(raw)}")
-        t, code, pct = struct.unpack("<IHB", raw)
-        return cls(t, code, pct)
+        if len(raw) != _BATTERY.size:
+            raise BadLength(f"battery payload must be {_BATTERY.size} bytes, got {len(raw)}")
+        return cls(*_BATTERY.unpack(raw))
 
 
 Payload = FsrBatchPayload | AccelBatchPayload | BatteryStatusPayload
@@ -249,22 +201,12 @@ _KINDS: dict[int, FrameKind] = {int(kind): kind for kind in FrameKind}
 
 @dataclass(frozen=True)
 class TelemetryFrame:
+    """One frame as a record; :func:`encode` and :func:`decode` check it."""
+
     kind: FrameKind
     seq: int
     flags: int
     payload: Payload
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.seq <= 0xFFFF):
-            raise BadLength(f"seq {self.seq} outside u16 range")
-        if not (0 <= self.flags <= 0xFF):
-            raise BadLength(f"flags {self.flags} outside u8 range")
-        expected = PAYLOAD_TYPES[FrameKind(self.kind)]
-        if not isinstance(self.payload, expected):
-            raise BadLength(
-                f"kind {FrameKind(self.kind).name} requires {expected.__name__}, "
-                f"got {type(self.payload).__name__}"
-            )
 
     @property
     def final_flush(self) -> bool:
@@ -275,16 +217,53 @@ class TelemetryFrame:
         return bool(self.flags & FLAG_CHARGING)
 
 
-def encode(frame: TelemetryFrame) -> bytes:
-    """Serialize a frame; total length is ``8 + len(payload)`` bytes."""
-    payload = frame.payload.to_bytes()
-    if len(payload) > MAX_PAYLOAD:
-        raise OversizeFrame(
-            f"payload is {len(payload)} bytes, MTU budget allows {MAX_PAYLOAD}"
+def _kind(value) -> FrameKind:
+    """The :class:`FrameKind` of a kind value or byte."""
+    kind = _KINDS.get(value)
+    if kind is None:
+        raise UnknownKind(f"unknown frame kind {value!r}")
+    return kind
+
+
+def _check(kind, payload: Payload) -> None:
+    """The wire rules the struct layouts, which bound every field and take
+    only whole numbers, leave open: a known kind carrying its own payload
+    type, at least one sample per batch, 12-bit codes and a percent of at
+    most 100.  :func:`encode` and :func:`decode` both call this."""
+    kind = _kind(kind)
+    expected = PAYLOAD_TYPES[kind]
+    if type(payload) is not expected:
+        raise BadLength(
+            f"kind {kind.name} requires {expected.__name__}, got {type(payload).__name__}"
         )
-    header = _HEADER.pack(
-        MAGIC, VERSION, int(frame.kind), frame.seq, frame.flags, len(payload)
-    )
+    if expected is BatteryStatusPayload:
+        if payload.adc_code > MAX_CODE:
+            raise BadLength(f"battery adc_code {payload.adc_code} outside 12-bit range")
+        if payload.percent > 100:
+            raise BadLength(f"battery percent {payload.percent} over 100")
+    elif not (payload.codes if expected is FsrBatchPayload else payload.samples):
+        raise BadLength(f"{kind.name} must hold at least one sample")
+    elif expected is FsrBatchPayload and max(payload.codes) > MAX_CODE:
+        raise BadLength(f"FSR code {max(payload.codes)} outside 12-bit range")
+
+
+def encode(frame: TelemetryFrame) -> bytes:
+    """Serialize a frame; total length is ``8 + len(payload)`` bytes.
+
+    Raises only :class:`ProtocolError` subclasses: :class:`UnknownKind`,
+    :class:`OversizeFrame`, or :class:`BadLength` for a field that breaks
+    a wire rule or does not fit its layout.
+    """
+    try:
+        _check(frame.kind, frame.payload)
+        payload = frame.payload.to_bytes()
+        if len(payload) > MAX_PAYLOAD:
+            raise OversizeFrame(
+                f"payload is {len(payload)} bytes, MTU budget allows {MAX_PAYLOAD}"
+            )
+        header = _HEADER.pack(MAGIC, VERSION, frame.kind, frame.seq, frame.flags, len(payload))
+    except (struct.error, TypeError) as e:
+        raise BadLength(f"frame does not fit the wire layout: {e}") from None
     body = header[1:] + payload  # crc covers version .. payload
     return header + payload + bytes([crc8(body)])
 
@@ -312,12 +291,10 @@ def decode(data: bytes) -> TelemetryFrame:
     actual_crc = data[total - 1]
     if actual_crc != expected_crc:
         raise BadCrc(f"crc mismatch: expected 0x{expected_crc:02X}, got 0x{actual_crc:02X}")
-    kind = _KINDS.get(kind_byte)
-    if kind is None:
-        raise UnknownKind(f"unknown frame kind 0x{kind_byte:02X}")
+    kind = _kind(kind_byte)
     payload = PAYLOAD_TYPES[kind].from_bytes(data[HEADER_LEN:total - 1])
-    # the header format bounds seq and flags, and the payload type follows kind
-    return _unchecked(TelemetryFrame, kind=kind, seq=seq, flags=flags, payload=payload)
+    _check(kind, payload)
+    return TelemetryFrame(kind, seq, flags, payload)
 
 
 # ---------------------------------------------------------------------------

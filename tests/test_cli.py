@@ -179,19 +179,20 @@ def test_config_errors_name_their_key(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
-def number_fields(hint, value, path=""):
-    """Key path of every number field in ``value``, a config as the builder reads it."""
+def number_fields(hint, value, path="", types=(int, float)):
+    """Key path of every field in ``value``, a config as the builder reads it,
+    whose annotation admits one of ``types``."""
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
         for f in dataclasses.fields(hint):
             yield from number_fields(hints[f.name], value[f.name],
-                                     f"{path}.{f.name}" if path else f.name)
+                                     f"{path}.{f.name}" if path else f.name, types)
     elif typing.get_origin(hint) is tuple:
         args = typing.get_args(hint)
         for i, item in enumerate(value):
             yield from number_fields(args[0] if args[1:] == (...,) else args[i], item,
-                                     f"{path}[{i}]")
-    elif {int, float} & set(typing.get_args(hint) or (hint,)):
+                                     f"{path}[{i}]", types)
+    elif set(types) & set(typing.get_args(hint) or (hint,)):
         yield path
 
 
@@ -202,16 +203,14 @@ def set_field(data, path, value):
     data[int(last) if last.isdigit() else last] = value
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
-def test_non_finite_numbers_are_config_errors(tmp_path, capsys, value):
-    # every number field, found through the config's annotations, set from YAML
-    base = json.loads(json.dumps(dataclasses.asdict(SessionConfig(duration_s=1.0))))
+def clean_failures(tmp_path, capsys, base, paths, value):
+    """Each run of simulate, power and analyze with ``value`` set at one of
+    ``paths`` that neither exits 0 nor exits 1 with a config error naming
+    the path; an exception or a warning counts too."""
     capture = tmp_path / "s.raw"
     assert main(["simulate", "--duration", "1", "--out", str(capture)]) == 0
     commands = [["simulate", "--out", str(tmp_path / "o.raw")], ["power"],
                 ["analyze", str(capture)]]
-    paths = list(number_fields(SessionConfig, base))
-    assert "scenario.breathing[0].rate_bpm" in paths and "battery.ocv_points[1][0]" in paths
     problems = []
     for path in paths:
         data = copy.deepcopy(base)
@@ -231,7 +230,29 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, value):
             if code != 0 and not (code == 1 and err.startswith("respsim: config error: ")
                                   and path in err):
                 problems.append(f"{path} {command[0]}: exit {code}, {err!r}")
-    assert problems == []
+    return problems
+
+
+def _base_config():
+    return json.loads(json.dumps(dataclasses.asdict(SessionConfig(duration_s=1.0))))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, value):
+    # every number field, found through the config's annotations, set from YAML
+    base = _base_config()
+    paths = list(number_fields(SessionConfig, base))
+    assert "scenario.breathing[0].rate_bpm" in paths and "battery.ocv_points[1][0]" in paths
+    assert clean_failures(tmp_path, capsys, base, paths, value) == []
+
+
+def test_integers_past_the_float_range_are_config_errors(tmp_path, capsys):
+    # int-only fields reject such a value under their own rules, so they stay out
+    base = _base_config()
+    paths = list(number_fields(SessionConfig, base, types=(float,)))
+    assert "duration_s" in paths and "scenario.baseline_n" in paths
+    assert "seed" not in paths and "firmware.fsr_rate_hz" not in paths
+    assert clean_failures(tmp_path, capsys, base, paths, 10**400) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "stream"])

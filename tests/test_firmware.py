@@ -162,17 +162,21 @@ def test_missing_due_sample_raises():
         emu.tick(force_n=None, accel_mg=(0, 0, 1000))
 
 
-@pytest.mark.parametrize("config", [FirmwareConfig(), FirmwareConfig(fsr_batch=1)],
-                         ids=["default", "fsr-batch-1"])
+@pytest.mark.parametrize("config", [FirmwareConfig(), FirmwareConfig(fsr_batch=1),
+                                    FirmwareConfig(accel_batch=1)],
+                         ids=["default", "fsr-batch-1", "accel-batch-1"])
 def test_a_tick_missing_a_sample_changes_no_state(config):
     clean = FirmwareEmulator(config)
     clean.boot()
     expected = observed(clean, clean.tick(4.0, (0, 0, 1000)))
-    emu = FirmwareEmulator(config)
-    emu.boot()
-    with pytest.raises(StimulusError):
-        emu.tick(4.0, None)
-    assert observed(emu, emu.tick(4.0, (0, 0, 1000))) == expected
+    # a missing sample, and one past the accelerometer's full scale
+    for accel, error in ((None, StimulusError), ((40000, 0, 1000), ParameterError),
+                         ((0, -2001, 1000), ParameterError)):
+        emu = FirmwareEmulator(config)
+        emu.boot()
+        with pytest.raises(error):
+            emu.tick(4.0, accel)
+        assert observed(emu, emu.tick(4.0, (0, 0, 1000))) == expected
 
 
 def test_session_ms_is_the_length_of_every_sampling_range():
@@ -350,16 +354,19 @@ def test_run_equals_tick_loop(setup):
     assert got["energy_mwh"] == expected["energy_mwh"]  # exact, not approx
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan])
-def test_run_rejects_invalid_force_like_tick(bad):
+@pytest.mark.parametrize("force, accel", [
+    (-1.0, (0, 0, 1000)), (math.nan, (0, 0, 1000)), (4.0, (0, 2001, 1000)),
+], ids=["-1.0", "nan", "accel-past-full-scale"])
+def test_run_rejects_invalid_force_like_tick(force, accel):
     emu = FirmwareEmulator()
     emu.boot()
     with pytest.raises(ParameterError):
-        emu.tick(bad, (0, 0, 1000))
-    force = [ForceSample(t, bad if t == 400 else 4.0) for t in range(0, 1000, 40)]
-    accel = np.array([(t, 0, 0, 1000) for t in range(0, 1000, 20)], dtype=ACCEL_DTYPE)
+        emu.tick(force, accel)
+    forces = [ForceSample(t, force if t == 400 else 4.0) for t in range(0, 1000, 40)]
+    rows = np.array([(t, *accel) if t == 400 else (t, 0, 0, 1000) for t in range(0, 1000, 20)],
+                    dtype=ACCEL_DTYPE)
     with pytest.raises(ParameterError):
-        FirmwareEmulator().run(ArrayStimulus(force, accel), 1.0)
+        FirmwareEmulator().run(ArrayStimulus(forces, rows), 1.0)
 
 
 @pytest.mark.parametrize("missing", ["force", "accel"])

@@ -270,6 +270,17 @@ def test_empty_input_is_clean():
     assert detect_motion_artifacts(accel_rows([])).intervals == ()
 
 
+@pytest.mark.parametrize("duration_s, interval", [(0.01, (0, 10)), (0.02, (0, 20))],
+                         ids=["one-sample", "two-samples"])
+def test_an_artifact_lasts_the_session_accel_period(duration_s, interval):
+    cfg = from_dict({"duration_s": duration_s, "posture": "walking",
+                     "firmware": {"accel_rate_hz": 100},
+                     "analysis": {"artifact_min_duration_ms": 5}})
+    frames, _, _ = split_stream(run_session(cfg).data)
+    result = analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware)
+    assert result.artifacts.intervals == (interval,)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=60))
 def test_artifact_intervals_stay_disjoint_when_samples_crowd(steps):

@@ -138,18 +138,88 @@ def test_encode_rejects_oversize_payload():
 
 
 def test_payload_validation():
-    with pytest.raises(BadLength):
-        FsrBatchPayload(0, ())
-    with pytest.raises(BadLength):
-        FsrBatchPayload(0, (4096,))
-    with pytest.raises(BadLength):
-        BatteryStatusPayload(0, 5000, 50)
-    with pytest.raises(BadLength):
-        BatteryStatusPayload(0, 100, 101)
-    with pytest.raises(BadLength):
-        TelemetryFrame(FrameKind.BATTERY_STATUS, 0x10000, 0, BatteryStatusPayload(0, 0, 0))
-    with pytest.raises(BadLength):
-        TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, BatteryStatusPayload(0, 0, 0))
+    # frames and payloads are plain records: encode is where a bad one is refused
+    battery = BatteryStatusPayload(0, 0, 0)
+    bad = [
+        TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, FsrBatchPayload(0, ())),
+        TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, FsrBatchPayload(0, (4096,))),
+        TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, FsrBatchPayload(0, (1.9,))),
+        TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, FsrBatchPayload(0, (1,) * 256)),
+        TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, FsrBatchPayload(2**32, (1,))),
+        TelemetryFrame(FrameKind.ACCEL_BATCH, 0, 0, AccelBatchPayload(0, ())),
+        TelemetryFrame(FrameKind.ACCEL_BATCH, 0, 0, AccelBatchPayload(0, ((1, 2), (3, 4, 5, 6)))),
+        TelemetryFrame(FrameKind.ACCEL_BATCH, 0, 0, AccelBatchPayload(0, ((40000, 0, 0),))),
+        TelemetryFrame(FrameKind.BATTERY_STATUS, 0, 0, BatteryStatusPayload(0, 5000, 50)),
+        TelemetryFrame(FrameKind.BATTERY_STATUS, 0, 0, BatteryStatusPayload(0, 100, 101)),
+        TelemetryFrame(FrameKind.BATTERY_STATUS, 0x10000, 0, battery),
+        TelemetryFrame(FrameKind.BATTERY_STATUS, 1.5, 0, battery),
+        TelemetryFrame(FrameKind.BATTERY_STATUS, 0, 0x100, battery),
+        TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, battery),
+    ]
+    for frame in bad:
+        with pytest.raises(BadLength):
+            encode(frame)
+    with pytest.raises(UnknownKind):
+        encode(TelemetryFrame(0x7F, 0, 0, battery))
+
+
+_bad_numbers = st.integers(-2**40, 2**40) | st.floats()
+
+
+@st.composite
+def any_frames(draw) -> TelemetryFrame:
+    """Frames from arbitrary field values: each field is one time in ten out
+    of its range or a float, the kind one time in ten unknown, and the
+    payload one time in ten of another type."""
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    def field(lo, hi):
+        return draw(_bad_numbers if rarely() else st.integers(lo, hi))
+
+    def samples(good):
+        n = draw(st.integers(0, 40) | st.integers(0, 300))
+        items = draw(st.lists(good, min_size=n, max_size=n))
+        if items and rarely():
+            items[draw(st.integers(0, n - 1))] = draw(
+                _bad_numbers | st.lists(st.integers(-2000, 2000), min_size=2, max_size=4)
+                .map(tuple))
+        return tuple(items)
+
+    kinds = st.sampled_from(list(FrameKind))
+    kind = draw(st.integers(-1, 256) if rarely() else kinds)
+    payload_kind = draw(kinds) if rarely() else kind
+    if payload_kind == FrameKind.FSR_BATCH:
+        payload = FsrBatchPayload(field(0, 2**32 - 1), samples(st.integers(0, 0xFFF)))
+    elif payload_kind == FrameKind.ACCEL_BATCH:
+        axis = st.integers(-0x8000, 0x7FFF)
+        payload = AccelBatchPayload(field(0, 2**32 - 1), samples(st.tuples(axis, axis, axis)))
+    elif payload_kind == FrameKind.BATTERY_STATUS:
+        payload = BatteryStatusPayload(field(0, 2**32 - 1), field(0, 0xFFF), field(0, 100))
+    else:
+        payload = None
+    return TelemetryFrame(kind, field(0, 0xFFFF), field(0, 0xFF), payload)
+
+
+def _as_decoded(frame: TelemetryFrame) -> TelemetryFrame:
+    """The frame with the types decode gives its fields."""
+    payload = frame.payload
+    if isinstance(payload, FsrBatchPayload):
+        payload = FsrBatchPayload(payload.t0_ms, tuple(payload.codes))
+    elif isinstance(payload, AccelBatchPayload):
+        payload = AccelBatchPayload(payload.t0_ms, tuple(map(tuple, payload.samples)))
+    return TelemetryFrame(FrameKind(frame.kind), frame.seq, frame.flags, payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_frames())
+def test_encode_refuses_with_a_protocol_error_or_round_trips(frame):
+    try:
+        data = encode(frame)
+    except ProtocolError:
+        return
+    assert decode(data) == _as_decoded(frame)
+    assert encode(decode(data)) == data
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +308,11 @@ def test_decode_rejects_any_single_bit_flip():
 
 
 # ---------------------------------------------------------------------------
-# decode against a reference decode through the public constructors
+# decode against an independent reference decode
 # ---------------------------------------------------------------------------
 
 def reference_decode(data: bytes) -> TelemetryFrame:
-    """decode with every value built through the public constructors, so
-    every field passes their checks."""
+    """decode written out from the wire format, applying every rule itself."""
     if len(data) < 8:
         raise Truncated("short")
     magic, version, kind_byte, seq, flags, length = struct.unpack_from("<BBBHBB", data)
@@ -266,7 +335,10 @@ def reference_decode(data: bytes) -> TelemetryFrame:
     if kind == FrameKind.BATTERY_STATUS:
         if len(raw) != 7:
             raise BadLength("battery length")
-        payload = BatteryStatusPayload(*struct.unpack("<IHB", raw))
+        t_ms, code, percent = struct.unpack("<IHB", raw)
+        if code > 0xFFF or percent > 100:
+            raise BadLength("battery value")
+        payload = BatteryStatusPayload(t_ms, code, percent)
     else:
         width = 2 if kind == FrameKind.FSR_BATCH else 6
         if len(raw) < 5:
@@ -274,8 +346,13 @@ def reference_decode(data: bytes) -> TelemetryFrame:
         t0, count = struct.unpack_from("<IB", raw)
         if len(raw) != 5 + width * count:
             raise BadLength("batch length")
+        if count == 0:
+            raise BadLength("empty batch")
         if kind == FrameKind.FSR_BATCH:
-            payload = FsrBatchPayload(t0, struct.unpack_from(f"<{count}H", raw, 5))
+            codes = struct.unpack_from(f"<{count}H", raw, 5)
+            if any(code > 0xFFF for code in codes):
+                raise BadLength("code past 12 bits")
+            payload = FsrBatchPayload(t0, codes)
         else:
             flat = struct.unpack_from(f"<{3 * count}h", raw, 5)
             payload = AccelBatchPayload(
@@ -331,7 +408,7 @@ _kinds_and_payloads = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(kind_and_payload=_kinds_and_payloads, seq=st.integers(0, 0xFFFF), flags=st.integers(0, 0xFF))
-def test_decode_matches_the_public_constructor_decode(kind_and_payload, seq, flags):
+def test_decode_matches_an_independent_reference_decode(kind_and_payload, seq, flags):
     kind_byte, payload = kind_and_payload
     raw = crc_valid_frame(kind_byte, payload, seq, flags)
     got, expected = outcome(decode, raw), outcome(reference_decode, raw)
