@@ -16,7 +16,7 @@ import time
 
 from . import pipeline
 from .config import ConfigError, SessionConfig, apply_overrides, load_config
-from .firmware import ConstantStimulus, FirmwareEmulator, InvalidConfigError
+from .firmware import InvalidConfigError, schedule_timeline
 from .power import PRESETS, accumulate
 from .protocol import FrameKind, split_stream
 from .sensor import ParameterError
@@ -232,8 +232,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_power(args) -> int:
     cfg = _load_session_config(args)
-    # the config's profile always drives the emulation; --preset only picks
-    # which report headlines the table
+    # the config's profile sets the airtime that shapes the activity
+    # schedule; --preset only picks which report headlines the table
     own_name, profile = cfg.power.preset, cfg.power_profile()
     # custom draws keep power.preset's default name; reporting them under
     # it would show the preset's published figure instead
@@ -241,15 +241,7 @@ def cmd_power(args) -> int:
         own_name = "custom"
     selected_name = args.preset or own_name
 
-    emulator = FirmwareEmulator(
-        config=cfg.firmware,
-        model=cfg.device_model(),
-        power_profile=profile,
-        initial_soc=cfg.battery.initial_soc,
-        charging=cfg.battery.charging,
-    )
-    emulator.run(ConstantStimulus(), cfg.duration_s)
-    timeline = emulator.activity_timeline
+    timeline = schedule_timeline(cfg.firmware, profile.tx_ms_per_frame, cfg.duration_s)
 
     profiles = dict(PRESETS)
     profiles.setdefault(own_name, profile)

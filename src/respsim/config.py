@@ -233,31 +233,47 @@ def _build(hint, value, where: str):
 def from_dict(data: dict | None) -> SessionConfig:
     """Build a fully defaulted SessionConfig from a parsed mapping."""
     data = dict(data or {})
-    # one-line conveniences: top-level rate_bpm / posture
-    rate = data.pop("rate_bpm", None)
-    posture = data.pop("posture", None)
-    if rate is not None or posture is not None:
+    # one-line conveniences: top-level rate_bpm / posture, expanded whatever
+    # their value, so a null meets the segment field's type check
+    if "rate_bpm" in data or "posture" in data:
         scenario = data.get("scenario", {})
         if not isinstance(scenario, dict):
             raise ConfigError("scenario: expected a mapping")
         # a copy: the caller's own nested mapping stays as it was
         scenario = data["scenario"] = dict(scenario)
-        if rate is not None:
+        if "rate_bpm" in data:
             if "breathing" in scenario:
                 raise ConfigError("give either top-level rate_bpm or scenario.breathing, not both")
-            scenario["breathing"] = [{"start_s": 0, "rate_bpm": rate}]
-        if posture is not None:
+            scenario["breathing"] = [{"start_s": 0, "rate_bpm": data.pop("rate_bpm")}]
+        if "posture" in data:
             if "posture" in scenario:
                 raise ConfigError("give either top-level posture or scenario.posture, not both")
-            scenario["posture"] = [{"start_s": 0, "posture": posture}]
+            scenario["posture"] = [{"start_s": 0, "posture": data.pop("posture")}]
     return _build(SessionConfig, data, "")
+
+
+class _Loader(yaml.SafeLoader):
+    """Safe YAML, reporting an integer that ``int()`` refuses by file and line.
+
+    An integer of more digits than the interpreter converts is refused
+    while the file is parsed, before any key path is known.
+    """
+
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError as e:
+            raise ConfigError(f"{self.name}, line {node.start_mark.line + 1}: {e}") from None
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
 
 
 def load_config(path: str) -> SessionConfig:
     """Load and validate a YAML (or JSON) session config file."""
     with open(path, "r", encoding="utf-8") as fp:
         try:
-            data = yaml.safe_load(fp)
+            data = yaml.load(fp, Loader=_Loader)
         except yaml.YAMLError as e:
             raise ConfigError(f"{path}: {e}") from e
     if data is None:

@@ -18,16 +18,19 @@ sampled, and ``idle`` otherwise.  The battery drains continuously, so a
 long enough run walks the reported percent all the way down.  Those
 per-tick states are kept as a :class:`~respsim.power.Timeline`, which
 :attr:`FirmwareEmulator.activity_timeline` hands over as is for
-:func:`~respsim.power.accumulate` to read.
+:func:`~respsim.power.accumulate` to read.  They follow from the schedule
+and the airtime per frame alone, so :func:`schedule_timeline` gives the
+same timeline without a run, stimulus or frames; ``respsim power`` audits
+that.
 
 :meth:`FirmwareEmulator.tick` steps that schedule one tick at a time and is
 the reference.  :meth:`FirmwareEmulator.run` derives the same schedule in
-bulk instead: sampling instants from ranges, ADC codes from one array pass
-through the FSR chain, each batch cut as a slice of those arrays, radio
-airtime walked only over the ticks that emit frames, and energy summed per
-battery period with ``np.cumsum``, which adds in the same sequence as the
-per-tick ``+=``.  Both frame every batch through one builder.  The tests
-hold ``run`` to a tick loop frame for frame, float for float.
+bulk instead: frame send instants and tick activity from the function
+behind :func:`schedule_timeline`, ADC codes from one array pass through
+the FSR chain, each batch cut as a slice of those arrays, and energy summed
+per battery period with ``np.cumsum``, which adds in the same sequence as
+the per-tick ``+=``.  Both frame every batch through one builder.  The
+tests hold ``run`` to a tick loop frame for frame, float for float.
 """
 
 from __future__ import annotations
@@ -186,20 +189,6 @@ class BatteryMeasurement:
 class StimulusSource(Protocol):
     def force_n(self, t_ms: int) -> float: ...
     def accel_mg(self, t_ms: int) -> tuple[int, int, int]: ...
-
-
-class ConstantStimulus:
-    """Fixed force and posture; handy for cadence and battery tests."""
-
-    def __init__(self, force: float = 4.0, accel: tuple[int, int, int] = (0, 0, 1000)):
-        self._force = force
-        self._accel = accel
-
-    def force_n(self, t_ms: int) -> float:
-        return self._force
-
-    def accel_mg(self, t_ms: int) -> tuple[int, int, int]:
-        return self._accel
 
 
 class ArrayStimulus:
@@ -429,21 +418,14 @@ class FirmwareEmulator:
         accel = [(int(a[0]), int(a[1]), int(a[2])) for a in map(stimulus.accel_mg, accel_t)]
         _check_accel(accel, accel_t)
 
-        # samples, sample instants and batch size of each batch kind
-        batches = {FrameKind.FSR_BATCH: (codes, fsr_t, cfg.fsr_batch),
-                   FrameKind.ACCEL_BATCH: (accel, accel_t, cfg.accel_batch)}
-        # (instant, kind, first sample) of every frame; within a tick the
-        # firmware sends the FSR batch, then the accel batch, then battery
-        # status, which is the order of their kind codes
-        events = [(times[i + n - 1], kind, i) for kind, (_, times, n) in batches.items()
-                  for i in range(0, len(times) - n + 1, n)]
-        events += [(t, FrameKind.BATTERY_STATUS, 0)
-                   for t in range(0, total_ms, cfg.battery_period_ms)]
-        events.sort()
-        states = self._tick_activity(Counter(t for t, _, _ in events), total_ms)
+        events, states, self._tx_remaining_ms = _schedule(
+            cfg, self.power_profile.tx_ms_per_frame, total_ms)
         self._timeline = Timeline.from_ticks(states, cfg.tick_ms)
         tick_mwh = self.power_profile.state_powers_uw() * cfg.tick_ms / UW_MS_PER_MWH
 
+        # samples, sample instants and batch size of each batch kind
+        batches = {FrameKind.FSR_BATCH: (codes, fsr_t, cfg.fsr_batch),
+                   FrameKind.ACCEL_BATCH: (accel, accel_t, cfg.accel_batch)}
         frames: list[protocol.TelemetryFrame] = []
         metered = 0
         for t, kind, i in events:
@@ -464,34 +446,6 @@ class FirmwareEmulator:
         self._clock_ms = total_ms
         return frames
 
-    def _tick_activity(self, emitted: dict[int, int], total_ms: int) -> np.ndarray:
-        """Activity code of every tick up to ``total_ms``, as :meth:`tick` decides it.
-
-        ``emitted`` maps each frame-emitting instant, in time order, to its
-        frame count.  Pending airtime grows only on those ticks and drains by
-        ``tick_ms`` per tick in between, so the queue is walked once per
-        emitting tick.  Leaves ``_tx_remaining_ms`` where the tick loop does,
-        negative when airtime is not a multiple of ``tick_ms``.
-        """
-        cfg = self.config
-        tick = cfg.tick_ms
-        states = np.zeros(total_ms // tick, dtype=np.int8)
-        for period in (cfg.fsr_period_ms, cfg.accel_period_ms, cfg.battery_period_ms):
-            states[::period // tick] = _ACTIVE
-        tx = 0
-        pos = 0  # first tick not yet walked
-        # a zero-frame entry at the last tick drains the queue to the end
-        for t, count in [*emitted.items(), (total_ms - tick, 0)]:
-            k = t // tick
-            if tx > 0:
-                radio = min(-(-tx // tick), k + 1 - pos)
-                states[pos:pos + radio] = _RADIO
-                tx -= radio * tick
-            tx += self.power_profile.tx_ms_per_frame * count
-            pos = k + 1
-        self._tx_remaining_ms = tx
-        return states
-
     def _add_energy(self, tick_mwh: np.ndarray) -> None:
         """Add per-tick energies to the total one after another, as ``+=`` does.
 
@@ -500,6 +454,53 @@ class FirmwareEmulator:
         if tick_mwh.size:
             tick_mwh[0] += self._energy_mwh
             self._energy_mwh = float(np.cumsum(tick_mwh)[-1])
+
+
+def _schedule(
+    config: FirmwareConfig, tx_ms_per_frame: int, total_ms: int
+) -> tuple[list[tuple[int, FrameKind, int]], np.ndarray, int]:
+    """A session's ``(events, states, tx_remaining_ms)``, as ``tick()`` decides them.
+
+    ``events`` is the ``(instant, kind, first sample)`` of every frame sent
+    before the final flush, in send order; within a tick that is FSR batch,
+    accel batch, battery status, the order of their kind codes.  ``states``
+    is each tick's activity code.  Pending airtime grows only on ticks that
+    send frames and drains by ``tick_ms`` per tick in between, so the queue
+    is walked once per sending tick; ``tx_remaining_ms`` is what the tick
+    loop leaves pending, negative when airtime is not a multiple of
+    ``tick_ms``.  Nothing here depends on the stimulus or the power draws.
+    """
+    events = [(t, FrameKind.BATTERY_STATUS, 0)
+              for t in range(0, total_ms, config.battery_period_ms)]
+    for kind, period, n in ((FrameKind.FSR_BATCH, config.fsr_period_ms, config.fsr_batch),
+                            (FrameKind.ACCEL_BATCH, config.accel_period_ms, config.accel_batch)):
+        times = range(0, total_ms, period)
+        events += [(times[i + n - 1], kind, i) for i in range(0, len(times) - n + 1, n)]
+    events.sort()
+
+    tick = config.tick_ms
+    states = np.zeros(total_ms // tick, dtype=np.int8)
+    for period in (config.fsr_period_ms, config.accel_period_ms, config.battery_period_ms):
+        states[::period // tick] = _ACTIVE
+    tx = 0
+    pos = 0  # first tick not yet walked
+    sent = Counter(t for t, _, _ in events)
+    # a zero-frame entry at the last tick drains the queue to the end
+    for t, count in [*sent.items(), (total_ms - tick, 0)]:
+        k = t // tick
+        if tx > 0:
+            radio = min(-(-tx // tick), k + 1 - pos)
+            states[pos:pos + radio] = _RADIO
+            tx -= radio * tick
+        tx += tx_ms_per_frame * count
+        pos = k + 1
+    return events, states, tx
+
+
+def schedule_timeline(config: FirmwareConfig, tx_ms_per_frame: int, duration_s: float) -> Timeline:
+    """The activity timeline of a session, the one :meth:`FirmwareEmulator.run` records."""
+    _, states, _ = _schedule(config, tx_ms_per_frame, config.session_ms(duration_s))
+    return Timeline.from_ticks(states, config.tick_ms)
 
 
 def _check_accel(samples: list[tuple[int, int, int]], times) -> None:

@@ -16,7 +16,7 @@ import pytest
 
 from respsim.cli import main
 from respsim.config import from_dict
-from respsim.firmware import ConstantStimulus, DeviceModel, FirmwareEmulator
+from respsim.firmware import DeviceModel, FirmwareEmulator
 from respsim.pipeline import analyze_session, battery_percent
 from respsim.power import battery_life_hours, uniform_profile
 from respsim.protocol import (
@@ -36,6 +36,7 @@ from respsim.sensor import (
     fsr_resistance,
 )
 from respsim.session import run_session
+from tests.test_firmware import ConstantStimulus
 from tests.test_protocol import random_frame
 
 

@@ -255,6 +255,38 @@ def test_integers_past_the_float_range_are_config_errors(tmp_path, capsys):
     assert clean_failures(tmp_path, capsys, base, paths, 10**400) == []
 
 
+@pytest.mark.parametrize("key, message", [
+    ("rate_bpm", "scenario.breathing[0].rate_bpm: expected a number, got NoneType"),
+    ("posture", "scenario.posture[0].posture: expected a string, got NoneType"),
+], ids=["rate_bpm", "posture"])
+def test_a_shorthand_without_a_value_is_config_error(tmp_path, capsys, key, message):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"{key}:\nduration_s: 60\n")
+    out = tmp_path / "s.raw"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert err == f"respsim: config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "power", "analyze"])
+def test_an_integer_too_long_to_read_is_config_error(tmp_path, capsys, command):
+    # int() refuses more than 4300 digits while the YAML is parsed, before
+    # any key path is known, so the error names the file and the line
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("seed: 3\nbattery:\n  capacity_mah: " + "9" * 5000 + "\n")
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "s.raw")]
+    if command == "analyze":
+        capture = tmp_path / "c.raw"
+        assert main(["simulate", "--duration", "1", "--out", str(capture)]) == 0
+        argv += [str(capture)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"respsim: config error: {cfg}, line 3: ")
+
+
 @pytest.mark.parametrize("command", ["simulate", "stream"])
 @pytest.mark.parametrize("text, flags, seed", [
     ("seed: 1.5\n", [], "1.5"),

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from respsim.firmware import (
     ArrayStimulus,
-    ConstantStimulus,
     DeviceModel,
     FirmwareConfig,
     FirmwareEmulator,
@@ -16,10 +15,21 @@ from respsim.firmware import (
     NotBootedError,
     StimulusError,
     encode_session,
+    schedule_timeline,
 )
 from respsim.power import PowerProfile, accumulate, uniform_profile
 from respsim.protocol import FrameKind
 from respsim.sensor import ACCEL_DTYPE, ForceSample, OcvCurve, ParameterError
+
+
+class ConstantStimulus:
+    """Fixed force and posture; handy for cadence and battery tests."""
+
+    def force_n(self, t_ms):
+        return 4.0
+
+    def accel_mg(self, t_ms):
+        return (0, 0, 1000)
 
 
 def kind_counts(frames):
@@ -352,6 +362,10 @@ def test_run_equals_tick_loop(setup):
     got = observed(bulk, bulk.run(stimulus, duration_s))
     assert got == expected
     assert got["energy_mwh"] == expected["energy_mwh"]  # exact, not approx
+    # the schedule alone gives the same timeline, whatever the stimulus and draws
+    schedule = schedule_timeline(stepped.config, stepped.power_profile.tx_ms_per_frame,
+                                 duration_s)
+    assert schedule == expected["timeline"]
 
 
 @pytest.mark.parametrize("force, accel", [

@@ -11,7 +11,7 @@ import struct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from respsim.firmware import ConstantStimulus, FirmwareEmulator
+from respsim.firmware import FirmwareEmulator
 from respsim.protocol import (
     MAGIC,
     MAX_PAYLOAD,
@@ -37,6 +37,7 @@ from respsim.protocol import (
     encode,
     split_stream,
 )
+from tests.test_firmware import ConstantStimulus
 
 
 def crc8_oracle(data: bytes) -> int:
