@@ -67,6 +67,11 @@ _STATE_CODE = {name: code for code, name in enumerate(ACTIVITY_STATES)}
 _ACTIVE, _RADIO = _STATE_CODE["active"], _STATE_CODE["radio"]
 
 
+# every t0_ms and t_ms on the wire is a u32, and a session samples up to,
+# not including, its end, so this is the longest session the wire can stamp
+MAX_SESSION_MS = 2 ** 32
+
+
 class InvalidConfigError(ValueError):
     """The firmware configuration cannot run on the modeled hardware."""
 
@@ -133,6 +138,11 @@ class FirmwareConfig:
         if not (math.isfinite(exact_ms) and exact_ms >= 0):
             raise InvalidConfigError(f"duration_s must be finite and >= 0, got {duration_s}")
         total_ms = round(exact_ms)
+        if total_ms > MAX_SESSION_MS:
+            raise InvalidConfigError(
+                f"duration_s must be at most {MAX_SESSION_MS / 1000} ({MAX_SESSION_MS} ms, "
+                f"the reach of the wire's u32 timestamps), got {duration_s}"
+            )
         if abs(exact_ms - total_ms) > 1e-6:
             raise InvalidConfigError(
                 f"duration_s={duration_s} is not a whole number of milliseconds"

@@ -80,27 +80,10 @@ def battery_percent(adc_code: int, model: DeviceModel = DeviceModel()) -> int:
 
 # force_n is NaN at the rails: low at code <= 0, high otherwise
 FSR_DTYPE = np.dtype([("t_ms", np.int64), ("code", np.int64), ("force_n", np.float64)])
-
-
-@dataclass(frozen=True)
-class BatteryPoint:
-    t_ms: int
-    adc_code: int
-    device_percent: int
-    host_percent: int
-    charging: bool
-
-
-def _infer_period_ms(t0s: Sequence[int], counts: Sequence[int], fallback: int) -> float:
-    """Median intra-batch sample spacing from consecutive frame start times."""
-    deltas = [
-        (t0s[i + 1] - t0s[i]) / counts[i]
-        for i in range(len(t0s) - 1)
-        if counts[i] > 0 and t0s[i + 1] > t0s[i]
-    ]
-    if not deltas:
-        return float(fallback)
-    return float(np.median(deltas))
+BATTERY_DTYPE = np.dtype([
+    ("t_ms", np.int64), ("adc_code", np.int64), ("device_percent", np.int64),
+    ("host_percent", np.int64), ("charging", np.bool_),
+])
 
 
 def _count_seq_gaps(seqs: list[int]) -> int:
@@ -121,29 +104,50 @@ def _count_seq_gaps(seqs: list[int]) -> int:
     return max(seen) - min(seen) + 1 - len(seen)
 
 
-def _sample_times(batches: list[tuple[int, tuple]], period_ms: float) -> np.ndarray:
-    """``round(t0 + j * period_ms)`` for sample j of each (t0, samples) batch.
+def _batch_rows(
+    batches: list[tuple[int, tuple]], dtype: np.dtype, fields: tuple[str, ...],
+    fallback_period_ms: int,
+) -> tuple[np.ndarray, float]:
+    """One channel's ``(t0, samples)`` batches as time-ordered ``dtype`` rows.
 
-    numpy rounds half to even, as round() does, so the instants equal a
-    per-sample loop's.
+    Each sample holds one int per name in ``fields`` (an FSR code, or an
+    accel x, y, z triple); the rows' other fields are left zero.  The period
+    is the median intra-batch spacing of consecutive batch start times, or
+    ``fallback_period_ms`` with fewer than two distinct ones, and sample j
+    of a batch lies at ``round(t0 + j * period)``: numpy rounds half to even,
+    as round() does.  Both sorts are stable, so batches and samples with
+    equal instants keep receive order.
     """
+    batches = sorted(batches, key=itemgetter(0))
+    deltas = [(t1 - t0) / len(samples)
+              for (t0, samples), (t1, _) in zip(batches, batches[1:]) if samples and t1 > t0]
+    period_ms = float(np.median(deltas)) if deltas else float(fallback_period_ms)
     counts = np.array([len(samples) for _, samples in batches], dtype=np.int64)
-    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     t0 = np.repeat(np.array([t0 for t0, _ in batches], dtype=np.int64), counts)
-    return np.round(t0 + j * period_ms).astype(np.int64)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.zeros(t0.size, dtype=dtype)
+    rows["t_ms"] = np.round(t0 + j * period_ms)
+    values = chain.from_iterable(samples for _, samples in batches)
+    if len(fields) > 1:
+        values = chain.from_iterable(values)
+    matrix = np.fromiter(values, dtype=np.int64, count=rows.size * len(fields))
+    for name, column in zip(fields, matrix.reshape(-1, len(fields)).T):
+        rows[name] = column
+    return rows[np.argsort(rows["t_ms"], kind="stable")], period_ms
 
 
 @dataclass
 class ExtractedSeries:
     """Per-channel samples in time order.
 
-    ``fsr`` holds :data:`FSR_DTYPE` rows and ``accel`` :data:`ACCEL_DTYPE`
-    rows; ``len()`` of either is its sample count.
+    ``fsr`` holds :data:`FSR_DTYPE` rows, ``accel`` :data:`ACCEL_DTYPE`
+    rows and ``battery`` :data:`BATTERY_DTYPE` rows; ``len()`` of each is
+    its sample count.
     """
 
     fsr: np.ndarray
     accel: np.ndarray
-    battery: list[BatteryPoint]
+    battery: np.ndarray
     fsr_period_ms: float
     accel_period_ms: float
     frame_counts: dict[str, int]
@@ -161,59 +165,30 @@ def extract_series(
     with a single batch takes its period from ``firmware``.
     """
     frames = list(frames)
-    counts = {"fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
-    fsr_batches: list[tuple[int, tuple[int, ...]]] = []
-    accel_batches: list[tuple[int, tuple[tuple[int, int, int], ...]]] = []
-    battery_points: list[BatteryPoint] = []
+    by_kind: dict[FrameKind, list[TelemetryFrame]] = {kind: [] for kind in FrameKind}
     for f in frames:
-        if f.kind == FrameKind.FSR_BATCH:
-            counts["fsr_batch"] += 1
-            fsr_batches.append((f.payload.t0_ms, f.payload.codes))
-        elif f.kind == FrameKind.ACCEL_BATCH:
-            counts["accel_batch"] += 1
-            accel_batches.append((f.payload.t0_ms, f.payload.samples))
-        elif f.kind == FrameKind.BATTERY_STATUS:
-            counts["battery_status"] += 1
-            p = f.payload
-            battery_points.append(
-                BatteryPoint(
-                    t_ms=p.t_ms,
-                    adc_code=p.adc_code,
-                    device_percent=p.percent,
-                    host_percent=battery_percent(p.adc_code, model),
-                    charging=f.charging,
-                )
-            )
-    # stable sorts: batches and samples with equal instants keep receive order
-    fsr_batches.sort(key=itemgetter(0))
-    accel_batches.sort(key=itemgetter(0))
-    battery_points.sort(key=lambda p: p.t_ms)
+        by_kind[f.kind].append(f)
 
-    fsr_period = _infer_period_ms([t for t, _ in fsr_batches], [len(c) for _, c in fsr_batches],
-                                  fallback=firmware.fsr_period_ms)
-    accel_period = _infer_period_ms([t for t, _ in accel_batches],
-                                    [len(s) for _, s in accel_batches],
-                                    fallback=firmware.accel_period_ms)
-
-    fsr = np.empty(sum(len(c) for _, c in fsr_batches), dtype=FSR_DTYPE)
-    fsr["t_ms"] = _sample_times(fsr_batches, fsr_period)
-    fsr["code"] = np.fromiter(chain.from_iterable(c for _, c in fsr_batches),
-                              dtype=np.int64, count=len(fsr))
+    fsr, fsr_period = _batch_rows(
+        [(f.payload.t0_ms, f.payload.codes) for f in by_kind[FrameKind.FSR_BATCH]],
+        FSR_DTYPE, ("code",), firmware.fsr_period_ms)
     fsr["force_n"] = reconstruct_force(fsr["code"], model)
-
-    accel = np.empty(sum(len(s) for _, s in accel_batches), dtype=ACCEL_DTYPE)
-    accel["t_ms"] = _sample_times(accel_batches, accel_period)
-    xyz = np.fromiter(chain.from_iterable(chain.from_iterable(s for _, s in accel_batches)),
-                      dtype=np.int64, count=3 * len(accel)).reshape(-1, 3)
-    accel["x_mg"], accel["y_mg"], accel["z_mg"] = xyz.T
+    accel, accel_period = _batch_rows(
+        [(f.payload.t0_ms, f.payload.samples) for f in by_kind[FrameKind.ACCEL_BATCH]],
+        ACCEL_DTYPE, ("x_mg", "y_mg", "z_mg"), firmware.accel_period_ms)
+    battery = np.array([
+        (f.payload.t_ms, f.payload.adc_code, f.payload.percent,
+         battery_percent(f.payload.adc_code, model), f.charging)
+        for f in by_kind[FrameKind.BATTERY_STATUS]
+    ], dtype=BATTERY_DTYPE)
 
     return ExtractedSeries(
-        fsr=fsr[np.argsort(fsr["t_ms"], kind="stable")],
-        accel=accel[np.argsort(accel["t_ms"], kind="stable")],
-        battery=battery_points,
+        fsr=fsr,
+        accel=accel,
+        battery=battery[np.argsort(battery["t_ms"], kind="stable")],
         fsr_period_ms=fsr_period,
         accel_period_ms=accel_period,
-        frame_counts=counts,
+        frame_counts={kind.name.lower(): len(by_kind[kind]) for kind in FrameKind},
         seq_gaps=_count_seq_gaps([f.seq for f in frames]),
     )
 
@@ -443,14 +418,23 @@ def detect_apnea(
     session_start_ms: int,
     session_end_ms: int,
     timeout_s: float = 30.0,
+    artifacts: ArtifactMask | None = None,
 ) -> list[Alert]:
-    """One alert per span with no accepted breath for ``timeout_s``."""
+    """One alert per span with no accepted breath for ``timeout_s``.
+
+    Breaths inside artifact intervals are excluded first, as in
+    :func:`estimate_rate`.  Masked time shows no breath and no absence of
+    one either, so a gap between accepted breaths raises an alert only when
+    its unmasked time exceeds the timeout; the alert keeps the gap's bounds.
+    """
+    mask = artifacts or ArtifactMask()
     timeout_ms = timeout_s * 1000.0
-    marks = [float(session_start_ms)] + sorted(float(b) for b in breath_times_ms)
+    breaths = np.asarray(breath_times_ms, dtype=np.float64)
+    marks = [float(session_start_ms)] + sorted(breaths[~mask.contains(breaths)].tolist())
     marks.append(float(session_end_ms))
     alerts = []
     for a, b in zip(marks, marks[1:]):
-        if b - a > timeout_ms:
+        if b - a > timeout_ms and b - a - mask.overlap_ms(a, b) > timeout_ms:
             alerts.append(Alert("apnea", int(a), int(b)))
             log.warning("apnea: no breath detected between %d and %d ms", int(a), int(b))
     return alerts
@@ -496,27 +480,25 @@ def analyze_session(
 ) -> SessionAnalysis:
     """Run the full host pipeline over a decoded frame sequence."""
     series = extract_series(frames, model, firmware)
-    fsr_t, accel_t, battery = series.fsr["t_ms"], series.accel["t_ms"], series.battery
-
-    # each series is time-ordered, so its first and last entries bound it
-    firsts = [int(ts[0]) for ts in (fsr_t, accel_t) if ts.size] + [p.t_ms for p in battery[:1]]
-    if not firsts:
+    # each channel is time-ordered, so its first and last rows bound it; a
+    # sample covers one period, a battery reading only its instant
+    channels = ((series.fsr, series.fsr_period_ms), (series.accel, series.accel_period_ms),
+                (series.battery, 0.0))
+    bounds = [(int(rows["t_ms"][0]), int(rows["t_ms"][-1]) + period)
+              for rows, period in channels if len(rows)]
+    span_start = min((first for first, _ in bounds), default=0)
+    span_end = int(round(max((end for _, end in bounds), default=0)))
+    if span_end <= span_start:
         return SessionAnalysis(
             series=series,
             breaths=np.empty(0, dtype=np.int64),
             artifacts=ArtifactMask(),
             estimates=[],
             alerts=[],
-            span_ms=(0, 0),
+            span_ms=(span_start, span_end),
         )
-    span_start = min(firsts)
-    span_end = int(round(max(
-        (int(fsr_t[-1]) if fsr_t.size else span_start) + series.fsr_period_ms,
-        (int(accel_t[-1]) if accel_t.size else span_start) + series.accel_period_ms,
-        battery[-1].t_ms if battery else span_start,
-    )))
 
-    force = series.fsr["force_n"]
+    fsr_t, force = series.fsr["t_ms"], series.fsr["force_n"]
     usable = ~np.isnan(force)
     breaths = np.empty(0, dtype=np.int64)
     if usable.any():
@@ -547,8 +529,7 @@ def analyze_session(
             lo = span_start + i * window_ms
             estimates.append(estimate_rate(breaths, lo, lo + window_ms, artifacts))
 
-    accepted = breaths[~artifacts.contains(breaths)]
-    alerts = detect_apnea(accepted, span_start, span_end, analysis.apnea_timeout_s)
+    alerts = detect_apnea(breaths, span_start, span_end, analysis.apnea_timeout_s, artifacts)
     return SessionAnalysis(
         series=series,
         breaths=breaths,
@@ -579,14 +560,15 @@ def summarize(result: SessionAnalysis) -> dict:
             for a in result.alerts
         ],
     }
-    if series.battery:
-        first, last = series.battery[0], series.battery[-1]
+    if len(series.battery):
+        first, last = (dict(zip(BATTERY_DTYPE.names, row))
+                       for row in series.battery[[0, -1]].tolist())
         summary["battery"] = {
-            "first_percent_device": first.device_percent,
-            "first_percent_host": first.host_percent,
-            "last_percent_device": last.device_percent,
-            "last_percent_host": last.host_percent,
-            "charging": last.charging,
+            "first_percent_device": first["device_percent"],
+            "first_percent_host": first["host_percent"],
+            "last_percent_device": last["device_percent"],
+            "last_percent_host": last["host_percent"],
+            "charging": last["charging"],
         }
     return summary
 
@@ -709,19 +691,19 @@ def _records(result: SessionAnalysis) -> list[tuple[str, np.ndarray, list[np.nda
     Every column is an array, text in an object array, so a block of it
     converts back to Python values with one ``tolist()``.
     """
-    fsr, accel = result.series.fsr, result.series.accel
+    fsr, accel, battery = result.series.fsr, result.series.accel, result.series.battery
 
     def column(items, attr: str, dtype=None) -> np.ndarray:
         return np.array([getattr(item, attr) for item in items], dtype=dtype)
 
-    battery, estimates, alerts = result.series.battery, result.estimates, result.alerts
+    estimates, alerts = result.estimates, result.alerts
     intervals = np.array(result.artifacts.intervals, dtype=np.int64).reshape(-1, 2)
     return [
         ("fsr", fsr["t_ms"], [fsr["code"], fsr["force_n"]]),
         ("accel", accel["t_ms"], [accel["x_mg"], accel["y_mg"], accel["z_mg"]]),
-        ("battery", column(battery, "t_ms"),
-         [column(battery, attr, np.int64)
-          for attr in ("adc_code", "device_percent", "host_percent", "charging")]),
+        ("battery", battery["t_ms"],
+         [battery["adc_code"], battery["device_percent"], battery["host_percent"],
+          battery["charging"].astype(np.int64)]),
         ("breath", result.breaths, []),
         ("artifact", intervals[:, 0], [intervals[:, 1]]),
         ("estimate", column(estimates, "window_start_ms"),

@@ -139,6 +139,19 @@ def test_unbounded_duration_is_config_error(tmp_path, capsys, command, duration)
                    f"got {float(duration)}\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "power", "stream"])
+def test_duration_past_the_wire_timestamps_is_config_error(tmp_path, capsys, command):
+    argv = [command, "--duration", "1e300"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "s.raw")]
+    if command == "stream":
+        argv += ["--connect", f"127.0.0.1:{free_port()}"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == ("respsim: config error: duration_s must be at most 4294967.296 "
+                   "(4294967296 ms, the reach of the wire's u32 timestamps), got 1e+300\n")
+
+
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("duraton_s: 10\n")

@@ -195,6 +195,17 @@ def test_session_ms_is_the_length_of_every_sampling_range():
     assert FirmwareConfig().session_ms(0) == 0
 
 
+def test_session_ms_ends_where_the_wire_can_still_timestamp():
+    # the last instant of a 2**32 ms session, 2**32 - 1, still fits a u32
+    assert FirmwareConfig().session_ms(4294967.296) == 2 ** 32
+    for duration_s in (4294967.297, 1e300):
+        with pytest.raises(InvalidConfigError) as raised:
+            FirmwareConfig().session_ms(duration_s)
+        assert str(raised.value) == (
+            "duration_s must be at most 4294967.296 (4294967296 ms, the reach of the "
+            f"wire's u32 timestamps), got {duration_s}")
+
+
 @pytest.mark.parametrize("config, duration_s, message", [
     (FirmwareConfig(), math.inf, "duration_s must be finite and >= 0, got inf"),
     (FirmwareConfig(), 1e308, "duration_s must be finite and >= 0, got 1e+308"),

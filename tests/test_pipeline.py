@@ -16,12 +16,12 @@ from respsim.config import from_dict
 from respsim.firmware import DeviceModel, FirmwareConfig
 from respsim.pipeline import (
     ACCEL_DTYPE,
+    BATTERY_DTYPE,
     CSV_COLUMNS,
     FSR_DTYPE,
     Alert,
     AnalysisConfig,
     ArtifactMask,
-    BatteryPoint,
     ExtractedSeries,
     InsufficientDataError,
     RespirationEstimate,
@@ -40,6 +40,8 @@ from respsim.pipeline import (
     summarize,
 )
 from respsim.protocol import (
+    FLAG_CHARGING,
+    AccelBatchPayload,
     BatteryStatusPayload,
     FrameKind,
     FsrBatchPayload,
@@ -400,6 +402,27 @@ def test_apnea_mid_session_gap():
     assert (alerts[0].start_ms, alerts[0].end_ms) == (4000, 45000)
 
 
+def test_apnea_counts_only_unmasked_time():
+    # the 20 s breath is masked, which leaves one 41 s gap from 4 s to 45 s
+    breaths = [0.0, 4000.0, 20000.0, 45000.0, 49000.0]
+    short_mask = ArtifactMask(((15000, 25000),))        # 31 s of it unmasked
+    alerts = detect_apnea(breaths, 0, 50000, timeout_s=30.0, artifacts=short_mask)
+    assert alerts == [Alert("apnea", 4000, 45000)]
+    long_mask = ArtifactMask(((10000, 25000),))         # 26 s of it unmasked
+    assert detect_apnea(breaths, 0, 50000, timeout_s=30.0, artifacts=long_mask) == []
+
+
+def test_walking_session_raises_no_apnea_alert():
+    # the mask covers the whole walk, so no breath is accepted, yet no
+    # unmasked time passes without one either
+    cfg = from_dict({"duration_s": 120, "seed": 3, "rate_bpm": 15, "posture": "walking"})
+    result = analyze_session(run_session(cfg).frames, cfg.analysis, cfg.device_model(),
+                             cfg.firmware)
+    assert result.breaths.size == 30
+    assert result.artifacts.intervals == ((0, 120000),)
+    assert result.alerts == []
+
+
 # ---------------------------------------------------------------------------
 # whole-session analysis
 # ---------------------------------------------------------------------------
@@ -477,6 +500,87 @@ def test_single_batch_channels_take_their_period_from_the_firmware_config():
     series = extract_series(run_session(cfg).frames, cfg.device_model(), FirmwareConfig())
     assert series.fsr["t_ms"].tolist() == list(range(0, 200, 20))
     assert series.accel["t_ms"].tolist() == list(range(0, 200, 10))
+
+
+def reference_series(frames, model, firmware):
+    """extract_series written as a per-sample loop: rows, periods, frame counts."""
+    counts = {"fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
+    fsr_batches, accel_batches, battery = [], [], []
+    for f in frames:
+        p = f.payload
+        if f.kind == FrameKind.FSR_BATCH:
+            counts["fsr_batch"] += 1
+            fsr_batches.append((p.t0_ms, p.codes))
+        elif f.kind == FrameKind.ACCEL_BATCH:
+            counts["accel_batch"] += 1
+            accel_batches.append((p.t0_ms, p.samples))
+        else:
+            counts["battery_status"] += 1
+            battery.append((p.t_ms, p.adc_code, p.percent, battery_percent(p.adc_code, model),
+                            f.charging))
+
+    def samples(batches, fallback_ms):
+        batches = sorted(batches, key=lambda b: b[0])
+        deltas = [(t1 - t0) / len(s) for (t0, s), (t1, _) in zip(batches, batches[1:]) if t1 > t0]
+        period = float(np.median(deltas)) if deltas else float(fallback_ms)
+        rows = []
+        for t0, batch in batches:
+            for j, sample in enumerate(batch):
+                rows.append((round(t0 + j * period), sample))
+        return sorted(rows, key=lambda r: r[0]), period
+
+    fsr, fsr_period = samples(fsr_batches, firmware.fsr_period_ms)
+    accel, accel_period = samples(accel_batches, firmware.accel_period_ms)
+    return (
+        np.array([(t, code, reconstruct_force([code], model)[0]) for t, code in fsr],
+                 dtype=FSR_DTYPE),
+        np.array([(t, *xyz) for t, xyz in accel], dtype=ACCEL_DTYPE),
+        np.array(sorted(battery, key=lambda r: r[0]), dtype=BATTERY_DTYPE),
+        fsr_period, accel_period, counts,
+    )
+
+
+# start times from a handful of values, so batches often share one
+_t0s = st.sampled_from([0, 40, 200, 1000]) | st.integers(0, 100_000)
+
+
+@st.composite
+def received_frames(draw):
+    """Frames of all three kinds, duplicated in part and in any receive order."""
+    fsr = draw(st.lists(st.builds(
+        FsrBatchPayload, _t0s, st.lists(st.integers(0, 4095), min_size=1, max_size=6)
+        .map(tuple)), max_size=6))
+    accel = draw(st.lists(st.builds(
+        AccelBatchPayload, _t0s,
+        st.lists(st.tuples(*[st.integers(-32768, 32767)] * 3), min_size=1, max_size=6)
+        .map(tuple)), max_size=6))
+    battery = draw(st.lists(st.builds(
+        BatteryStatusPayload, _t0s, st.integers(0, 4095), st.integers(0, 100)), max_size=4))
+    frames = [
+        TelemetryFrame(kind, seq, draw(st.sampled_from([0, FLAG_CHARGING])), payload)
+        for seq, (kind, payload) in enumerate(
+            [(FrameKind.FSR_BATCH, p) for p in fsr]
+            + [(FrameKind.ACCEL_BATCH, p) for p in accel]
+            + [(FrameKind.BATTERY_STATUS, p) for p in battery])
+    ]
+    if frames:
+        frames += draw(st.lists(st.sampled_from(frames), max_size=3))
+    return draw(st.permutations(frames))
+
+
+@settings(max_examples=200, deadline=None)
+@given(received_frames())
+def test_extract_series_matches_a_per_sample_loop(frames):
+    model, firmware = DeviceModel(), FirmwareConfig()
+    series = extract_series(frames, model, firmware)
+    fsr, accel, battery, fsr_period, accel_period, counts = reference_series(
+        frames, model, firmware)
+    # byte equality also holds the NaN forces at the rails to each other
+    assert series.fsr.tobytes() == fsr.tobytes()
+    assert series.accel.tobytes() == accel.tobytes()
+    assert series.battery.tobytes() == battery.tobytes()
+    assert (series.fsr_period_ms, series.accel_period_ms) == (fsr_period, accel_period)
+    assert series.frame_counts == counts
 
 
 def battery_frames(seqs):
@@ -614,10 +718,10 @@ def reference_rows(result):
         yield row
     for t, x, y, z in result.series.accel.tolist():
         yield {"record": "accel", "t_ms": t, "x_mg": x, "y_mg": y, "z_mg": z}
-    for p in result.series.battery:
-        yield {"record": "battery", "t_ms": p.t_ms, "code": p.adc_code,
-               "percent_device": p.device_percent, "percent_host": p.host_percent,
-               "charging": int(p.charging)}
+    for t, code, device, host, charging in result.series.battery.tolist():
+        yield {"record": "battery", "t_ms": t, "code": code,
+               "percent_device": device, "percent_host": host,
+               "charging": int(charging)}
     for b in result.breaths.tolist():
         yield {"record": "breath", "t_ms": b}
     for a, b in result.artifacts.intervals:
@@ -673,8 +777,8 @@ def session_analyses(draw):
         st.sampled_from([0, 4095]) | st.integers(0, 4095),
         st.just(math.nan) | st.floats(-1e3, 1e4) | _reals)))
     accel = draw(st.lists(st.tuples(_export_times, *[st.integers(-32768, 32767)] * 3)))
-    battery = draw(st.lists(st.builds(
-        BatteryPoint, _export_times, st.integers(0, 4095), st.integers(0, 100),
+    battery = draw(st.lists(st.tuples(
+        _export_times, st.integers(0, 4095), st.integers(0, 100),
         st.integers(0, 100), st.booleans()), max_size=5))
     breaths = draw(st.lists(_export_times, max_size=10))
     intervals = draw(st.lists(st.tuples(_export_times, _export_times), max_size=5))
@@ -688,7 +792,7 @@ def session_analyses(draw):
     series = ExtractedSeries(
         fsr=np.array(fsr, dtype=FSR_DTYPE),
         accel=np.array(accel, dtype=ACCEL_DTYPE),
-        battery=battery,
+        battery=np.array(battery, dtype=BATTERY_DTYPE),
         fsr_period_ms=40.0,
         accel_period_ms=20.0,
         frame_counts={},

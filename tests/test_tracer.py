@@ -51,10 +51,11 @@ def test_tracer_records_every_benchmarked_layer(tmp_path, monkeypatch):
         assert cli.main(["analyze", capture, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_OK
         assert cli.main(["power", "--duration", "4"]) == cli.EXIT_OK
     for name in ("firmware.run", "firmware.encode_session", "protocol.split_stream",
-                 "pipeline.export_csv", "power.accumulate"):
+                 "pipeline.extract_series", "pipeline.export_csv", "power.accumulate"):
         assert op.calls[name] > 0, name
     for name in ("firmware.ticks", "firmware.frames", "firmware.timeline_intervals",
-                 "protocol.frames_out", "pipeline.csv_rows"):
+                 "protocol.frames_out", "pipeline.fsr_samples", "pipeline.accel_samples",
+                 "pipeline.csv_rows"):
         assert op.counts[name] > 0, name
     after = respsim_attributes()
     assert [key for key, value in before.items() if after.get(key) is not value] == []
