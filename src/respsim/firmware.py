@@ -15,13 +15,16 @@ with the final-flush flag when a run ends.
 Energy is accounted per tick from a power profile: a tick is ``radio``
 while frame transmission airtime is pending, ``active`` when any channel
 sampled, and ``idle`` otherwise.  The battery drains continuously, so a
-long enough run walks the reported percent all the way down.  Those
-per-tick states are kept as a :class:`~respsim.power.Timeline`, which
-:attr:`FirmwareEmulator.activity_timeline` hands over as is for
-:func:`~respsim.power.accumulate` to read.  They follow from the schedule
-and the airtime per frame alone, so :func:`schedule_timeline` gives the
-same timeline without a run, stimulus or frames; ``respsim power`` audits
-that.
+long enough run walks the reported percent all the way down.  The
+emulator's one activity record is those per-tick state codes, one byte per
+tick, which both :meth:`FirmwareEmulator.tick` and
+:meth:`FirmwareEmulator.run` keep;
+:attr:`FirmwareEmulator.activity_timeline` run-length encodes it with
+:meth:`~respsim.power.Timeline.from_ticks` for
+:func:`~respsim.power.accumulate` to read.  The codes follow from the
+schedule and the airtime per frame alone, so :func:`schedule_timeline`
+builds the same timeline without a run, stimulus or frames; ``respsim
+power`` audits that.
 
 :meth:`FirmwareEmulator.tick` steps that schedule one tick at a time and is
 the reference.  :meth:`FirmwareEmulator.run` derives the same schedule in
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import protocol
 from .protocol import FrameKind
-from .power import ACTIVITY_STATES, PowerProfile, PRESETS, Timeline, UW_MS_PER_MWH
+from .power import ACTIVE, IDLE, PRESETS, RADIO, PowerProfile, Timeline, UW_MS_PER_MWH
 from .sensor import (
     AdcConfig,
     DividerConfig,
@@ -61,11 +64,6 @@ from .sensor import (
     fsr_codes,
     fsr_resistance,
 )
-
-# activity states as small integers: indices into ACTIVITY_STATES
-_STATE_CODE = {name: code for code, name in enumerate(ACTIVITY_STATES)}
-_ACTIVE, _RADIO = _STATE_CODE["active"], _STATE_CODE["radio"]
-
 
 # every t0_ms and t_ms on the wire is a u32, and a session samples up to,
 # not including, its end, so this is the longest session the wire can stamp
@@ -167,7 +165,7 @@ class DeviceModel:
     nominal_v: float = 3.7
 
     def __post_init__(self) -> None:
-        if self.capacity_mah <= 0 or self.nominal_v <= 0:
+        if not (self.capacity_mah > 0 and self.nominal_v > 0):
             raise ParameterError("capacity_mah and nominal_v must be positive")
         # the full-charge rail must fit the ADC front end
         battery_sense_voltage(self.ocv.v_max, self.sense_ratio, self.adc.v_ref)
@@ -257,7 +255,10 @@ class FirmwareEmulator:
         self._tx_remaining_ms = 0
         self._fsr_buf: list[tuple[int, int]] = []
         self._accel_buf: list[tuple[int, tuple[int, int, int]]] = []
-        self._timeline = Timeline()
+        self._ticks = bytearray()  # the activity state code of every tick
+        # one tick's energy in each state, indexed by state code
+        self._tick_mwh = (self.power_profile.state_powers_uw()
+                          * self.config.tick_ms / UW_MS_PER_MWH)
         self.battery_log: list[BatteryMeasurement] = []
         self._booted = True
 
@@ -283,7 +284,11 @@ class FirmwareEmulator:
     @property
     def activity_timeline(self) -> Timeline:
         self._require_boot()
-        return self._timeline
+        return Timeline.from_ticks(np.frombuffer(self._ticks, dtype=np.int8),
+                                   self.config.tick_ms)
+
+    # perfbench's tracer counts a run's intervals through this name
+    _timeline = activity_timeline
 
     # -- internals ----------------------------------------------------------
 
@@ -318,17 +323,6 @@ class FirmwareEmulator:
             FrameKind.BATTERY_STATUS, self._next_seq(), self._flags(),
             protocol.BatteryStatusPayload(t_ms, code, percent),
         )
-
-    def _record_activity(self, state: str, t_ms: int) -> None:
-        code = _STATE_CODE[state]
-        end = t_ms + self.config.tick_ms
-        tl = self._timeline
-        if tl.ends and tl.states[-1] == code and tl.ends[-1] == t_ms:
-            tl.ends[-1] = end
-        else:
-            tl.states.append(code)
-            tl.starts.append(t_ms)
-            tl.ends.append(end)
 
     # -- stepping -----------------------------------------------------------
 
@@ -382,15 +376,14 @@ class FirmwareEmulator:
 
         # energy accounting: pending radio airtime outranks sampling work
         if self._tx_remaining_ms > 0:
-            activity = "radio"
+            state = RADIO
             self._tx_remaining_ms -= cfg.tick_ms
         elif sampled:
-            activity = "active"
+            state = ACTIVE
         else:
-            activity = "idle"
-        self._record_activity(activity, t)
-        p_uw = self.power_profile.power_uw(activity)
-        self._energy_mwh += p_uw * cfg.tick_ms / UW_MS_PER_MWH
+            state = IDLE
+        self._ticks.append(state)
+        self._energy_mwh += self._tick_mwh.item(state)
         if frames:
             self._tx_remaining_ms += self.power_profile.tx_ms_per_frame * len(frames)
 
@@ -430,8 +423,7 @@ class FirmwareEmulator:
 
         events, states, self._tx_remaining_ms = _schedule(
             cfg, self.power_profile.tx_ms_per_frame, total_ms)
-        self._timeline = Timeline.from_ticks(states, cfg.tick_ms)
-        tick_mwh = self.power_profile.state_powers_uw() * cfg.tick_ms / UW_MS_PER_MWH
+        self._ticks = bytearray(states)
 
         # samples, sample instants and batch size of each batch kind
         batches = {FrameKind.FSR_BATCH: (codes, fsr_t, cfg.fsr_batch),
@@ -441,13 +433,13 @@ class FirmwareEmulator:
         for t, kind, i in events:
             if kind is FrameKind.BATTERY_STATUS:
                 k = t // cfg.tick_ms
-                self._add_energy(tick_mwh[states[metered:k]])
+                self._add_energy(self._tick_mwh[states[metered:k]])
                 metered = k
                 frames.append(self._battery_frame(t))
             else:
                 samples, times, n = batches[kind]
                 frames.append(self._batch_frame(kind, times[i], samples[i:i + n]))
-        self._add_energy(tick_mwh[states[metered:]])
+        self._add_energy(self._tick_mwh[states[metered:]])
         # the partial batches the tick loop's final flush would send
         for kind, (samples, times, n) in batches.items():
             i = len(samples) // n * n
@@ -489,9 +481,9 @@ def _schedule(
     events.sort()
 
     tick = config.tick_ms
-    states = np.zeros(total_ms // tick, dtype=np.int8)
+    states = np.full(total_ms // tick, IDLE, dtype=np.int8)
     for period in (config.fsr_period_ms, config.accel_period_ms, config.battery_period_ms):
-        states[::period // tick] = _ACTIVE
+        states[::period // tick] = ACTIVE
     tx = 0
     pos = 0  # first tick not yet walked
     sent = Counter(t for t, _, _ in events)
@@ -500,7 +492,7 @@ def _schedule(
         k = t // tick
         if tx > 0:
             radio = min(-(-tx // tick), k + 1 - pos)
-            states[pos:pos + radio] = _RADIO
+            states[pos:pos + radio] = RADIO
             tx -= radio * tick
         tx += tx_ms_per_frame * count
         pos = k + 1

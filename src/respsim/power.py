@@ -6,16 +6,17 @@ as named presets — ``abstract-claim`` and ``intro-claim`` — and the audit
 report always projects battery life under each so the contradiction stays
 visible instead of silently picking a side.
 
-Device activity is a :class:`Timeline`: run-length-encoded integer columns
-of state codes and interval edges, as the firmware emulator records them.
-:func:`accumulate` integrates a profile over those columns with numpy,
-adding the per-interval energies in time order with ``np.cumsum`` so the
-sum is the one an interval-by-interval ``+=`` gives, bit for bit.
+Device activity is one state code per tick, as the firmware emulator
+records it.  :meth:`Timeline.from_ticks` run-length encodes those codes into
+numpy columns of states and interval edges, and :func:`accumulate`
+integrates a profile over the columns as they are, adding the per-interval
+energies in time order with ``np.cumsum`` so the sum is the one an
+interval-by-interval ``+=`` gives, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,33 +26,36 @@ from .sensor import ParameterError
 UW_MS_PER_MWH = 3.6e9
 
 ACTIVITY_STATES = ("idle", "active", "radio")
+# activity state codes: indices into ACTIVITY_STATES
+IDLE, ACTIVE, RADIO = range(len(ACTIVITY_STATES))
 
 
 @dataclass
 class Timeline:
-    """Merged activity intervals as run-length-encoded integer columns.
+    """Merged activity intervals as run-length-encoded numpy columns.
 
     Interval ``i`` is state ``ACTIVITY_STATES[states[i]]`` over
     ``[starts[i], ends[i])`` ms.  Intervals are time-ordered and contiguous,
-    and neighbouring intervals differ in state.
+    and neighbouring intervals differ in state.  :meth:`from_ticks` builds
+    every timeline.
     """
 
-    states: list[int] = field(default_factory=list)
-    starts: list[int] = field(default_factory=list)
-    ends: list[int] = field(default_factory=list)
+    states: np.ndarray  # int8 state codes
+    starts: np.ndarray  # int64 ms
+    ends: np.ndarray    # int64 ms
 
     def __len__(self) -> int:
         return len(self.starts)
 
     @classmethod
     def from_ticks(cls, states: np.ndarray, tick_ms: int) -> "Timeline":
-        """Run-length encode one state code per tick, starting at t=0."""
-        if not states.size:
-            return cls()
-        first = np.flatnonzero(np.diff(states)) + 1
-        starts = [0] + (first * tick_ms).tolist()
-        return cls(states[np.concatenate(([0], first))].tolist(),
-                   starts, starts[1:] + [states.size * tick_ms])
+        """Run-length encode one ``int8`` state code per tick, starting at t=0."""
+        change = np.ones(states.size, dtype=bool)
+        change[1:] = states[1:] != states[:-1]
+        first = np.flatnonzero(change)
+        # the edges of every interval; starts and ends are views of them
+        edges = np.append(first, states.size).astype(np.int64, copy=False) * tick_ms
+        return cls(states[first], edges[:-1], edges[1:])
 
 
 class ZeroPowerError(ValueError):
@@ -69,24 +73,15 @@ class PowerProfile:
 
     def __post_init__(self) -> None:
         for name in ("p_idle_uw", "p_active_uw", "p_radio_uw"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ParameterError(f"{name} must be >= 0")
         if self.tx_ms_per_frame < 0 or self.tx_ms_per_frame % 1 != 0:
             raise ParameterError("tx_ms_per_frame must be a whole number >= 0")
         object.__setattr__(self, "tx_ms_per_frame", int(self.tx_ms_per_frame))
 
-    def power_uw(self, state: str) -> float:
-        if state == "idle":
-            return self.p_idle_uw
-        if state == "active":
-            return self.p_active_uw
-        if state == "radio":
-            return self.p_radio_uw
-        raise ParameterError(f"unknown activity state {state!r}")
-
     def state_powers_uw(self) -> np.ndarray:
-        """Draw of every state in microwatts, indexed like ``ACTIVITY_STATES``."""
-        return np.array([self.power_uw(state) for state in ACTIVITY_STATES], dtype=float)
+        """Draw of every state in microwatts, indexed by state code."""
+        return np.array([self.p_idle_uw, self.p_active_uw, self.p_radio_uw], dtype=float)
 
 
 def uniform_profile(p_uw: float, tx_ms_per_frame: int = 2) -> PowerProfile:
@@ -117,9 +112,9 @@ def battery_life_hours(
     nominal_v: float = 3.7,
 ) -> float:
     """Hours until empty: capacity_mah * nominal_v / milliwatts of draw."""
-    if average_power_uw <= 0:
+    if not average_power_uw > 0:
         raise ZeroPowerError(f"average power must be positive, got {average_power_uw}")
-    if capacity_mah <= 0 or nominal_v <= 0:
+    if not (capacity_mah > 0 and nominal_v > 0):
         raise ParameterError("capacity_mah and nominal_v must be positive")
     return capacity_mah * nominal_v / (average_power_uw / 1000.0)
 
@@ -131,9 +126,8 @@ def accumulate(
     nominal_v: float = 3.7,
 ) -> EnergyReport:
     """Integrate a profile over an activity timeline into an energy report."""
-    states = np.array(timeline.states, dtype=np.int8)
-    durations = np.array(timeline.ends, dtype=np.int64)
-    durations -= np.array(timeline.starts, dtype=np.int64)
+    states = timeline.states
+    durations = timeline.ends - timeline.starts
     # in place: fewer temporaries of the timeline's length raise peak memory
     interval_mwh = profile.state_powers_uw()[states]
     interval_mwh *= durations

@@ -257,10 +257,13 @@ def test_whole_float_adc_bits_run_as_int():
     (lambda: ScenarioConfig(amplitude_n=9.0), ConfigError, "amplitude_n"),
     (lambda: ScenarioConfig(breathing=()), ConfigError, "breathing: the schedule is empty"),
     (lambda: DeviceModel(adc=AdcConfig(bits=13)), InvalidConfigError, "adc.bits=13"),
+    (lambda: DeviceModel(capacity_mah=float("nan")), ParameterError, "capacity_mah"),
+    (lambda: DeviceModel(nominal_v=float("nan")), ParameterError, "nominal_v"),
     (lambda: SessionConfig(adc=AdcConfig(bits=14)), InvalidConfigError, "adc.bits=14"),
     (lambda: dataclasses.replace(SessionConfig(), duration_s=float("nan")), ConfigError,
      "duration_s"),
-], ids=["amplitude", "empty-schedule", "device-adc", "session-adc", "replace-duration"])
+], ids=["amplitude", "empty-schedule", "device-adc", "device-nan-capacity",
+        "device-nan-voltage", "session-adc", "replace-duration"])
 def test_invalid_config_is_rejected_at_construction(build, error, match):
     with pytest.raises(error, match=match):
         build()

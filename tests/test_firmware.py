@@ -32,6 +32,11 @@ class ConstantStimulus:
         return (0, 0, 1000)
 
 
+def columns(timeline):
+    """A timeline's three columns as lists, to compare with ``==``."""
+    return timeline.states.tolist(), timeline.starts.tolist(), timeline.ends.tolist()
+
+
 def kind_counts(frames):
     counts = {k: 0 for k in FrameKind}
     for f in frames:
@@ -153,7 +158,7 @@ def test_whole_number_schedule_values_may_be_floats():
     as_ints = FirmwareEmulator(FirmwareConfig(tick_ms=2, battery_period_ms=1000),
                                power_profile=uniform_profile(400.0, tx_ms_per_frame=3))
     assert as_floats.run(ConstantStimulus(), 2.5) == as_ints.run(ConstantStimulus(), 2.5)
-    assert as_floats.activity_timeline == as_ints.activity_timeline
+    assert columns(as_floats.activity_timeline) == columns(as_ints.activity_timeline)
     with pytest.raises(InvalidConfigError):
         FirmwareConfig(fsr_batch=5.5)
     with pytest.raises(ParameterError):
@@ -253,10 +258,10 @@ def test_timeline_covers_run_without_overlap():
     assert len(timeline) == len(timeline.states) == len(timeline.ends)
     assert timeline.starts[0] == 0
     assert timeline.ends[-1] == 3000
-    assert timeline.starts[1:] == timeline.ends[:-1]
-    assert all(a < b for a, b in zip(timeline.starts, timeline.ends))
+    np.testing.assert_array_equal(timeline.starts[1:], timeline.ends[:-1])
+    assert (timeline.starts < timeline.ends).all()
     # merged: neighbors always differ
-    assert all(a != b for a, b in zip(timeline.states, timeline.states[1:]))
+    assert (timeline.states[1:] != timeline.states[:-1]).all()
 
 
 def test_radio_time_scales_with_frames():
@@ -294,15 +299,22 @@ def test_fast_discharge_reaches_depleted():
 # run() against the tick loop
 # ---------------------------------------------------------------------------
 
-def tick_loop(emu, stimulus, duration_s):
-    """The reference: boot, tick every tick_ms with the stimulus, flush."""
-    emu.boot()
+def tick_on(emu, stimulus, ticks):
+    """Step ``ticks`` ticks from the emulator's clock, with the samples due."""
     cfg = emu.config
     frames = []
-    for t in range(0, round(duration_s * 1000), cfg.tick_ms):
+    for _ in range(ticks):
+        t = emu._clock_ms
         force = stimulus.force_n(t) if t % cfg.fsr_period_ms == 0 else None
         accel = stimulus.accel_mg(t) if t % cfg.accel_period_ms == 0 else None
         frames.extend(emu.tick(force, accel))
+    return frames
+
+
+def tick_loop(emu, stimulus, duration_s):
+    """The reference: boot, tick every tick_ms with the stimulus, flush."""
+    emu.boot()
+    frames = tick_on(emu, stimulus, round(duration_s * 1000) // emu.config.tick_ms)
     frames.extend(emu.flush())
     return frames
 
@@ -347,7 +359,7 @@ def observed(emu, frames):
         "frames": frames,
         "bytes": encode_session(frames),
         "battery_log": emu.battery_log,
-        "timeline": emu.activity_timeline,
+        "timeline": columns(emu.activity_timeline),
         "clock_ms": emu._clock_ms,
         "seq": emu._seq,
         "soc": emu.soc,
@@ -376,7 +388,22 @@ def test_run_equals_tick_loop(setup):
     # the schedule alone gives the same timeline, whatever the stimulus and draws
     schedule = schedule_timeline(stepped.config, stepped.power_profile.tx_ms_per_frame,
                                  duration_s)
-    assert schedule == expected["timeline"]
+    assert columns(schedule) == expected["timeline"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(emulator_setups(), st.integers(0, 300))
+def test_ticking_on_after_run_equals_tick_loop(setup, ticks):
+    # the activity record run() leaves must take the ticks that follow
+    kwargs, duration_s, forces = setup
+    stimulus = VaryingStimulus(forces)
+    bulk = FirmwareEmulator(**kwargs)
+    stepped = FirmwareEmulator(**kwargs)
+    frames = bulk.run(stimulus, duration_s)
+    bulk.activity_timeline  # reading the timeline must leave the record appendable
+    frames += tick_on(bulk, stimulus, ticks)
+    expected = tick_loop(stepped, stimulus, duration_s) + tick_on(stepped, stimulus, ticks)
+    assert observed(bulk, frames) == observed(stepped, expected)
 
 
 @pytest.mark.parametrize("force, accel", [

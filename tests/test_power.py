@@ -1,7 +1,8 @@
 """Energy accumulation over activity timelines, and battery-life projection."""
 
-from itertools import accumulate as running_total
+import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,9 +22,9 @@ from respsim.sensor import ParameterError
 
 def runs(*pairs):
     """A timeline of ``(state, duration_ms)`` runs starting at t=0."""
-    ends = list(running_total(duration for _, duration in pairs))
-    return Timeline([ACTIVITY_STATES.index(state) for state, _ in pairs],
-                    [0] + ends[:-1], ends)
+    edges = np.cumsum([0, *(duration for _, duration in pairs)], dtype=np.int64)
+    states = np.array([ACTIVITY_STATES.index(state) for state, _ in pairs], dtype=np.int8)
+    return Timeline(states, edges[:-1], edges[1:])
 
 
 def test_constant_400uw_for_one_hour_is_0p4_mwh():
@@ -52,9 +53,9 @@ def test_duty_cycle_average():
 
 def test_interval_state_validation():
     with pytest.raises(ParameterError):
-        PowerProfile(1.0, 2.0, 3.0).power_uw("sleeping")
-    with pytest.raises(ParameterError):
         PowerProfile(-1.0, 0.0, 0.0)
+    with pytest.raises(ParameterError):
+        uniform_profile(math.nan)
 
 
 def test_battery_life_at_abstract_claim():
@@ -77,12 +78,21 @@ def test_battery_life_rejects_zero_power():
         battery_life_hours(0.0)
     with pytest.raises(ZeroPowerError):
         battery_life_hours(-5.0)
+    with pytest.raises(ZeroPowerError):
+        battery_life_hours(math.nan)
+
+
+@pytest.mark.parametrize("battery", [{"capacity_mah": math.nan}, {"nominal_v": math.nan}],
+                         ids=["capacity", "voltage"])
+def test_battery_life_rejects_nan_battery(battery):
+    with pytest.raises(ParameterError):
+        battery_life_hours(400.0, **battery)
 
 
 def test_presets_are_uniform_claims():
-    assert PRESETS["abstract-claim"].power_uw("idle") == 400.0
-    assert PRESETS["abstract-claim"].power_uw("radio") == 400.0
-    assert PRESETS["intro-claim"].power_uw("active") == 4900.0
+    assert PRESETS["abstract-claim"].p_idle_uw == 400.0
+    assert PRESETS["abstract-claim"].p_radio_uw == 400.0
+    assert PRESETS["intro-claim"].p_active_uw == 4900.0
     # a uniform profile reproduces its claim over any timeline shape
     timeline = runs(("idle", 123), ("radio", 7), ("active", 330))
     for name, expected in (("abstract-claim", 400.0), ("intro-claim", 4900.0)):
@@ -96,12 +106,15 @@ def test_presets_are_uniform_claims():
 
 def reference_accumulate(profile, timeline):
     """The reference: add each interval's energy and time with ``+=``, in order."""
+    draws = {"idle": profile.p_idle_uw, "active": profile.p_active_uw,
+             "radio": profile.p_radio_uw}
     energy_mwh = 0.0
     total_ms = 0
     ms_by_state = {state: 0 for state in ACTIVITY_STATES}
-    for code, start, end in zip(timeline.states, timeline.starts, timeline.ends):
+    for code, start, end in zip(timeline.states.tolist(), timeline.starts.tolist(),
+                                timeline.ends.tolist()):
         state = ACTIVITY_STATES[code]
-        energy_mwh += profile.power_uw(state) * (end - start) / UW_MS_PER_MWH
+        energy_mwh += draws[state] * (end - start) / UW_MS_PER_MWH
         total_ms += end - start
         ms_by_state[state] += end - start
     average_uw = energy_mwh * UW_MS_PER_MWH / total_ms if total_ms > 0 else 0.0
@@ -120,7 +133,7 @@ def timelines(draw):
     return runs(*pairs)
 
 
-@example(Timeline(), [400.0, 500.0, 600.0])
+@example(runs(), [400.0, 500.0, 600.0])
 @settings(max_examples=200, deadline=None)
 @given(timelines(), st.lists(st.floats(0.0, 1e9) | st.integers(0, 10**6),
                              min_size=3, max_size=3, unique=True))
@@ -129,3 +142,24 @@ def test_accumulate_equals_interval_loop(timeline, powers):
     report = accumulate(profile, timeline)
     got = (report.energy_mwh, report.ms_by_state, report.duration_s, report.average_power_uw)
     assert got == reference_accumulate(profile, timeline)  # exact, not approx
+
+
+# ---------------------------------------------------------------------------
+# Timeline.from_ticks
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2) | st.integers(-128, 127), max_size=300),
+       st.integers(1, 20))
+def test_from_ticks_run_length_encodes_every_tick(codes, tick_ms):
+    ticks = np.array(codes, dtype=np.int8)
+    timeline = Timeline.from_ticks(ticks, tick_ms)
+    states, starts, ends = timeline.states, timeline.starts, timeline.ends
+    assert (states.dtype, starts.dtype, ends.dtype) == (np.int8, np.int64, np.int64)
+    assert len(timeline) == len(states) == len(ends)
+    np.testing.assert_array_equal(np.repeat(states, (ends - starts) // tick_ms), ticks)
+    if ticks.size:
+        assert starts[0] == 0
+        assert ends[-1] == ticks.size * tick_ms
+    np.testing.assert_array_equal(starts[1:], ends[:-1])
+    assert (states[1:] != states[:-1]).all()
