@@ -31,7 +31,7 @@ from .protocol import (
     encode,
     split_stream,
 )
-from .firmware import FirmwareConfig, FirmwareEmulator, InvalidConfigError
+from .firmware import FirmwareConfig, FirmwareEmulator
 from .power import EnergyReport, PowerProfile, PRESETS, accumulate, battery_life_hours
 from .pipeline import (
     analyze_session,
@@ -49,7 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdcConfig", "DividerConfig", "EnergyReport",
     "FirmwareConfig", "FirmwareEmulator", "ForceSample", "FrameKind", "FsrModel",
-    "InvalidConfigError", "OcvCurve", "ParameterError", "PowerProfile", "PRESETS",
+    "OcvCurve", "ParameterError", "PowerProfile", "PRESETS",
     "ProtocolError", "SenseRangeError", "SessionConfig", "StreamSplitter",
     "TelemetryFrame", "accumulate", "adc_quantize", "analyze_session",
     "battery_life_hours", "battery_percent", "battery_sense_voltage",

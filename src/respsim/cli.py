@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import socket
 import sys
 import time
 
 from . import pipeline
 from .config import ConfigError, SessionConfig, apply_overrides, load_config
-from .firmware import InvalidConfigError, schedule_timeline
+from .firmware import schedule_timeline
 from .power import PRESETS, accumulate
 from .protocol import FrameKind, split_stream
 from .sensor import ParameterError
@@ -124,8 +125,8 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def cmd_stream(args) -> int:
-    if args.speed <= 0:
-        raise ConfigError(f"--speed must be positive, got {args.speed}")
+    if not 0 < args.speed < math.inf:
+        raise ConfigError(f"--speed must be a positive finite number, got {args.speed}")
     if args.connect:
         return _stream_connect(args)
     return _stream_listen(args)
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, InvalidConfigError) as e:
+    except (ConfigError, ParameterError) as e:
         print(f"respsim: config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as e:

@@ -70,14 +70,6 @@ from .sensor import (
 MAX_SESSION_MS = 2 ** 32
 
 
-class InvalidConfigError(ValueError):
-    """The firmware configuration cannot run on the modeled hardware."""
-
-
-class NotBootedError(RuntimeError):
-    """tick() or a view of the battery or activity before boot()."""
-
-
 class StimulusError(LookupError):
     """The stimulus source has no sample for a scheduled instant."""
 
@@ -96,20 +88,20 @@ class FirmwareConfig:
                      "fsr_batch", "accel_batch", "tick_ms"):
             value = getattr(self, name)
             if value <= 0 or value % 1 != 0:
-                raise InvalidConfigError(f"{name} must be a positive whole number")
+                raise ParameterError(f"{name} must be a positive whole number")
             object.__setattr__(self, name, int(value))
         # reject schedules and batch sizes the hardware cannot honor
         for name, rate in (("fsr_rate_hz", self.fsr_rate_hz),
                            ("accel_rate_hz", self.accel_rate_hz)):
             if 1000 % rate != 0:
-                raise InvalidConfigError(
+                raise ParameterError(
                     f"{name}={rate} does not divide the 1000 ms tick grid evenly"
                 )
         for name, period in (("fsr", self.fsr_period_ms),
                              ("accel", self.accel_period_ms),
                              ("battery", self.battery_period_ms)):
             if period % self.tick_ms != 0:
-                raise InvalidConfigError(
+                raise ParameterError(
                     f"{name} period {period} ms is not a multiple of tick_ms={self.tick_ms}"
                 )
         for name, kind in (("fsr_batch", FrameKind.FSR_BATCH),
@@ -117,7 +109,7 @@ class FirmwareConfig:
             count = getattr(self, name)
             size = protocol.batch_payload_len(kind, count)
             if size > protocol.MAX_PAYLOAD:
-                raise InvalidConfigError(
+                raise ParameterError(
                     f"{name}={count} needs a {size}-byte payload, "
                     f"MTU budget allows {protocol.MAX_PAYLOAD}"
                 )
@@ -134,19 +126,19 @@ class FirmwareConfig:
         """A session's length in ms, where every channel's ``range(0, ms, period)`` ends."""
         exact_ms = duration_s * 1000.0
         if not (math.isfinite(exact_ms) and exact_ms >= 0):
-            raise InvalidConfigError(f"duration_s must be finite and >= 0, got {duration_s}")
+            raise ParameterError(f"duration_s must be finite and >= 0, got {duration_s}")
         total_ms = round(exact_ms)
         if total_ms > MAX_SESSION_MS:
-            raise InvalidConfigError(
+            raise ParameterError(
                 f"duration_s must be at most {MAX_SESSION_MS / 1000} ({MAX_SESSION_MS} ms, "
                 f"the reach of the wire's u32 timestamps), got {duration_s}"
             )
         if abs(exact_ms - total_ms) > 1e-6:
-            raise InvalidConfigError(
+            raise ParameterError(
                 f"duration_s={duration_s} is not a whole number of milliseconds"
             )
         if total_ms % self.tick_ms != 0:
-            raise InvalidConfigError(
+            raise ParameterError(
                 f"duration {total_ms} ms is not a multiple of tick_ms={self.tick_ms}"
             )
         return total_ms
@@ -165,12 +157,12 @@ class DeviceModel:
     nominal_v: float = 3.7
 
     def __post_init__(self) -> None:
-        if not (self.capacity_mah > 0 and self.nominal_v > 0):
-            raise ParameterError("capacity_mah and nominal_v must be positive")
+        if not (0 < self.capacity_mah < math.inf and 0 < self.nominal_v < math.inf):
+            raise ParameterError("capacity_mah and nominal_v must be positive and finite")
         # the full-charge rail must fit the ADC front end
         battery_sense_voltage(self.ocv.v_max, self.sense_ratio, self.adc.v_ref)
         if self.adc.full_scale > protocol.MAX_CODE:
-            raise InvalidConfigError(
+            raise ParameterError(
                 f"adc.bits={self.adc.bits} gives codes up to {self.adc.full_scale}, "
                 f"the wire carries at most {protocol.MAX_CODE}"
             )
@@ -222,10 +214,12 @@ class ArrayStimulus:
 class FirmwareEmulator:
     """Deterministic software twin of the sensor firmware.
 
-    Drive it either tick by tick (supplying samples for any channel due at
-    the current clock) or with :meth:`run` and a stimulus source.  All
-    state lives in plain Python scalars; identical configuration and
-    stimulus reproduce identical frame bytes.
+    An emulator is ready when built: the constructor boots it, and
+    :meth:`boot` resets it to that fresh state.  Drive it either tick by
+    tick (supplying samples for any channel due at the current clock) or
+    with :meth:`run` and a stimulus source.  All state lives in plain
+    Python scalars; identical configuration and stimulus reproduce
+    identical frame bytes.
     """
 
     def __init__(
@@ -237,21 +231,21 @@ class FirmwareEmulator:
         charging: bool = False,
     ) -> None:
         if not (0.0 <= initial_soc <= 1.0):
-            raise InvalidConfigError(f"initial_soc must be in [0, 1], got {initial_soc}")
+            raise ParameterError(f"initial_soc must be in [0, 1], got {initial_soc}")
         self.config = config
         self.model = model
         self.power_profile = power_profile or PRESETS["abstract-claim"]
         self.initial_soc = initial_soc
         self.charging = charging
-        self._booted = False
+        self.boot()
 
     # -- lifecycle ----------------------------------------------------------
 
     def boot(self) -> None:
-        """Reset all runtime state."""
+        """Reset all runtime state to that of a freshly built emulator."""
         self._clock_ms = 0
         self._seq = 0
-        self._energy_mwh = 0.0
+        self.energy_mwh = 0.0
         self._tx_remaining_ms = 0
         self._fsr_buf: list[tuple[int, int]] = []
         self._accel_buf: list[tuple[int, tuple[int, int, int]]] = []
@@ -260,11 +254,6 @@ class FirmwareEmulator:
         self._tick_mwh = (self.power_profile.state_powers_uw()
                           * self.config.tick_ms / UW_MS_PER_MWH)
         self.battery_log: list[BatteryMeasurement] = []
-        self._booted = True
-
-    def _require_boot(self) -> None:
-        if not self._booted:
-            raise NotBootedError("boot() must complete before ticking")
 
     # -- views --------------------------------------------------------------
 
@@ -272,18 +261,11 @@ class FirmwareEmulator:
     def soc(self) -> float:
         """Charge remaining; derived from accumulated energy in one step so
         sub-picojoule per-tick draws don't get lost to float cancellation."""
-        self._require_boot()
-        used = self._energy_mwh / (self.model.capacity_mah * self.model.nominal_v)
+        used = self.energy_mwh / (self.model.capacity_mah * self.model.nominal_v)
         return max(self.initial_soc - used, 0.0)
 
     @property
-    def energy_mwh(self) -> float:
-        self._require_boot()
-        return self._energy_mwh
-
-    @property
     def activity_timeline(self) -> Timeline:
-        self._require_boot()
         return Timeline.from_ticks(np.frombuffer(self._ticks, dtype=np.int8),
                                    self.config.tick_ms)
 
@@ -337,7 +319,6 @@ class FirmwareEmulator:
         otherwise.  Returns frames completed by this tick in the fixed
         order FSR batch, accel batch, battery status.
         """
-        self._require_boot()
         cfg = self.config
         t = self._clock_ms
         frames: list[protocol.TelemetryFrame] = []
@@ -383,7 +364,7 @@ class FirmwareEmulator:
         else:
             state = IDLE
         self._ticks.append(state)
-        self._energy_mwh += self._tick_mwh.item(state)
+        self.energy_mwh += self._tick_mwh.item(state)
         if frames:
             self._tx_remaining_ms += self.power_profile.tx_ms_per_frame * len(frames)
 
@@ -392,7 +373,6 @@ class FirmwareEmulator:
 
     def flush(self) -> list[protocol.TelemetryFrame]:
         """Emit any partially filled batches with the final-flush flag set."""
-        self._require_boot()
         return [self._batch_frame(kind, *_drain(buf), final_flush=True)
                 for kind, buf in ((FrameKind.FSR_BATCH, self._fsr_buf),
                                   (FrameKind.ACCEL_BATCH, self._accel_buf)) if buf]
@@ -454,8 +434,8 @@ class FirmwareEmulator:
         ``tick_mwh`` is overwritten.
         """
         if tick_mwh.size:
-            tick_mwh[0] += self._energy_mwh
-            self._energy_mwh = float(np.cumsum(tick_mwh)[-1])
+            tick_mwh[0] += self.energy_mwh
+            self.energy_mwh = float(np.cumsum(tick_mwh)[-1])
 
 
 def _schedule(

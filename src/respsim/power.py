@@ -16,6 +16,7 @@ interval-by-interval ``+=`` gives, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,8 @@ class PowerProfile:
 
     def __post_init__(self) -> None:
         for name in ("p_idle_uw", "p_active_uw", "p_radio_uw"):
-            if not getattr(self, name) >= 0:
-                raise ParameterError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0")
         if self.tx_ms_per_frame < 0 or self.tx_ms_per_frame % 1 != 0:
             raise ParameterError("tx_ms_per_frame must be a whole number >= 0")
         object.__setattr__(self, "tx_ms_per_frame", int(self.tx_ms_per_frame))
@@ -114,8 +115,8 @@ def battery_life_hours(
     """Hours until empty: capacity_mah * nominal_v / milliwatts of draw."""
     if not average_power_uw > 0:
         raise ZeroPowerError(f"average power must be positive, got {average_power_uw}")
-    if not (capacity_mah > 0 and nominal_v > 0):
-        raise ParameterError("capacity_mah and nominal_v must be positive")
+    if not (0 < capacity_mah < math.inf and 0 < nominal_v < math.inf):
+        raise ParameterError("capacity_mah and nominal_v must be positive and finite")
     return capacity_mah * nominal_v / (average_power_uw / 1000.0)
 
 

@@ -19,7 +19,8 @@ FULL_SCALE_MG = 2000  # accelerometer clamp, milli-g per axis
 
 
 class ParameterError(ValueError):
-    """A model parameter or stimulus argument is outside its valid range."""
+    """A model parameter or stimulus argument is outside its valid range,
+    or a configuration the modeled hardware cannot run."""
 
 
 class SenseRangeError(ValueError):

@@ -548,9 +548,11 @@ def test_stream_bad_endpoint_is_usage_error(capsys):
                    "--duration", "2")[0] == 1
 
 
-def test_stream_rejects_nonpositive_speed(capsys):
+@pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf"])
+def test_stream_rejects_nonpositive_speed(capsys, speed):
+    # nan and inf would send every frame unpaced
     assert run_cli(capsys, "stream", "--connect", "127.0.0.1:1",
-                   "--speed", "0", "--duration", "2")[0] == 1
+                   "--speed", speed, "--duration", "2")[0] == 1
 
 
 # ---------------------------------------------------------------------------

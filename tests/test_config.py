@@ -20,7 +20,7 @@ from respsim.config import (
     from_dict,
     load_config,
 )
-from respsim.firmware import DeviceModel, InvalidConfigError
+from respsim.firmware import DeviceModel
 from respsim.pipeline import AnalysisConfig
 from respsim.power import PRESETS
 from respsim.sensor import POSTURES, AdcConfig, ParameterError
@@ -256,14 +256,17 @@ def test_whole_float_adc_bits_run_as_int():
 @pytest.mark.parametrize("build, error, match", [
     (lambda: ScenarioConfig(amplitude_n=9.0), ConfigError, "amplitude_n"),
     (lambda: ScenarioConfig(breathing=()), ConfigError, "breathing: the schedule is empty"),
-    (lambda: DeviceModel(adc=AdcConfig(bits=13)), InvalidConfigError, "adc.bits=13"),
+    (lambda: DeviceModel(adc=AdcConfig(bits=13)), ParameterError, "adc.bits=13"),
     (lambda: DeviceModel(capacity_mah=float("nan")), ParameterError, "capacity_mah"),
+    (lambda: DeviceModel(capacity_mah=float("inf")), ParameterError, "capacity_mah"),
     (lambda: DeviceModel(nominal_v=float("nan")), ParameterError, "nominal_v"),
-    (lambda: SessionConfig(adc=AdcConfig(bits=14)), InvalidConfigError, "adc.bits=14"),
+    (lambda: DeviceModel(nominal_v=float("inf")), ParameterError, "nominal_v"),
+    (lambda: SessionConfig(adc=AdcConfig(bits=14)), ParameterError, "adc.bits=14"),
     (lambda: dataclasses.replace(SessionConfig(), duration_s=float("nan")), ConfigError,
      "duration_s"),
 ], ids=["amplitude", "empty-schedule", "device-adc", "device-nan-capacity",
-        "device-nan-voltage", "session-adc", "replace-duration"])
+        "device-inf-capacity", "device-nan-voltage", "device-inf-voltage", "session-adc",
+        "replace-duration"])
 def test_invalid_config_is_rejected_at_construction(build, error, match):
     with pytest.raises(error, match=match):
         build()

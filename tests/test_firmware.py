@@ -11,8 +11,6 @@ from respsim.firmware import (
     DeviceModel,
     FirmwareConfig,
     FirmwareEmulator,
-    InvalidConfigError,
-    NotBootedError,
     StimulusError,
     encode_session,
     schedule_timeline,
@@ -50,12 +48,6 @@ def test_boot_reports_full_charge():
     assert emu._clock_ms == 0
     assert emu._seq == 0
     assert emu.soc == 1.0
-
-
-def test_tick_before_boot_raises():
-    emu = FirmwareEmulator()
-    with pytest.raises(NotBootedError):
-        emu.tick(4.0, (0, 0, 1000))
 
 
 def test_two_second_run_frame_counts():
@@ -142,12 +134,12 @@ def test_battery_frame_contents():
 
 def test_oversize_accel_batch_is_invalid_config():
     # 100 samples would need a 605-byte payload against a 244-byte budget
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ParameterError):
         FirmwareEmulator(FirmwareConfig(accel_batch=100)).boot()
 
 
 def test_non_divisor_rate_is_invalid_config():
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ParameterError):
         FirmwareEmulator(FirmwareConfig(fsr_rate_hz=33)).boot()
 
 
@@ -159,14 +151,14 @@ def test_whole_number_schedule_values_may_be_floats():
                                power_profile=uniform_profile(400.0, tx_ms_per_frame=3))
     assert as_floats.run(ConstantStimulus(), 2.5) == as_ints.run(ConstantStimulus(), 2.5)
     assert columns(as_floats.activity_timeline) == columns(as_ints.activity_timeline)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ParameterError):
         FirmwareConfig(fsr_batch=5.5)
     with pytest.raises(ParameterError):
         uniform_profile(400.0, tx_ms_per_frame=2.5)
 
 
 def test_bad_initial_soc_rejected():
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ParameterError):
         FirmwareEmulator(initial_soc=1.5)
 
 
@@ -204,7 +196,7 @@ def test_session_ms_ends_where_the_wire_can_still_timestamp():
     # the last instant of a 2**32 ms session, 2**32 - 1, still fits a u32
     assert FirmwareConfig().session_ms(4294967.296) == 2 ** 32
     for duration_s in (4294967.297, 1e300):
-        with pytest.raises(InvalidConfigError) as raised:
+        with pytest.raises(ParameterError) as raised:
             FirmwareConfig().session_ms(duration_s)
         assert str(raised.value) == (
             "duration_s must be at most 4294967.296 (4294967296 ms, the reach of the "
@@ -220,10 +212,10 @@ def test_session_ms_ends_where_the_wire_can_still_timestamp():
     (FirmwareConfig(tick_ms=2), 1.001, "duration 1001 ms is not a multiple of tick_ms=2"),
 ], ids=["inf", "1e308", "nan", "negative", "fraction-of-a-ms", "fraction-of-a-tick"])
 def test_session_ms_rejects_what_no_tick_loop_can_run(config, duration_s, message):
-    with pytest.raises(InvalidConfigError) as raised:
+    with pytest.raises(ParameterError) as raised:
         config.session_ms(duration_s)
     assert str(raised.value) == message
-    with pytest.raises(InvalidConfigError) as raised:
+    with pytest.raises(ParameterError) as raised:
         FirmwareEmulator(config).run(ConstantStimulus(), duration_s)
     assert str(raised.value) == message
 
@@ -404,6 +396,24 @@ def test_ticking_on_after_run_equals_tick_loop(setup, ticks):
     frames += tick_on(bulk, stimulus, ticks)
     expected = tick_loop(stepped, stimulus, duration_s) + tick_on(stepped, stimulus, ticks)
     assert observed(bulk, frames) == observed(stepped, expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(emulator_setups(), st.integers(0, 300))
+def test_an_emulator_is_ready_when_built(setup, ticks):
+    kwargs, _, forces = setup
+    stimulus = VaryingStimulus(forces)
+    built = FirmwareEmulator(**kwargs)
+    booted = FirmwareEmulator(**kwargs)
+    booted.boot()
+    assert (observed(built, tick_on(built, stimulus, ticks))
+            == observed(booted, tick_on(booted, stimulus, ticks)))
+    # boot() after any ticks is a reset to the state the constructor left
+    built.boot()
+    assert observed(built, []) == observed(FirmwareEmulator(**kwargs), [])
+    assert (built._clock_ms, built._seq, built.energy_mwh) == (0, 0, 0.0)
+    assert len(built.activity_timeline) == 0
+    assert built.soc == built.initial_soc
 
 
 @pytest.mark.parametrize("force, accel", [

@@ -56,6 +56,8 @@ def test_interval_state_validation():
         PowerProfile(-1.0, 0.0, 0.0)
     with pytest.raises(ParameterError):
         uniform_profile(math.nan)
+    with pytest.raises(ParameterError):
+        uniform_profile(math.inf)
 
 
 def test_battery_life_at_abstract_claim():
@@ -82,8 +84,9 @@ def test_battery_life_rejects_zero_power():
         battery_life_hours(math.nan)
 
 
-@pytest.mark.parametrize("battery", [{"capacity_mah": math.nan}, {"nominal_v": math.nan}],
-                         ids=["capacity", "voltage"])
+@pytest.mark.parametrize("battery", [{"capacity_mah": math.nan}, {"nominal_v": math.nan},
+                                     {"capacity_mah": math.inf}, {"nominal_v": math.inf}],
+                         ids=["capacity", "voltage", "inf-capacity", "inf-voltage"])
 def test_battery_life_rejects_nan_battery(battery):
     with pytest.raises(ParameterError):
         battery_life_hours(400.0, **battery)
