@@ -16,7 +16,6 @@ from .sensor import (
     FsrModel,
     OcvCurve,
     ParameterError,
-    SenseRangeError,
     adc_quantize,
     battery_sense_voltage,
     divider_voltage,
@@ -41,16 +40,16 @@ from .pipeline import (
     estimate_rate,
     reconstruct_force,
 )
-from .config import SessionConfig, from_dict, load_config
+from .config import ConfigError, SessionConfig, from_dict, load_config
 from .session import run_session
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdcConfig", "DividerConfig", "EnergyReport",
+    "AdcConfig", "ConfigError", "DividerConfig", "EnergyReport",
     "FirmwareConfig", "FirmwareEmulator", "ForceSample", "FrameKind", "FsrModel",
     "OcvCurve", "ParameterError", "PowerProfile", "PRESETS",
-    "ProtocolError", "SenseRangeError", "SessionConfig", "StreamSplitter",
+    "ProtocolError", "SessionConfig", "StreamSplitter",
     "TelemetryFrame", "accumulate", "adc_quantize", "analyze_session",
     "battery_life_hours", "battery_percent", "battery_sense_voltage",
     "decode", "detect_breaths", "detect_motion_artifacts",

@@ -126,7 +126,7 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
 
 def cmd_stream(args) -> int:
     if not 0 < args.speed < math.inf:
-        raise ConfigError(f"--speed must be a positive finite number, got {args.speed}")
+        raise ParameterError(f"--speed must be a positive finite number, got {args.speed}")
     if args.connect:
         return _stream_connect(args)
     return _stream_listen(args)

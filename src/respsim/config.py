@@ -4,6 +4,10 @@ Everything defaults, so a minimal config is a single line (say
 ``rate_bpm: 15``) or even an empty file.  Unknown keys are rejected with
 the full key path instead of being ignored — a silently misspelled
 ``batery:`` section has burned enough people.
+
+:func:`_build` checks a file's form and raises :class:`ConfigError`; each
+value rule lives in the dataclass that holds the field and raises
+:class:`~respsim.sensor.ParameterError`, with the key path added for a file.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from .firmware import DeviceModel, FirmwareConfig
 from .pipeline import AnalysisConfig
 from .power import PRESETS, PowerProfile
 from .sensor import (
-    POSTURES, AdcConfig, DividerConfig, FsrModel, OcvCurve, ParameterError, SenseRangeError,
+    POSTURES, AdcConfig, DividerConfig, FsrModel, OcvCurve, ParameterError,
 )
 
 
 class ConfigError(ValueError):
-    """Bad configuration file: unknown key, bad type, or invalid value."""
+    """A config file or argument of the wrong form: bad YAML or HOST:PORT, an
+    unknown, missing or conflicting key, a wrong type, or a non-finite number."""
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,7 @@ class BreathSegment:
 
     def __post_init__(self) -> None:
         if not (0 < self.rate_bpm <= 60):
-            raise ConfigError(f"rate_bpm must be in (0, 60], got {self.rate_bpm}")
+            raise ParameterError(f"rate_bpm must be in (0, 60], got {self.rate_bpm}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class PostureSegment:
 
     def __post_init__(self) -> None:
         if self.posture not in POSTURES:
-            raise ConfigError(f"unknown posture {self.posture!r}, expected one of {POSTURES}")
+            raise ParameterError(f"unknown posture {self.posture!r}, expected one of {POSTURES}")
 
 
 @dataclass(frozen=True)
@@ -63,20 +68,24 @@ class ScenarioConfig:
         for name in ("breathing", "posture"):
             starts = [seg.start_s for seg in getattr(self, name)]
             if not starts:
-                raise ConfigError(f"{name}: the schedule is empty, it needs at least one segment")
+                raise ParameterError(
+                    f"{name}: the schedule is empty, it needs at least one segment"
+                )
             if starts[0] != 0:
-                raise ConfigError(f"{name}: first segment must start at 0, got {starts[0]}")
-            if any(b <= a for a, b in zip(starts, starts[1:])):
-                raise ConfigError(f"{name}: segment starts must be strictly increasing")
-        if not (0 <= self.amplitude_n <= self.baseline_n):
-            raise ConfigError(
-                "need 0 <= amplitude_n <= baseline_n, got "
+                raise ParameterError(f"{name}: first segment must start at 0, got {starts[0]}")
+            if not all(a < b for a, b in zip(starts, [*starts[1:], math.inf])):
+                raise ParameterError(
+                    f"{name}: segment starts must be finite and strictly increasing"
+                )
+        if not (0 <= self.amplitude_n <= self.baseline_n < math.inf):
+            raise ParameterError(
+                "need 0 <= amplitude_n <= baseline_n < inf, got "
                 f"{self.amplitude_n}, {self.baseline_n}"
             )
         for name in ("noise_sd_n", "accel_noise_sd_mg"):
             value = getattr(self, name)
-            if not (value >= 0):
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+            if not (0 <= value < math.inf):
+                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,7 @@ class BatteryConfig:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.initial_soc <= 1.0):
-            raise ConfigError(f"initial_soc must be in [0, 1], got {self.initial_soc}")
+            raise ParameterError(f"initial_soc must be in [0, 1], got {self.initial_soc}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +125,11 @@ class SessionConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def __post_init__(self) -> None:
-        if not (self.duration_s >= 0):
-            raise ConfigError(f"duration_s must be >= 0, got {self.duration_s}")
         if not (self.seed >= 0 and self.seed % 1 == 0):
-            raise ConfigError(f"seed must be a whole number >= 0, got {self.seed}")
+            raise ParameterError(f"seed must be a whole number >= 0, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
-        # the chain and the power profile check their own limits when built
+        # the schedule, the chain and the power profile check their own limits
+        self.firmware.session_ms(self.duration_s)
         self.device_model()
         self.power_profile()
 
@@ -129,19 +137,16 @@ class SessionConfig:
         try:
             ocv = OcvCurve(self.battery.ocv_points)
         except ParameterError as e:
-            raise ConfigError(f"battery.ocv_points: {e}") from e
-        try:
-            return DeviceModel(
-                fsr=self.fsr,
-                divider=self.divider,
-                adc=self.adc,
-                ocv=ocv,
-                sense_ratio=self.battery.sense_ratio,
-                capacity_mah=self.battery.capacity_mah,
-                nominal_v=self.battery.nominal_v,
-            )
-        except SenseRangeError as e:
-            raise ConfigError(f"battery.sense_ratio: {e}") from e
+            raise ParameterError(f"battery.ocv_points: {e}") from e
+        return DeviceModel(
+            fsr=self.fsr,
+            divider=self.divider,
+            adc=self.adc,
+            ocv=ocv,
+            sense_ratio=self.battery.sense_ratio,
+            capacity_mah=self.battery.capacity_mah,
+            nominal_v=self.battery.nominal_v,
+        )
 
     def power_profile(self) -> PowerProfile:
         p = self.power
@@ -153,14 +158,11 @@ class SessionConfig:
                 )
             return PowerProfile(p.p_idle_uw, p.p_active_uw, p.p_radio_uw, p.tx_ms_per_frame)
         if p.preset not in PRESETS:
-            raise ConfigError(
+            raise ParameterError(
                 f"power.preset: unknown preset {p.preset!r}, "
                 f"expected one of {sorted(PRESETS)}"
             )
-        base = PRESETS[p.preset]
-        return PowerProfile(
-            base.p_idle_uw, base.p_active_uw, base.p_radio_uw, p.tx_ms_per_frame
-        )
+        return dataclasses.replace(PRESETS[p.preset], tx_ms_per_frame=p.tx_ms_per_frame)
 
 
 @functools.cache

@@ -159,8 +159,12 @@ class DeviceModel:
     def __post_init__(self) -> None:
         if not (0 < self.capacity_mah < math.inf and 0 < self.nominal_v < math.inf):
             raise ParameterError("capacity_mah and nominal_v must be positive and finite")
-        # the full-charge rail must fit the ADC front end
-        battery_sense_voltage(self.ocv.v_max, self.sense_ratio, self.adc.v_ref)
+        # the full-charge rail, the last OCV point, must fit the ADC front end
+        if not (0 < self.sense_ratio < 1 and self.ocv.v_max * self.sense_ratio <= self.adc.v_ref):
+            raise ParameterError(
+                f"sense_ratio={self.sense_ratio} must be in (0, 1) and scale the full-charge "
+                f"{self.ocv.v_max} V of ocv_points to at most adc.v_ref={self.adc.v_ref} V"
+            )
         if self.adc.full_scale > protocol.MAX_CODE:
             raise ParameterError(
                 f"adc.bits={self.adc.bits} gives codes up to {self.adc.full_scale}, "

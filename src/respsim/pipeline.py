@@ -456,7 +456,7 @@ class AnalysisConfig:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not (value > 0):
+            if not (0 < value < math.inf):
                 raise ParameterError(f"{name} must be > 0, got {value}")
         if not (self.window_s * 1000 >= 1):
             raise ParameterError(f"window_s must be at least 1 ms, got {self.window_s}")

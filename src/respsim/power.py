@@ -12,6 +12,9 @@ numpy columns of states and interval edges, and :func:`accumulate`
 integrates a profile over the columns as they are, adding the per-interval
 energies in time order with ``np.cumsum`` so the sum is the one an
 interval-by-interval ``+=`` gives, bit for bit.
+
+A draw out of range, or no positive average power for a battery life,
+raises :class:`~respsim.sensor.ParameterError`.
 """
 
 from __future__ import annotations
@@ -57,10 +60,6 @@ class Timeline:
         # the edges of every interval; starts and ends are views of them
         edges = np.append(first, states.size).astype(np.int64, copy=False) * tick_ms
         return cls(states[first], edges[:-1], edges[1:])
-
-
-class ZeroPowerError(ValueError):
-    """Battery life is undefined at zero or negative average power."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def battery_life_hours(
 ) -> float:
     """Hours until empty: capacity_mah * nominal_v / milliwatts of draw."""
     if not average_power_uw > 0:
-        raise ZeroPowerError(f"average power must be positive, got {average_power_uw}")
+        raise ParameterError(f"average power must be positive, got {average_power_uw}")
     if not (0 < capacity_mah < math.inf and 0 < nominal_v < math.inf):
         raise ParameterError("capacity_mah and nominal_v must be positive and finite")
     return capacity_mah * nominal_v / (average_power_uw / 1000.0)

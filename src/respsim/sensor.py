@@ -6,6 +6,9 @@ resistor (FSR) forming the lower leg of a voltage divider, sampled by a
 through a resistive sense divider.  Everything in this module is pure and
 deterministic so the firmware emulator layered on top stays
 byte-reproducible.
+
+:class:`ParameterError` is the package's one error for a value out of
+range.  Each dataclass checks its fields when built, NaN-safe and finite.
 """
 
 from __future__ import annotations
@@ -19,17 +22,9 @@ FULL_SCALE_MG = 2000  # accelerometer clamp, milli-g per axis
 
 
 class ParameterError(ValueError):
-    """A model parameter or stimulus argument is outside its valid range,
-    or a configuration the modeled hardware cannot run."""
-
-
-class SenseRangeError(ValueError):
-    """A sense divider output would exceed the ADC reference voltage.
-
-    This is a configuration error, not a runtime clamp: the divider ratio
-    must be chosen so the highest battery voltage stays inside the ADC
-    full-scale range.
-    """
+    """A value is outside its valid range: a model parameter, a config
+    value from a file or from code, a function argument, or a
+    configuration the modeled hardware cannot run."""
 
 
 def _round_half_up(x: float) -> int:
@@ -72,14 +67,14 @@ class FsrModel:
     f_break_n: float = 0.01
 
     def __post_init__(self) -> None:
-        if not (self.k_ohm_n > 0):
-            raise ParameterError(f"k_ohm_n must be positive, got {self.k_ohm_n}")
-        if not (0 < self.r_min_ohm < self.r_max_ohm):
+        if not (0 < self.k_ohm_n < math.inf):
+            raise ParameterError(f"k_ohm_n must be positive and finite, got {self.k_ohm_n}")
+        if not (0 < self.r_min_ohm < self.r_max_ohm < math.inf):
             raise ParameterError(
-                f"need 0 < r_min_ohm < r_max_ohm, got {self.r_min_ohm}, {self.r_max_ohm}"
+                f"need 0 < r_min_ohm < r_max_ohm < inf, got {self.r_min_ohm}, {self.r_max_ohm}"
             )
-        if not (self.f_break_n >= 0):
-            raise ParameterError(f"f_break_n must be >= 0, got {self.f_break_n}")
+        if not (0 <= self.f_break_n < math.inf):
+            raise ParameterError(f"f_break_n must be finite and >= 0, got {self.f_break_n}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +85,10 @@ class DividerConfig:
     v_dd: float = 1.8
 
     def __post_init__(self) -> None:
-        if not (self.r_fixed_ohm > 0):
-            raise ParameterError(f"r_fixed_ohm must be positive, got {self.r_fixed_ohm}")
-        if not (self.v_dd > 0):
-            raise ParameterError(f"v_dd must be positive, got {self.v_dd}")
+        for name in ("r_fixed_ohm", "v_dd"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,8 @@ class AdcConfig:
         if not (1 <= self.bits <= 16 and self.bits % 1 == 0):
             raise ParameterError(f"bits must be a whole number in 1..16, got {self.bits}")
         object.__setattr__(self, "bits", int(self.bits))
-        if not (self.v_ref > 0):
-            raise ParameterError(f"v_ref must be positive, got {self.v_ref}")
+        if not (0 < self.v_ref < math.inf):
+            raise ParameterError(f"v_ref must be positive and finite, got {self.v_ref}")
 
     @property
     def full_scale(self) -> int:
@@ -120,7 +115,7 @@ def fsr_resistance(force_n: float, model: FsrModel = FsrModel()) -> float:
     Zero or sub-breakpoint force reads as the open-circuit rail
     ``r_max_ohm``; very large forces clamp at ``r_min_ohm``.
     """
-    if not (force_n >= 0) or math.isnan(force_n):
+    if not (force_n >= 0):
         raise ParameterError(f"force_n must be >= 0, got {force_n}")
     if force_n <= model.f_break_n:
         return model.r_max_ohm
@@ -137,7 +132,7 @@ def divider_voltage(r_fsr_ohm: float, cfg: DividerConfig = DividerConfig()) -> f
     it keeps the algebraic identity ``v_out * (r_fixed + r) == v_dd * r_fixed``
     true to within 1 ulp, which the divider tests rely on.
     """
-    if not (r_fsr_ohm >= 0) or math.isnan(r_fsr_ohm):
+    if not (r_fsr_ohm >= 0):
         raise ParameterError(f"r_fsr_ohm must be >= 0, got {r_fsr_ohm}")
     return cfg.v_dd * cfg.r_fixed_ohm / (cfg.r_fixed_ohm + r_fsr_ohm)
 
@@ -195,7 +190,8 @@ class OcvCurve:
     """Piecewise-linear open-circuit voltage curve over state of charge.
 
     Points are (soc, volts), must start at soc 0.0, end at soc 1.0 and be
-    strictly increasing in both coordinates so the curve is invertible.
+    strictly increasing in both coordinates, so the curve is invertible,
+    with voltages finite and >= 0.
     The default is the linear 3.3 V .. 4.2 V map.
     """
 
@@ -210,10 +206,11 @@ class OcvCurve:
         volts = [v for _, v in pts]
         if socs[0] != 0.0 or socs[-1] != 1.0:
             raise ParameterError("OcvCurve must span soc 0.0 .. 1.0")
-        if any(b <= a for a, b in zip(socs, socs[1:])):
+        if not all(a < b for a, b in zip(socs, socs[1:])):
             raise ParameterError("OcvCurve soc values must be strictly increasing")
-        if any(b <= a for a, b in zip(volts, volts[1:])):
-            raise ParameterError("OcvCurve voltages must be strictly increasing")
+        if not (0 <= volts[0] and volts[-1] < math.inf
+                and all(a < b for a, b in zip(volts, volts[1:]))):
+            raise ParameterError("OcvCurve voltages must be finite, >= 0 and strictly increasing")
 
     @property
     def v_min(self) -> float:
@@ -239,15 +236,15 @@ def battery_sense_voltage(v_batt: float, ratio: float = 0.4, v_ref: float = 1.8)
 
     The 4.2 V full-charge rail times the default 0.4 ratio lands at
     1.68 V, safely inside the 1.8 V ADC range.  A ratio that would push
-    any requested voltage past ``v_ref`` raises :class:`SenseRangeError`.
+    any requested voltage past ``v_ref`` raises :class:`ParameterError`.
     """
     if not (0.0 < ratio < 1.0):
         raise ParameterError(f"sense_ratio must be in (0, 1), got {ratio}")
-    if not (v_batt >= 0) or math.isnan(v_batt):
+    if not (v_batt >= 0):
         raise ParameterError(f"v_batt must be >= 0, got {v_batt}")
     out = v_batt * ratio
     if out > v_ref:
-        raise SenseRangeError(
+        raise ParameterError(
             f"sense output {out:.4f} V exceeds ADC reference {v_ref} V "
             f"(v_batt={v_batt}, ratio={ratio})"
         )
@@ -278,12 +275,10 @@ def _posture_base_mg(posture: str, t_ms: np.ndarray, shift_at_ms: float) -> np.n
         # in sub-500 ms bursts and read as clean).
         phase = (t_ms.astype(np.float64) / 1000.0 * _WALK_STEP_HZ) % 1.0
         base[:, 2] = np.where(phase < 0.5, 1000.0 + _WALK_DEPTH_MG, 1000.0 - _WALK_DEPTH_MG)
-    elif posture == "shift":
+    else:  # "shift"; PostureSegment admits only POSTURES
         before = t_ms < shift_at_ms
         base[before, 2] = 1000.0
         base[~before, 0] = _SHIFT_VECTOR[0]
         base[~before, 1] = _SHIFT_VECTOR[1]
         base[~before, 2] = _SHIFT_VECTOR[2]
-    else:
-        raise ParameterError(f"unknown posture {posture!r}, expected one of {POSTURES}")
     return base

@@ -117,12 +117,16 @@ def test_simulate_rejects_negative_duration(tmp_path, capsys):
 
 def test_simulate_and_power_run_the_same_durations(tmp_path, capsys):
     # 1.01 s is whole milliseconds, 1.0005 s is not; neither is whole 25 Hz samples
-    out = ["--out", str(tmp_path / "s.raw")]
+    capture = str(tmp_path / "s.raw")
+    out = ["--out", capture]
     assert run_cli(capsys, "simulate", "--duration", "1.01", *out)[0] == 0
     assert run_cli(capsys, "power", "--duration", "1.01")[0] == 0
     message = "respsim: config error: duration_s=1.0005 is not a whole number of milliseconds\n"
     assert run_cli(capsys, "simulate", "--duration", "1.0005", *out)[::2] == (1, message)
     assert run_cli(capsys, "power", "--duration", "1.0005")[::2] == (1, message)
+    # analyze reads no duration, but rejects the ones the others reject
+    assert run_cli(capsys, "analyze", capture, "--duration", "1.01")[0] == 0
+    assert run_cli(capsys, "analyze", capture, "--duration", "1.0005")[::2] == (1, message)
 
 
 @pytest.mark.parametrize("duration", ["inf", "1e308"])
@@ -178,8 +182,14 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     ("battery:\n  ocv_points: [[0, 3.3]]\n",
      "battery.ocv_points: OcvCurve needs at least two points"),
     ("battery:\n  sense_ratio: 0.6\n",
-     "battery.sense_ratio: sense output 2.5200 V exceeds ADC reference 1.8 V "
-     "(v_batt=4.2, ratio=0.6)"),
+     "sense_ratio=0.6 must be in (0, 1) and scale the full-charge 4.2 V of ocv_points "
+     "to at most adc.v_ref=1.8 V"),
+    ("adc:\n  v_ref: 1.0\n",
+     "sense_ratio=0.4 must be in (0, 1) and scale the full-charge 4.2 V of ocv_points "
+     "to at most adc.v_ref=1.0 V"),
+    ("battery:\n  ocv_points: [[0, 3.3], [1, 4.6]]\n",
+     "sense_ratio=0.4 must be in (0, 1) and scale the full-charge 4.6 V of ocv_points "
+     "to at most adc.v_ref=1.8 V"),
     ("power:\n  preset: [1]\n", "power.preset: expected a string, got list"),
 ])
 def test_config_errors_name_their_key(tmp_path, capsys, text, message):

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import json
+import math
 import re
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +22,12 @@ from respsim.config import (
     from_dict,
     load_config,
 )
-from respsim.firmware import DeviceModel
+from respsim.firmware import DeviceModel, FirmwareConfig
 from respsim.pipeline import AnalysisConfig
 from respsim.power import PRESETS
-from respsim.sensor import POSTURES, AdcConfig, ParameterError
+from respsim.sensor import (
+    POSTURES, AdcConfig, DividerConfig, FsrModel, OcvCurve, ParameterError,
+)
 
 
 def write(tmp_path, text):
@@ -61,7 +65,7 @@ def test_seed_is_a_whole_number_at_least_zero(tmp_path):
     # a file's NaN is caught as a non-finite number, one built in code by the seed rule
     with pytest.raises(ConfigError, match=r"^seed: expected a finite number, got nan$"):
         load_config(write(tmp_path, "seed: .nan\n"))
-    with pytest.raises(ConfigError, match=r"^seed must be a whole number >= 0, got nan$"):
+    with pytest.raises(ParameterError, match=r"^seed must be a whole number >= 0, got nan$"):
         SessionConfig(seed=float("nan"))
     cfg = from_dict({"seed": 2.0})
     assert cfg.seed == 2 and type(cfg.seed) is int
@@ -253,23 +257,77 @@ def test_whole_float_adc_bits_run_as_int():
     assert type(adc.bits) is int
 
 
-@pytest.mark.parametrize("build, error, match", [
-    (lambda: ScenarioConfig(amplitude_n=9.0), ConfigError, "amplitude_n"),
-    (lambda: ScenarioConfig(breathing=()), ConfigError, "breathing: the schedule is empty"),
-    (lambda: DeviceModel(adc=AdcConfig(bits=13)), ParameterError, "adc.bits=13"),
-    (lambda: DeviceModel(capacity_mah=float("nan")), ParameterError, "capacity_mah"),
-    (lambda: DeviceModel(capacity_mah=float("inf")), ParameterError, "capacity_mah"),
-    (lambda: DeviceModel(nominal_v=float("nan")), ParameterError, "nominal_v"),
-    (lambda: DeviceModel(nominal_v=float("inf")), ParameterError, "nominal_v"),
-    (lambda: SessionConfig(adc=AdcConfig(bits=14)), ParameterError, "adc.bits=14"),
-    (lambda: dataclasses.replace(SessionConfig(), duration_s=float("nan")), ConfigError,
-     "duration_s"),
+@pytest.mark.parametrize("build, match", [
+    (lambda: ScenarioConfig(amplitude_n=9.0), "amplitude_n"),
+    (lambda: ScenarioConfig(breathing=()), "breathing: the schedule is empty"),
+    (lambda: DeviceModel(adc=AdcConfig(bits=13)), "adc.bits=13"),
+    (lambda: DeviceModel(capacity_mah=float("nan")), "capacity_mah"),
+    (lambda: DeviceModel(capacity_mah=float("inf")), "capacity_mah"),
+    (lambda: DeviceModel(nominal_v=float("nan")), "nominal_v"),
+    (lambda: DeviceModel(nominal_v=float("inf")), "nominal_v"),
+    (lambda: SessionConfig(adc=AdcConfig(bits=14)), "adc.bits=14"),
+    (lambda: dataclasses.replace(SessionConfig(), duration_s=float("nan")), "duration_s"),
+    (lambda: SessionConfig(duration_s=0.0005), "duration_s=0.0005 is not a whole number"),
+    (lambda: FsrModel(k_ohm_n=math.inf), "k_ohm_n"),
+    (lambda: FsrModel(r_max_ohm=math.inf), "r_max_ohm"),
+    (lambda: DividerConfig(v_dd=math.inf), "v_dd"),
+    (lambda: DividerConfig(r_fixed_ohm=math.inf), "r_fixed_ohm"),
+    (lambda: AdcConfig(v_ref=math.inf), "v_ref"),
+    (lambda: AnalysisConfig(window_s=math.inf), "window_s"),
+    (lambda: AnalysisConfig(apnea_timeout_s=math.inf), "apnea_timeout_s"),
+    (lambda: ScenarioConfig(noise_sd_n=math.inf), "noise_sd_n"),
+    (lambda: ScenarioConfig(amplitude_n=math.inf, baseline_n=math.inf), "amplitude_n"),
+    (lambda: ScenarioConfig(breathing=(BreathSegment(0, 15), BreathSegment(math.inf, 20))),
+     "breathing: segment starts"),
+    (lambda: ScenarioConfig(posture=(PostureSegment(0, "still"),
+                                     PostureSegment(float("nan"), "shift"))),
+     "posture: segment starts"),
+    (lambda: OcvCurve(((0, 3.3), (1, math.inf))), "voltages"),
+    (lambda: OcvCurve(((0, 3.3), (float("nan"), 3.8), (1, 4.2))), "soc values"),
+    (lambda: OcvCurve(((0, -1.0), (1, 4.2))), "voltages"),
 ], ids=["amplitude", "empty-schedule", "device-adc", "device-nan-capacity",
         "device-inf-capacity", "device-nan-voltage", "device-inf-voltage", "session-adc",
-        "replace-duration"])
-def test_invalid_config_is_rejected_at_construction(build, error, match):
-    with pytest.raises(error, match=match):
+        "replace-duration", "fraction-of-a-ms", "fsr-inf-k", "fsr-inf-r-max",
+        "divider-inf-v-dd", "divider-inf-r-fixed", "adc-inf-v-ref", "analysis-inf-window",
+        "analysis-inf-apnea", "scenario-inf-noise", "scenario-inf-force",
+        "schedule-inf-start", "schedule-nan-start", "ocv-inf-voltage",
+        "ocv-nan-soc", "ocv-negative-voltage"])
+def test_invalid_config_is_rejected_at_construction(build, match):
+    with pytest.raises(ParameterError, match=match):
         build()
+
+
+# one default of every dataclass that holds a numeric rule; OcvCurve's
+# numbers are its points, so it has three here for a middle one
+RULED = (FsrModel(), DividerConfig(), AdcConfig(),
+         OcvCurve(((0.0, 3.3), (0.5, 3.8), (1.0, 4.2))), AnalysisConfig(), ScenarioConfig(),
+         BatteryConfig(), PRESETS["abstract-claim"], DeviceModel(), FirmwareConfig(),
+         SessionConfig())
+SECTIONS = {hint: name for name, hint in typing.get_type_hints(SessionConfig).items()
+            if dataclasses.is_dataclass(hint)}
+
+
+def numeric_fields(obj) -> list[str]:
+    hints = typing.get_type_hints(type(obj))
+    return [f.name for f in dataclasses.fields(obj) if hints[f.name] in (int, float)]
+
+
+@settings(deadline=None)
+@pytest.mark.parametrize("default", RULED, ids=lambda obj: type(obj).__name__)
+@given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_numbers_built_in_code_raise_parameter_error(default, data, bad):
+    with pytest.raises(ParameterError):
+        if isinstance(default, OcvCurve):
+            points = [list(point) for point in default.points]
+            points[data.draw(st.integers(0, 2))][data.draw(st.integers(0, 1))] = bad
+            OcvCurve(tuple(map(tuple, points)))
+        else:
+            built = dataclasses.replace(
+                default, **{data.draw(st.sampled_from(numeric_fields(default))): bad})
+            # a section's rules that span sections (DeviceModel's,
+            # PowerProfile's) run when the session holding it is built
+            if type(built) in SECTIONS:
+                SessionConfig(**{SECTIONS[type(built)]: built})
 
 
 @st.composite
@@ -307,7 +365,7 @@ def session_configs(draw):
         f.name: draw(st.floats(0.01, 1000)) for f in dataclasses.fields(AnalysisConfig)
     })
     return SessionConfig(
-        duration_s=draw(st.floats(0, 3600)),
+        duration_s=draw(st.integers(0, 3_600_000)) / 1000,
         seed=draw(st.integers(0, 2**32)),
         scenario=scenario, battery=battery, power=power, analysis=analysis,
     )

@@ -12,7 +12,6 @@ from respsim.power import (
     UW_MS_PER_MWH,
     PowerProfile,
     Timeline,
-    ZeroPowerError,
     accumulate,
     battery_life_hours,
     uniform_profile,
@@ -76,11 +75,11 @@ def test_battery_life_scales_linearly_with_capacity():
 
 
 def test_battery_life_rejects_zero_power():
-    with pytest.raises(ZeroPowerError):
+    with pytest.raises(ParameterError):
         battery_life_hours(0.0)
-    with pytest.raises(ZeroPowerError):
+    with pytest.raises(ParameterError):
         battery_life_hours(-5.0)
-    with pytest.raises(ZeroPowerError):
+    with pytest.raises(ParameterError):
         battery_life_hours(math.nan)
 
 

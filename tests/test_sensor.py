@@ -15,7 +15,6 @@ from respsim.sensor import (
     LINEAR_OCV,
     OcvCurve,
     ParameterError,
-    SenseRangeError,
     adc_quantize,
     adc_to_voltage,
     battery_sense_voltage,
@@ -230,7 +229,7 @@ def test_battery_sense_empty():
 
 def test_battery_sense_rejects_overrange_output():
     # a 0.5 ratio would push 4.2 V to 2.1 V, past the 1.8 V reference
-    with pytest.raises(SenseRangeError):
+    with pytest.raises(ParameterError):
         battery_sense_voltage(4.2, ratio=0.5)
 
 
