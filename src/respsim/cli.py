@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 I/O error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -186,7 +187,7 @@ def _frame_to_dict(frame) -> dict:
         "flags": frame.flags,
         "final_flush": frame.final_flush,
         "charging": frame.charging,
-        **vars(frame.payload),
+        **dataclasses.asdict(frame.payload),
     }
 
 
@@ -219,6 +220,7 @@ def cmd_analyze(args) -> int:
     if data and not frames:
         print("no decodable frames in input", file=sys.stderr)
         return EXIT_CORRUPT
+    del data  # the frames hold all of it that the analysis reads
     result = pipeline.analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware)
     summary = pipeline.summarize(result)
     summary["resyncs"] = len(resyncs)

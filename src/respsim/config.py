@@ -138,31 +138,42 @@ class SessionConfig:
             ocv = OcvCurve(self.battery.ocv_points)
         except ParameterError as e:
             raise ParameterError(f"battery.ocv_points: {e}") from e
-        return DeviceModel(
-            fsr=self.fsr,
-            divider=self.divider,
-            adc=self.adc,
-            ocv=ocv,
-            sense_ratio=self.battery.sense_ratio,
-            capacity_mah=self.battery.capacity_mah,
-            nominal_v=self.battery.nominal_v,
-        )
+        try:
+            return DeviceModel(
+                fsr=self.fsr,
+                divider=self.divider,
+                adc=self.adc,
+                ocv=ocv,
+                sense_ratio=self.battery.sense_ratio,
+                capacity_mah=self.battery.capacity_mah,
+                nominal_v=self.battery.nominal_v,
+            )
+        except ParameterError as e:
+            # DeviceModel's rule for these two names each bare, and both
+            # are battery keys; its other rules name their keys already
+            if str(e).startswith(("capacity_mah ", "nominal_v ")):
+                raise ParameterError(f"battery.{e}") from e
+            raise
 
     def power_profile(self) -> PowerProfile:
         p = self.power
         custom = (p.p_idle_uw, p.p_active_uw, p.p_radio_uw)
-        if any(v is not None for v in custom):
-            if not all(v is not None for v in custom):
-                raise ConfigError(
-                    "power: custom profiles need all of p_idle_uw, p_active_uw, p_radio_uw"
-                )
-            return PowerProfile(p.p_idle_uw, p.p_active_uw, p.p_radio_uw, p.tx_ms_per_frame)
-        if p.preset not in PRESETS:
+        if any(v is not None for v in custom) and not all(v is not None for v in custom):
+            raise ConfigError(
+                "power: custom profiles need all of p_idle_uw, p_active_uw, p_radio_uw"
+            )
+        if p.p_idle_uw is None and p.preset not in PRESETS:
             raise ParameterError(
                 f"power.preset: unknown preset {p.preset!r}, "
                 f"expected one of {sorted(PRESETS)}"
             )
-        return dataclasses.replace(PRESETS[p.preset], tx_ms_per_frame=p.tx_ms_per_frame)
+        try:
+            if p.p_idle_uw is None:
+                return dataclasses.replace(PRESETS[p.preset], tx_ms_per_frame=p.tx_ms_per_frame)
+            return PowerProfile(*custom, p.tx_ms_per_frame)
+        except ParameterError as e:
+            # every PowerProfile field is a key of the power section
+            raise ParameterError(f"power.{e}") from e
 
 
 @functools.cache

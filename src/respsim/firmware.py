@@ -157,8 +157,10 @@ class DeviceModel:
     nominal_v: float = 3.7
 
     def __post_init__(self) -> None:
-        if not (0 < self.capacity_mah < math.inf and 0 < self.nominal_v < math.inf):
-            raise ParameterError("capacity_mah and nominal_v must be positive and finite")
+        for name in ("capacity_mah", "nominal_v"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
         # the full-charge rail, the last OCV point, must fit the ADC front end
         if not (0 < self.sense_ratio < 1 and self.ocv.v_max * self.sense_ratio <= self.adc.v_ref):
             raise ParameterError(

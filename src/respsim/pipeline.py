@@ -26,7 +26,6 @@ from operator import itemgetter
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .firmware import DeviceModel, FirmwareConfig
 from .protocol import FrameKind, TelemetryFrame
@@ -37,6 +36,19 @@ log = logging.getLogger("respsim.pipeline")
 
 class InsufficientDataError(ValueError):
     """Not enough signal to run the requested analysis step."""
+
+
+def _median(values) -> float:
+    """``np.median`` of a non-empty 1-D input without NaN, bit for bit.
+
+    The same mean of the middle one or two values after a partition, but
+    without ``np.median``'s NaN check of float input, which imports
+    ``numpy.ma`` on first use.
+    """
+    a = np.asarray(values)
+    half, odd = divmod(a.size, 2)
+    kth = [half] if odd else [half - 1, half]
+    return float(np.mean(np.partition(a, kth)[half - 1 + odd:half + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -116,24 +128,30 @@ def _batch_rows(
     ``fallback_period_ms`` with fewer than two distinct ones, and sample j
     of a batch lies at ``round(t0 + j * period)``: numpy rounds half to even,
     as round() does.  Both sorts are stable, so batches and samples with
-    equal instants keep receive order.
+    equal instants keep receive order; rows already in time order are
+    returned as built, since a stable sort leaves them so.
     """
     batches = sorted(batches, key=itemgetter(0))
     deltas = [(t1 - t0) / len(samples)
               for (t0, samples), (t1, _) in zip(batches, batches[1:]) if samples and t1 > t0]
-    period_ms = float(np.median(deltas)) if deltas else float(fallback_period_ms)
+    period_ms = _median(deltas) if deltas else float(fallback_period_ms)
     counts = np.array([len(samples) for _, samples in batches], dtype=np.int64)
     t0 = np.repeat(np.array([t0 for t0, _ in batches], dtype=np.int64), counts)
     j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     rows = np.zeros(t0.size, dtype=dtype)
     rows["t_ms"] = np.round(t0 + j * period_ms)
+    del t0, j  # each temporary of the series' length raises peak memory
     values = chain.from_iterable(samples for _, samples in batches)
     if len(fields) > 1:
         values = chain.from_iterable(values)
     matrix = np.fromiter(values, dtype=np.int64, count=rows.size * len(fields))
     for name, column in zip(fields, matrix.reshape(-1, len(fields)).T):
         rows[name] = column
-    return rows[np.argsort(rows["t_ms"], kind="stable")], period_ms
+    del matrix
+    t = rows["t_ms"]
+    if (t[1:] >= t[:-1]).all():
+        return rows, period_ms
+    return rows[np.argsort(t, kind="stable")], period_ms
 
 
 @dataclass
@@ -233,7 +251,7 @@ def detect_breaths(
         raise InsufficientDataError("times and values must align")
     if t.size < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {t.size}")
-    period_ms = float(np.median(np.diff(t)))
+    period_ms = _median(np.diff(t))
     if period_ms <= 0:
         raise InsufficientDataError("timestamps must be strictly increasing")
     fs = 1000.0 / period_ms
@@ -255,10 +273,79 @@ def detect_breaths(
     # noise-sized prominence, so the prominence gate removes them without
     # touching real peaks (whose prominence is the full breath swing).
     threshold = hysteresis_fraction * p2p
-    peaks, _ = find_peaks(
-        detrended, height=threshold, distance=distance, prominence=threshold
-    )
-    return t[peaks]
+    return t[_find_peaks(detrended, threshold, distance, threshold)]
+
+
+def _find_peaks(x: np.ndarray, height: float, distance: int, prominence: float) -> np.ndarray:
+    """``scipy.signal.find_peaks(x, height=, distance=, prominence=)[0]`` for finite ``x``.
+
+    The same filters, in scipy's order and with its tie rules:
+
+    - *local maxima*: a run of equal samples higher than the samples on
+      both sides of it is one peak, at the run's midpoint rounded down;
+    - *height*: ``x[peak] >= height``;
+    - *distance*: peaks are taken highest first, in ``np.argsort`` order as
+      scipy takes them, and each one kept drops the others closer than
+      ``distance`` samples;
+    - *prominence*: the peak's height over the higher of its two bases.
+      A base is the lowest sample met walking outward from the peak until
+      a higher sample or the end of the signal.
+
+    No walk is taken sample by sample.  A walk stops at the slope of a
+    local maximum higher than the peak, and every such maximum passed the
+    height filter, so a base is the lowest sample between the peak and
+    the nearest higher height-passing maximum on that side, or the end.
+    One ``reduceat`` takes the lowest sample between each pair of
+    neighbouring candidates, and sparse tables over the candidates' heights
+    and those lows let all walks step outward by powers of two at once,
+    so the cost grows with the length of ``x``, not with length × peaks.
+    """
+    change = np.empty(x.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(x[1:], x[:-1], out=change[1:])
+    starts = np.flatnonzero(change)  # where each run of equal samples starts
+    runs = x[starts]
+    top = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
+    peaks = (starts[top] + starts[top + 1] - 1) // 2
+    peaks = peaks[x[peaks] >= height]
+    heights = x[peaks]
+
+    first = np.searchsorted(peaks, peaks - distance, side="right").tolist()
+    stop = np.searchsorted(peaks, peaks + distance, side="left").tolist()
+    keep = [True] * peaks.size
+    for j in np.argsort(heights)[::-1].tolist():
+        if keep[j]:
+            keep[first[j]:j] = [False] * (j - first[j])
+            keep[j + 1:stop[j]] = [False] * (stop[j] - j - 1)
+    kept = np.flatnonzero(keep)
+    if kept.size == 0:
+        return kept
+
+    # lows[i] is the lowest sample from candidate i - 1 to candidate i; lows[0]
+    # reaches back to the start and lows[-1] on to the end
+    lows = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    # level k: the highest candidate and the lowest low in each run of 2**k
+    highest, lowest = [heights], [lows]
+    while 2 ** len(highest) <= peaks.size:
+        step = 2 ** (len(highest) - 1)
+        highest.append(np.maximum(highest[-1][:-step], highest[-1][step:]))
+        lowest.append(np.minimum(lowest[-1][:-step], lowest[-1][step:]))
+    h = heights[kept]
+    # candidates kept[i] - lo .. kept[i] - 1 and kept[i] + 1 .. hi are no higher
+    # than the peak; left_base and right_base are the lows over those spans
+    lo, hi = kept.copy(), kept.copy()
+    left_base, right_base = lows[kept], lows[kept + 1]
+    for k in reversed(range(len(highest))):
+        step = 2 ** k
+        at = np.maximum(lo - step, 0)
+        ok = (lo >= step) & (highest[k][at] <= h)
+        np.minimum(left_base, lowest[k][at], out=left_base, where=ok)
+        lo[ok] -= step
+        at = np.minimum(hi + 1, highest[k].size - 1)
+        ok = (hi + step < peaks.size) & (highest[k][at] <= h)
+        np.minimum(right_base, lowest[k][at + 1], out=right_base, where=ok)
+        hi[ok] += step
+    return peaks[kept[h - np.maximum(left_base, right_base) >= prominence]]
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +407,16 @@ def detect_motion_artifacts(
     if len(samples) == 0:
         return ArtifactMask()
     t = samples["t_ms"]
-    x, y, z = (samples[axis].astype(np.float64) for axis in ("x_mg", "y_mg", "z_mg"))
-    mag = np.sqrt(x ** 2 + y ** 2 + z ** 2)
-    hot = np.abs(mag - 1000.0) > threshold_mg
-    period_ms = float(np.median(np.diff(t))) if t.size > 1 else fallback_period_ms
+    # sqrt(x**2 + y**2 + z**2) - 1000, built in one float buffer in that order
+    mag = np.square(samples["x_mg"], dtype=np.float64)
+    square = np.empty_like(mag)
+    for axis in ("y_mg", "z_mg"):
+        mag += np.square(samples[axis], out=square, dtype=np.float64)
+    del square
+    np.sqrt(mag, out=mag)
+    mag -= 1000.0
+    hot = np.abs(mag, out=mag) > threshold_mg
+    period_ms = _median(np.diff(t)) if t.size > 1 else fallback_period_ms
     intervals: list[tuple[int, int]] = []
     edges = np.flatnonzero(np.diff(np.concatenate(([False], hot, [False])).astype(np.int8)))
     for start_idx, stop_idx in zip(edges[::2], edges[1::2]):
@@ -374,7 +467,7 @@ def estimate_rate(
 
     if len(accepted) >= 2:
         intervals = np.diff(accepted)
-        rate = 60000.0 / float(np.median(intervals))
+        rate = 60000.0 / _median(intervals)
     elif len(accepted) == 1:
         rate = 60000.0 / window_ms
     else:
@@ -552,7 +645,7 @@ def summarize(result: SessionAnalysis) -> dict:
         "accel_samples": len(series.accel),
         "battery_reports": len(series.battery),
         "breaths_detected": int(result.breaths.size),
-        "median_rate_bpm": float(np.median(rates)) if rates else 0.0,
+        "median_rate_bpm": _median(rates) if rates else 0.0,
         "artifact_intervals": len(result.artifacts.intervals),
         "artifact_ms": float(result.artifacts.total_ms),
         "alerts": [

@@ -54,12 +54,16 @@ class Timeline:
     @classmethod
     def from_ticks(cls, states: np.ndarray, tick_ms: int) -> "Timeline":
         """Run-length encode one ``int8`` state code per tick, starting at t=0."""
-        change = np.ones(states.size, dtype=bool)
-        change[1:] = states[1:] != states[:-1]
-        first = np.flatnonzero(change)
+        # an interval starts at tick 0 and wherever the state changes, and
+        # the last one ends after the last tick
+        change = np.ones(states.size + 1, dtype=bool)
+        np.not_equal(states[1:], states[:-1], out=change[1:-1])
         # the edges of every interval; starts and ends are views of them
-        edges = np.append(first, states.size).astype(np.int64, copy=False) * tick_ms
-        return cls(states[first], edges[:-1], edges[1:])
+        edges = np.flatnonzero(change).astype(np.int64, copy=False)
+        del change
+        first_states = states[edges[:-1]]
+        edges *= tick_ms
+        return cls(first_states, edges[:-1], edges[1:])
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,13 @@ class PowerProfile:
 
     def __post_init__(self) -> None:
         for name in ("p_idle_uw", "p_active_uw", "p_radio_uw"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
         if self.tx_ms_per_frame < 0 or self.tx_ms_per_frame % 1 != 0:
-            raise ParameterError("tx_ms_per_frame must be a whole number >= 0")
+            raise ParameterError(
+                f"tx_ms_per_frame must be a whole number >= 0, got {self.tx_ms_per_frame}"
+            )
         object.__setattr__(self, "tx_ms_per_frame", int(self.tx_ms_per_frame))
 
     def state_powers_uw(self) -> np.ndarray:
@@ -133,7 +140,9 @@ def accumulate(
     interval_mwh *= durations
     interval_mwh /= UW_MS_PER_MWH
     # sequential, like adding interval by interval; np.sum would add pairwise
-    energy_mwh = float(np.cumsum(interval_mwh)[-1]) if durations.size else 0.0
+    np.cumsum(interval_mwh, out=interval_mwh)
+    energy_mwh = float(interval_mwh[-1]) if durations.size else 0.0
+    del interval_mwh
     total_ms = int(durations.sum())
     ms_by_state = {state: int(durations[states == code].sum())
                    for code, state in enumerate(ACTIVITY_STATES)}

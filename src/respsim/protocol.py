@@ -132,7 +132,7 @@ def _batch_head(raw: bytes, kind: FrameKind, name: str) -> tuple[int, int]:
     return t0, count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FsrBatchPayload:
     """Batch of consecutive FSR ADC codes starting at ``t0_ms``."""
 
@@ -150,7 +150,7 @@ class FsrBatchPayload:
         return cls(t0, struct.unpack_from(f"<{count}H", raw, _BATCH_HEAD.size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccelBatchPayload:
     """Batch of (x, y, z) milli-g triples starting at ``t0_ms``."""
 
@@ -167,7 +167,7 @@ class AccelBatchPayload:
         return cls(t0, tuple(_XYZ.iter_unpack(raw[_BATCH_HEAD.size:])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatteryStatusPayload:
     """Battery measurement: raw sense-divider ADC code plus device percent."""
 
@@ -199,7 +199,7 @@ _KINDS: dict[int, FrameKind] = {int(kind): kind for kind in FrameKind}
 # frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TelemetryFrame:
     """One frame as a record; :func:`encode` and :func:`decode` check it."""
 

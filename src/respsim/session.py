@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng  # numpy loads it lazily; load it here, not mid-command
 
 from .config import ScenarioConfig, SessionConfig
 from .firmware import ArrayStimulus, FirmwareEmulator, encode_session
@@ -104,7 +105,7 @@ def synthesize_force(cfg: SessionConfig) -> list[ForceSample]:
 
     force = sc.baseline_n + sc.amplitude_n * np.sin(phase)
     if sc.noise_sd_n > 0:
-        rng = np.random.default_rng([cfg.seed, 0])
+        rng = default_rng([cfg.seed, 0])
         force = force + rng.normal(0.0, sc.noise_sd_n, t_ms.size)
     force = np.maximum(force, 0.0)
     return [ForceSample(int(t), float(f)) for t, f in zip(t_ms, force)]
@@ -122,7 +123,7 @@ def synthesize_accel(cfg: SessionConfig) -> np.ndarray:
         shift_at = (start + (end - start) / 2.0) * 1000.0
         base[sel] = _posture_base_mg(seg.posture, t_ms[sel], shift_at_ms=shift_at)
     if sc.accel_noise_sd_mg > 0:
-        rng = np.random.default_rng([cfg.seed, 1])
+        rng = default_rng([cfg.seed, 1])
         base = base + rng.normal(0.0, sc.accel_noise_sd_mg, (n, 3))
     mg = np.clip(np.floor(base + 0.5).astype(np.int64), -FULL_SCALE_MG, FULL_SCALE_MG)
     rows = np.empty(n, dtype=ACCEL_DTYPE)
@@ -158,6 +159,8 @@ def run_session(cfg: SessionConfig) -> SessionResult:
         charging=cfg.battery.charging,
     )
     frames = emulator.run(stimulus, cfg.duration_s)
+    force_count = len(force_samples)
+    del stimulus, force_samples  # the stimulus is spent; free it before encoding
     data = encode_session(frames)
 
     report = accumulate(
@@ -177,7 +180,7 @@ def run_session(cfg: SessionConfig) -> SessionResult:
         "counts": {
             "frames": len(frames),
             "bytes": len(data),
-            "force_samples": len(force_samples),
+            "force_samples": force_count,
             "accel_samples": len(accel_rows),
             "battery_reports": len(emulator.battery_log),
         },

@@ -5,8 +5,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 import typing
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import respsim
 from respsim.cli import EXIT_IO, main
 from respsim.config import SessionConfig, apply_overrides, from_dict, load_config
 from respsim.session import read_truth
@@ -191,6 +195,9 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
      "sense_ratio=0.4 must be in (0, 1) and scale the full-charge 4.6 V of ocv_points "
      "to at most adc.v_ref=1.8 V"),
     ("power:\n  preset: [1]\n", "power.preset: expected a string, got list"),
+    ("battery:\n  capacity_mah: 0\n", "battery.capacity_mah must be positive and finite, got 0"),
+    ("power:\n  tx_ms_per_frame: -1\n",
+     "power.tx_ms_per_frame must be a whole number >= 0, got -1"),
 ])
 def test_config_errors_name_their_key(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.yaml"
@@ -640,3 +647,29 @@ def test_power_zero_duration(capsys, tmp_path):
         assert report["energy_mwh"] == 0.0
         assert report["average_power_uw"] == 0.0
         assert report["projected_battery_life_h"] == float("inf")
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+NO_SCIPY = """
+import json, sys
+import respsim.cli
+assert "scipy" not in sys.modules, "import respsim.cli"
+for argv in json.loads(sys.argv[1]):
+    assert respsim.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh interpreter, since this one may hold scipy for other tests
+    capture = str(tmp_path / "s.raw")
+    commands = [["simulate", "--duration", "30", "--out", capture],
+                ["analyze", capture, "--out", str(tmp_path / "a.csv")],
+                ["power", "--duration", "30"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(respsim.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

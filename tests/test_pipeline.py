@@ -217,6 +217,38 @@ def test_detect_breaths_rate_sweep(bpm):
     assert rate == pytest.approx(bpm, abs=1.0)
 
 
+@pytest.mark.parametrize("x, expected", [
+    ([0, 1, 3, 3, 3, 3, 1, 0], [3]),        # a flat top: its midpoint, rounded down
+    ([0, 2, 2, 2, 0], [2]),
+    ([3, 3, 1, 2, 2], []),                  # a run touching either end is no peak
+    ([0, 2, 1.5, 3, 0], [3]),               # the walk from 2 stops at 3: it rises 0.5
+    ([0, 5, 4, 4.5, 4, 5, 0], [1, 5]),      # the middle wiggle rises 0.5
+    ([], []),
+    ([1], []),
+])
+def test_find_peaks_rules(x, expected):
+    peaks = pipeline._find_peaks(np.array(x, dtype=np.float64), 0.0, 1, 1.0)
+    assert peaks.tolist() == expected
+
+
+def test_find_peaks_keeps_the_highest_of_close_peaks():
+    x = np.array([0, 3, 0, 4, 0, 2, 0, 0, 0, 1, 0], dtype=np.float64)
+    assert pipeline._find_peaks(x, 0.0, 3, 0.0).tolist() == [3, 9]
+    assert pipeline._find_peaks(x, 1.5, 1, 0.0).tolist() == [1, 3, 5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([np.int64, np.float64]), st.integers(0, 20), st.booleans())
+def test_median_is_numpys_bit_for_bit(data, dtype, half, odd):
+    n = 2 * half + 1 if odd else 2 * half + 2
+    element = (st.integers(-10**12, 10**12) if dtype is np.int64
+               else st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0]))
+    values = np.array(data.draw(st.lists(element, min_size=n, max_size=n)), dtype=dtype)
+    expected = float(np.median(values))
+    assert np.float64(pipeline._median(values)).tobytes() == np.float64(expected).tobytes()
+    assert pipeline._median(values.tolist()) == expected
+
+
 # ---------------------------------------------------------------------------
 # motion artifacts
 # ---------------------------------------------------------------------------
