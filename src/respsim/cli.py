@@ -17,6 +17,7 @@ import sys
 import time
 
 from . import pipeline
+from ._output import open_output
 from .config import ConfigError, SessionConfig, apply_overrides, load_config
 from .firmware import schedule_timeline
 from .power import PRESETS, accumulate
@@ -170,7 +171,7 @@ def _stream_listen(args) -> int:
                 chunks.append(chunk)
     data = b"".join(chunks)
     if args.out:
-        with open(args.out, "wb") as fp:
+        with open_output(args.out, "wb") as fp:
             fp.write(data)
     frames, resyncs, pending = split_stream(data)
     print(f"received {len(data)} bytes from {peer[0]}:{peer[1]}: "
@@ -195,7 +196,7 @@ def cmd_decode(args) -> int:
     with open(args.input, "rb") as fp:
         data = fp.read()
     frames, resyncs, pending = split_stream(data)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    out = open_output(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for frame in frames:
             out.write(json.dumps(_frame_to_dict(frame), sort_keys=True) + "\n")
@@ -294,7 +295,7 @@ def cmd_power(args) -> int:
                 "battery_life_h_low": life_lo, "battery_life_h_high": life_hi,
             },
         }
-        with open(args.out, "w", encoding="utf-8") as fp:
+        with open_output(args.out, "w", encoding="utf-8") as fp:
             json.dump(payload, fp, indent=2, sort_keys=True)
             fp.write("\n")
     return EXIT_OK

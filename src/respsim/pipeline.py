@@ -27,6 +27,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from ._output import open_output
 from .firmware import DeviceModel, FirmwareConfig
 from .protocol import FrameKind, TelemetryFrame
 from .sensor import ACCEL_DTYPE, ParameterError, adc_to_voltage
@@ -550,7 +551,7 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
             if not (0 < value < math.inf):
-                raise ParameterError(f"{name} must be > 0, got {value}")
+                raise ParameterError(f"{name} must be finite and > 0, got {value}")
         if not (self.window_s * 1000 >= 1):
             raise ParameterError(f"window_s must be at least 1 ms, got {self.window_s}")
 
@@ -839,7 +840,7 @@ def export(result: SessionAnalysis, path: str, fmt: str = "csv") -> int:
     """Export to a file path in ``csv`` or ``jsonl`` format."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown export format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fp:
+    with open_output(path, "w", encoding="utf-8", newline="") as fp:
         if fmt == "csv":
             return export_csv(result, fp)
         return export_jsonl(result, fp)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng  # numpy loads it lazily; load it here, not mid-command
 
+from ._output import open_output
 from .config import ScenarioConfig, SessionConfig
 from .firmware import ArrayStimulus, FirmwareEmulator, encode_session
 from .power import accumulate
@@ -193,14 +194,16 @@ def write_capture(path: str, result: SessionResult) -> str:
 
     Returns the sidecar path.  Serialization is fully deterministic
     (sorted keys, fixed separators) so identical configs produce
-    byte-identical files.
+    byte-identical files.  The last run's sidecar is gone before the
+    capture is touched, so a capture that fails part-way is never paired
+    with an old truth: it sits beside an empty sidecar.
     """
-    with open(path, "wb") as fp:
-        fp.write(result.data)
     sidecar = truth_path(path)
-    with open(sidecar, "w", encoding="utf-8") as fp:
-        json.dump(result.truth, fp, sort_keys=True, indent=2)
-        fp.write("\n")
+    with open_output(sidecar, "w", encoding="utf-8") as truth_fp:
+        with open_output(path, "wb") as fp:
+            fp.write(result.data)
+        json.dump(result.truth, truth_fp, sort_keys=True, indent=2)
+        truth_fp.write("\n")
     return sidecar
 
 

@@ -673,3 +673,146 @@ def test_no_command_imports_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+# argv that writes to ``out``, given a short capture as input
+WRITERS = {
+    "simulate": lambda capture, out: ["simulate", "--duration", "20", "--out", out],
+    "analyze-csv": lambda capture, out: ["analyze", capture, "--out", out],
+    "analyze-jsonl": lambda capture, out: ["analyze", capture, "--out", out,
+                                           "--format", "jsonl"],
+    "power": lambda capture, out: ["power", "--duration", "20", "--out", out],
+    "decode": lambda capture, out: ["decode", capture, "--out", out],
+}
+
+
+def outputs(command, out):
+    """Every file that ``command`` writes for ``--out out``."""
+    return [out, out + ".truth.json"] if command == "simulate" else [out]
+
+
+@pytest.fixture()
+def short_capture(tmp_path, capsys):
+    capture = str(tmp_path / "input.raw")
+    assert main(["simulate", "--duration", "20", "--out", capture]) == 0
+    capsys.readouterr()
+    return capture
+
+
+def write_output(capsys, command, capture, out):
+    code = main(WRITERS[command](capture, out))
+    capsys.readouterr()
+    return code
+
+
+def fresh_bytes(tmp_path, capsys, command, capture):
+    out = str(tmp_path / "fresh.out")
+    assert write_output(capsys, command, capture, out) == 0
+    return [Path(p).read_bytes() for p in outputs(command, out)]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_overwriting_an_output_gives_the_bytes_of_a_fresh_write(
+        tmp_path, capsys, short_capture, command):
+    fresh = fresh_bytes(tmp_path, capsys, command, short_capture)
+    out = str(tmp_path / "reused.out")
+    for path, data in zip(outputs(command, out), fresh):
+        Path(path).write_bytes(b"stale\n" + data)  # longer than the new output
+    assert write_output(capsys, command, short_capture, out) == 0
+    assert [Path(p).read_bytes() for p in outputs(command, out)] == fresh
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_regular_output_is_replaced_by_a_new_file(tmp_path, capsys, short_capture, command):
+    paths = outputs(command, str(tmp_path / "o.out"))
+    for path in paths:
+        Path(path).write_bytes(b"old bytes\n")
+    inodes = [os.stat(p).st_ino for p in paths]
+    readers = [open(p, "rb") for p in paths]
+    try:
+        assert write_output(capsys, command, short_capture, paths[0]) == 0
+        assert all(os.stat(p).st_ino != inode for p, inode in zip(paths, inodes))
+        # the old file lives on for whoever has it open
+        assert [fp.read() for fp in readers] == [b"old bytes\n"] * len(paths)
+    finally:
+        for fp in readers:
+            fp.close()
+    assert all(Path(p).read_bytes() != b"old bytes\n" for p in paths)
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_replaced_output_keeps_its_permission_bits(tmp_path, capsys, short_capture, command):
+    paths = outputs(command, str(tmp_path / "private.out"))
+    for path in paths:
+        Path(path).write_bytes(b"old bytes\n")
+        os.chmod(path, 0o600)
+    assert write_output(capsys, command, short_capture, paths[0]) == 0
+    assert [os.stat(p).st_mode & 0o777 for p in paths] == [0o600] * len(paths)
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_symlinked_output_is_written_through_the_link(tmp_path, capsys, short_capture, command):
+    fresh = fresh_bytes(tmp_path, capsys, command, short_capture)
+    target, link = tmp_path / "target.out", tmp_path / "link.out"
+    target.write_bytes(b"old bytes\n")
+    link.symlink_to(target)
+    assert write_output(capsys, command, short_capture, str(link)) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh[0]
+    assert [Path(p).read_bytes() for p in outputs(command, str(link))] == fresh
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_hard_linked_output_shows_the_new_bytes_under_both_names(
+        tmp_path, capsys, short_capture, command):
+    fresh = fresh_bytes(tmp_path, capsys, command, short_capture)
+    out, other = tmp_path / "o.out", tmp_path / "other-name.out"
+    out.write_bytes(b"old bytes\n")
+    os.link(out, other)
+    assert write_output(capsys, command, short_capture, str(out)) == 0
+    assert os.path.samefile(out, other)
+    assert out.read_bytes() == other.read_bytes() == fresh[0]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_directory_output_is_io_error(tmp_path, capsys, short_capture, command):
+    out = tmp_path / "a-directory"
+    out.mkdir()
+    assert write_output(capsys, command, short_capture, str(out)) == EXIT_IO
+    assert out.is_dir()
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+@pytest.mark.parametrize("command", WRITERS)
+def test_a_read_only_output_is_io_error(tmp_path, capsys, short_capture, command):
+    out = tmp_path / "read-only.out"
+    out.write_bytes(b"old bytes\n")
+    out.chmod(0o444)
+    assert write_output(capsys, command, short_capture, str(out)) == EXIT_IO
+    assert out.read_bytes() == b"old bytes\n"
+
+
+FILE_SIZE_LIMITED = """
+import resource, signal, sys
+import respsim.cli
+# a write past the limit fails with EFBIG, as one on a full disk fails with ENOSPC
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))
+sys.exit(respsim.cli.main(["simulate", "--duration", "20", "--out", sys.argv[1]]))
+"""
+
+
+def test_a_failed_capture_write_leaves_no_old_truth_beside_it(tmp_path, short_capture):
+    sidecar = Path(short_capture + ".truth.json")
+    assert sidecar.stat().st_size > 1000 and Path(short_capture).stat().st_size > 1000
+    env = dict(os.environ, PYTHONPATH=str(Path(respsim.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", FILE_SIZE_LIMITED, short_capture],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_IO, done.stderr
+    assert "File too large" in done.stderr
+    assert Path(short_capture).stat().st_size == 1000
+    assert sidecar.read_bytes() == b""

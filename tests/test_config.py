@@ -216,10 +216,10 @@ def test_negative_noise_rejected(key):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    *((f.name, 0, f"{f.name} must be > 0, got 0") for f in dataclasses.fields(AnalysisConfig)),
-    ("window_s", -60, "window_s must be > 0, got -60"),
+    *((f.name, 0, f"{f.name} must be finite and > 0, got 0") for f in dataclasses.fields(AnalysisConfig)),
+    ("window_s", -60, "window_s must be finite and > 0, got -60"),
     ("window_s", 0.0004, "window_s must be at least 1 ms, got 0.0004"),
-    ("apnea_timeout_s", -1.5, "apnea_timeout_s must be > 0, got -1.5"),
+    ("apnea_timeout_s", -1.5, "apnea_timeout_s must be finite and > 0, got -1.5"),
 ])
 def test_analysis_values_must_be_positive(field, value, message):
     with pytest.raises(ConfigError) as raised:
@@ -273,8 +273,9 @@ def test_whole_float_adc_bits_run_as_int():
     (lambda: DividerConfig(v_dd=math.inf), "v_dd"),
     (lambda: DividerConfig(r_fixed_ohm=math.inf), "r_fixed_ohm"),
     (lambda: AdcConfig(v_ref=math.inf), "v_ref"),
-    (lambda: AnalysisConfig(window_s=math.inf), "window_s"),
-    (lambda: AnalysisConfig(apnea_timeout_s=math.inf), "apnea_timeout_s"),
+    (lambda: AnalysisConfig(window_s=math.inf), "window_s must be finite and > 0, got inf"),
+    (lambda: AnalysisConfig(apnea_timeout_s=math.inf),
+     "apnea_timeout_s must be finite and > 0, got inf"),
     (lambda: ScenarioConfig(noise_sd_n=math.inf), "noise_sd_n"),
     (lambda: ScenarioConfig(amplitude_n=math.inf, baseline_n=math.inf), "amplitude_n"),
     (lambda: ScenarioConfig(breathing=(BreathSegment(0, 15), BreathSegment(math.inf, 20))),
