@@ -17,7 +17,6 @@ from .sensor import (
     OcvCurve,
     ParameterError,
     adc_quantize,
-    battery_sense_voltage,
     divider_voltage,
     fsr_resistance,
 )
@@ -51,7 +50,7 @@ __all__ = [
     "OcvCurve", "ParameterError", "PowerProfile", "PRESETS",
     "ProtocolError", "SessionConfig", "StreamSplitter",
     "TelemetryFrame", "accumulate", "adc_quantize", "analyze_session",
-    "battery_life_hours", "battery_percent", "battery_sense_voltage",
+    "battery_life_hours", "battery_percent",
     "decode", "detect_breaths", "detect_motion_artifacts",
     "divider_voltage", "encode", "estimate_rate", "from_dict",
     "fsr_resistance", "load_config",

@@ -21,7 +21,7 @@ from ._output import open_output
 from .config import ConfigError, SessionConfig, apply_overrides, load_config
 from .firmware import schedule_timeline
 from .power import PRESETS, accumulate
-from .protocol import FrameKind, split_stream
+from .protocol import FrameKind, encode, split_stream
 from .sensor import ParameterError
 from .session import run_session, write_capture
 
@@ -138,7 +138,6 @@ def _stream_connect(args) -> int:
     cfg = _load_session_config(args)
     result = run_session(cfg)
     host, port = _parse_endpoint(args.connect)
-    from .protocol import encode
     start = time.monotonic()
     sent = 0
     with socket.create_connection((host, port)) as sock:
@@ -272,7 +271,7 @@ def cmd_power(args) -> int:
     hi = PRESETS["intro-claim"].p_active_uw
     life_lo = reports["intro-claim"].projected_battery_life_h
     life_hi = reports["abstract-claim"].projected_battery_life_h
-    print(f"note: the device's two published power figures disagree by {hi / lo:.1f}x: "
+    print(f"note: the device's two published power figures disagree by {hi / lo:g}x: "
           f"{lo:.0f} uW (abstract-claim) vs {hi:.0f} uW (intro-claim).")
     print(f"      battery life spans {life_lo:.0f} h to {life_hi:.0f} h depending on "
           f"which figure you believe.")

@@ -59,7 +59,6 @@ from .sensor import (
     ParameterError,
     _round_half_up,
     adc_quantize,
-    battery_sense_voltage,
     divider_voltage,
     fsr_codes,
     fsr_resistance,
@@ -180,18 +179,6 @@ class DeviceModel:
         return _round_half_up(min(max(pct, 0.0), 100.0))
 
 
-@dataclass(frozen=True)
-class BatteryMeasurement:
-    """Ground-truth record of one battery sampling instant."""
-
-    t_ms: int
-    soc: float
-    v_terminal: float
-    sense_v: float
-    adc_code: int
-    percent: int
-
-
 class StimulusSource(Protocol):
     def force_n(self, t_ms: int) -> float: ...
     def accel_mg(self, t_ms: int) -> tuple[int, int, int]: ...
@@ -259,7 +246,7 @@ class FirmwareEmulator:
         # one tick's energy in each state, indexed by state code
         self._tick_mwh = (self.power_profile.state_powers_uw()
                           * self.config.tick_ms / UW_MS_PER_MWH)
-        self.battery_log: list[BatteryMeasurement] = []
+        self.battery_log: list[dict] = []  # one truth row per battery reading
 
     # -- views --------------------------------------------------------------
 
@@ -303,10 +290,11 @@ class FirmwareEmulator:
     def _battery_frame(self, t_ms: int) -> protocol.TelemetryFrame:
         soc = self.soc
         v = self.model.ocv.voltage(soc)
-        sense = battery_sense_voltage(v, self.model.sense_ratio, self.model.adc.v_ref)
+        sense = v * self.model.sense_ratio  # DeviceModel holds it within v_ref
         code = adc_quantize(sense, self.model.adc)
         percent = self.model.device_percent(v)
-        self.battery_log.append(BatteryMeasurement(t_ms, soc, v, sense, code, percent))
+        self.battery_log.append({"t_ms": t_ms, "soc": soc, "v_terminal": v, "sense_v": sense,
+                                 "adc_code": code, "percent": percent})
         return protocol.TelemetryFrame(
             FrameKind.BATTERY_STATUS, self._next_seq(), self._flags(),
             protocol.BatteryStatusPayload(t_ms, code, percent),

@@ -231,26 +231,6 @@ class OcvCurve:
 LINEAR_OCV = OcvCurve()
 
 
-def battery_sense_voltage(v_batt: float, ratio: float = 0.4, v_ref: float = 1.8) -> float:
-    """Scale the battery terminal voltage through the sense divider.
-
-    The 4.2 V full-charge rail times the default 0.4 ratio lands at
-    1.68 V, safely inside the 1.8 V ADC range.  A ratio that would push
-    any requested voltage past ``v_ref`` raises :class:`ParameterError`.
-    """
-    if not (0.0 < ratio < 1.0):
-        raise ParameterError(f"sense_ratio must be in (0, 1), got {ratio}")
-    if not (v_batt >= 0):
-        raise ParameterError(f"v_batt must be >= 0, got {v_batt}")
-    out = v_batt * ratio
-    if out > v_ref:
-        raise ParameterError(
-            f"sense output {out:.4f} V exceeds ADC reference {v_ref} V "
-            f"(v_batt={v_batt}, ratio={ratio})"
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # synthetic stimulus: posture shapes for respsim.session
 # ---------------------------------------------------------------------------

@@ -139,7 +139,6 @@ def synthesize_accel(cfg: SessionConfig) -> np.ndarray:
 
 @dataclass
 class SessionResult:
-    config: SessionConfig
     frames: list
     data: bytes
     truth: dict
@@ -175,7 +174,7 @@ def run_session(cfg: SessionConfig) -> SessionResult:
         "duration_s": cfg.duration_s,
         "seed": cfg.seed,
         "breath_times_ms": true_breath_times_ms(cfg.scenario, cfg.duration_s),
-        "battery": [dataclasses.asdict(m) for m in emulator.battery_log],
+        "battery": list(emulator.battery_log),  # a copy: later ticks leave it be
         "energy_mwh": emulator.energy_mwh,
         "average_power_uw": report.average_power_uw,
         "counts": {
@@ -186,7 +185,7 @@ def run_session(cfg: SessionConfig) -> SessionResult:
             "battery_reports": len(emulator.battery_log),
         },
     }
-    return SessionResult(config=cfg, frames=frames, data=data, truth=truth, emulator=emulator)
+    return SessionResult(frames=frames, data=data, truth=truth, emulator=emulator)
 
 
 def write_capture(path: str, result: SessionResult) -> str:

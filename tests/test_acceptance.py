@@ -31,7 +31,6 @@ from respsim.sensor import (
     DividerConfig,
     adc_quantize,
     adc_to_voltage,
-    battery_sense_voltage,
     divider_voltage,
     fsr_resistance,
 )
@@ -198,7 +197,7 @@ def test_battery_percent_agreement():
         # dense sweep of the whole charge range through the measurement path
         for soc in np.linspace(0.0, 1.0, 2001):
             v = model.ocv.voltage(float(soc))
-            code = adc_quantize(battery_sense_voltage(v), model.adc)
+            code = adc_quantize(v * model.sense_ratio, model.adc)
             device = model.device_percent(v)
             host = battery_percent(code)
             assert abs(device - host) <= 1, (soc, device, host)

@@ -584,6 +584,7 @@ def test_power_surfaces_both_claims(capsys, tmp_path):
     assert "intro-claim" in stdout
     assert "400" in stdout and "4900" in stdout
     assert "disagree" in stdout
+    assert "12.25x" in stdout
     audit = json.loads((tmp_path / "audit.json").read_text())
     assert audit["reports"]["abstract-claim"]["projected_battery_life_h"] == \
         pytest.approx(4162.5, rel=1e-9)

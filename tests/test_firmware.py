@@ -162,6 +162,13 @@ def test_bad_initial_soc_rejected():
         FirmwareEmulator(initial_soc=1.5)
 
 
+@pytest.mark.parametrize("ratio", [0.0, 1.5])
+def test_sense_ratio_outside_the_open_unit_interval_rejected(ratio):
+    # the ratio that overflows the ADC is tests/test_config.py's case
+    with pytest.raises(ParameterError, match=f"sense_ratio={ratio} must be in \\(0, 1\\)"):
+        DeviceModel(sense_ratio=ratio)
+
+
 def test_missing_due_sample_raises():
     emu = FirmwareEmulator()
     emu.boot()
@@ -229,7 +236,7 @@ def test_run_is_byte_deterministic():
 def test_soc_never_increases():
     emu = FirmwareEmulator(power_profile=uniform_profile(1e7))
     emu.run(ConstantStimulus(), 10.0)
-    socs = [m.soc for m in emu.battery_log]
+    socs = [m["soc"] for m in emu.battery_log]
     assert all(b < a for a, b in zip(socs, socs[1:]))
 
 
@@ -271,8 +278,8 @@ def test_custom_ocv_curve_drives_percent():
     emu = FirmwareEmulator(model=model)
     emu.run(ConstantStimulus(), 2.0)
     m = emu.battery_log[0]
-    assert m.v_terminal == pytest.approx(4.0)
-    assert m.percent == 100  # device percent is relative to its own curve span
+    assert m["v_terminal"] == pytest.approx(4.0)
+    assert m["percent"] == 100  # device percent is relative to its own curve span
 
 
 def test_fast_discharge_reaches_depleted():
@@ -281,7 +288,7 @@ def test_fast_discharge_reaches_depleted():
     emu = FirmwareEmulator(power_profile=uniform_profile(1.1e8))
     emu.run(ConstantStimulus(), 60.0)
     assert emu.soc == 0.0
-    percents = [m.percent for m in emu.battery_log]
+    percents = [m["percent"] for m in emu.battery_log]
     assert percents[0] == 100
     assert percents[-1] == 0
     assert all(b <= a for a, b in zip(percents, percents[1:]))

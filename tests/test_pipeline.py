@@ -55,7 +55,6 @@ from respsim.sensor import (
     OcvCurve,
     adc_quantize,
     adc_to_voltage,
-    battery_sense_voltage,
     divider_voltage,
     fsr_resistance,
 )
@@ -159,7 +158,7 @@ def test_battery_percent_midpoint():
 def test_battery_percent_follows_the_device_ocv_ends():
     model = DeviceModel(ocv=OcvCurve(((0.0, 3.2), (0.5, 3.8), (1.0, 4.25))))
     for v_batt, percent in ((4.25, 100), (3.2, 0)):
-        code = adc_quantize(battery_sense_voltage(v_batt), model.adc)
+        code = adc_quantize(v_batt * model.sense_ratio, model.adc)
         assert battery_percent(code, model) == model.device_percent(v_batt) == percent
 
 

@@ -17,7 +17,6 @@ from respsim.sensor import (
     ParameterError,
     adc_quantize,
     adc_to_voltage,
-    battery_sense_voltage,
     divider_voltage,
     fsr_codes,
     fsr_resistance,
@@ -215,29 +214,6 @@ def test_ocv_curve_validation():
         OcvCurve(((0.1, 3.3), (1.0, 4.2)))            # doesn't start at 0
     with pytest.raises(ParameterError):
         OcvCurve(((0.0, 4.2), (1.0, 3.3)))            # voltage not increasing
-
-
-def test_battery_sense_full_charge_fits_adc():
-    out = battery_sense_voltage(4.2)
-    assert out == pytest.approx(1.68)
-    assert out <= 1.8
-
-
-def test_battery_sense_empty():
-    assert battery_sense_voltage(3.3) == pytest.approx(1.32)
-
-
-def test_battery_sense_rejects_overrange_output():
-    # a 0.5 ratio would push 4.2 V to 2.1 V, past the 1.8 V reference
-    with pytest.raises(ParameterError):
-        battery_sense_voltage(4.2, ratio=0.5)
-
-
-def test_battery_sense_rejects_bad_ratio():
-    with pytest.raises(ParameterError):
-        battery_sense_voltage(4.2, ratio=0.0)
-    with pytest.raises(ParameterError):
-        battery_sense_voltage(4.2, ratio=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from respsim.session import (
     truth_path,
     write_capture,
 )
+from tests.test_firmware import ConstantStimulus, tick_on
 
 
 def cfg_with(**top):
@@ -144,6 +145,43 @@ def test_capture_and_truth_round_trip(tmp_path):
     assert truth["seed"] == 1
     assert len(truth["battery"]) == 5
     assert truth["battery"][0]["adc_code"] == 3822
+
+
+# ---------------------------------------------------------------------------
+# battery truth
+# ---------------------------------------------------------------------------
+
+def test_full_charge_first_battery_row():
+    row = run_session(cfg_with(duration_s=2)).truth["battery"][0]
+    assert list(row) == ["t_ms", "soc", "v_terminal", "sense_v", "adc_code", "percent"]
+    # 4.2 V through the 0.4 divider, inside the ADC's 1.8 V reference
+    assert row["sense_v"] == 4.2 * 0.4
+    assert row["adc_code"] == 3822
+
+
+def test_empty_pack_first_battery_row():
+    row = run_session(cfg_with(duration_s=2, battery={"initial_soc": 0})).truth["battery"][0]
+    assert row["v_terminal"] == 3.3
+    assert row["sense_v"] == 3.3 * 0.4
+
+
+def test_battery_rows_match_the_battery_frames():
+    # a drain this fast empties the 1665 mWh pack within the minute
+    drain = {"p_idle_uw": 1.1e8, "p_active_uw": 1.1e8, "p_radio_uw": 1.1e8}
+    result = run_session(cfg_with(duration_s=60, power=drain))
+    rows = result.truth["battery"]
+    payloads = [f.payload for f in result.frames if f.kind == FrameKind.BATTERY_STATUS]
+    assert [(r["t_ms"], r["adc_code"], r["percent"]) for r in rows] == \
+        [(p.t_ms, p.adc_code, p.percent) for p in payloads]
+    assert rows[0]["percent"] == 100 and rows[-1]["percent"] == 0
+
+
+def test_later_ticks_leave_the_truth_alone():
+    result = run_session(cfg_with(duration_s=2))
+    rows = list(result.truth["battery"])
+    tick_on(result.emulator, ConstantStimulus(), result.emulator.config.battery_period_ms)
+    assert len(result.emulator.battery_log) == len(rows) + 1
+    assert result.truth["battery"] == rows
 
 
 def test_detected_breaths_match_truth_timing(tmp_path):
