@@ -28,12 +28,14 @@ power`` audits that.
 
 :meth:`FirmwareEmulator.tick` steps that schedule one tick at a time and is
 the reference.  :meth:`FirmwareEmulator.run` derives the same schedule in
-bulk instead: frame send instants and tick activity from the function
-behind :func:`schedule_timeline`, ADC codes from one array pass through
-the FSR chain, each batch cut as a slice of those arrays, and energy summed
-per battery period with ``np.cumsum``, which adds in the same sequence as
-the per-tick ``+=``.  Both frame every batch through one builder.  The
-tests hold ``run`` to a tick loop frame for frame, float for float.
+bulk from an :class:`ArrayStimulus`, whose columns hold exactly each
+channel's instants: frame send instants and tick activity from the function
+behind :func:`schedule_timeline`, ADC codes from one array pass of the
+force column through the FSR chain, each batch cut as a slice of those
+arrays, and energy summed per battery period with ``np.cumsum``, which adds
+in the same sequence as the per-tick ``+=``.  Both frame every batch through
+one builder.  The tests hold ``run`` to a tick loop frame for frame, float
+for float.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Protocol
 
 import numpy as np
 
@@ -70,7 +71,7 @@ MAX_SESSION_MS = 2 ** 32
 
 
 class StimulusError(LookupError):
-    """The stimulus source has no sample for a scheduled instant."""
+    """A stimulus without exactly one sample at each scheduled instant."""
 
 
 @dataclass(frozen=True)
@@ -179,29 +180,13 @@ class DeviceModel:
         return _round_half_up(min(max(pct, 0.0), 100.0))
 
 
-class StimulusSource(Protocol):
-    def force_n(self, t_ms: int) -> float: ...
-    def accel_mg(self, t_ms: int) -> tuple[int, int, int]: ...
-
-
 class ArrayStimulus:
-    """Stimulus keyed by timestamp: ``ForceSample`` list, ``ACCEL_DTYPE`` rows."""
+    """Stimulus columns: ``force_t_ms``/``force_n`` from a ``ForceSample`` list, ``accel`` rows."""
 
     def __init__(self, force_samples, accel_rows):
-        self._force = {s.t_ms: s.force_n for s in force_samples}
-        self._accel = {row[0]: row[1:] for row in accel_rows.tolist()}
-
-    def force_n(self, t_ms: int) -> float:
-        try:
-            return self._force[t_ms]
-        except KeyError:
-            raise StimulusError(f"no force sample at t={t_ms} ms") from None
-
-    def accel_mg(self, t_ms: int) -> tuple[int, int, int]:
-        try:
-            return self._accel[t_ms]
-        except KeyError:
-            raise StimulusError(f"no accel sample at t={t_ms} ms") from None
+        self.force_t_ms = np.array([s.t_ms for s in force_samples])
+        self.force_n = np.array([s.force_n for s in force_samples], dtype=np.float64)
+        self.accel = accel_rows
 
 
 class FirmwareEmulator:
@@ -210,7 +195,7 @@ class FirmwareEmulator:
     An emulator is ready when built: the constructor boots it, and
     :meth:`boot` resets it to that fresh state.  Drive it either tick by
     tick (supplying samples for any channel due at the current clock) or
-    with :meth:`run` and a stimulus source.  All state lives in plain
+    with :meth:`run` and an :class:`ArrayStimulus`.  All state lives in plain
     Python scalars; identical configuration and stimulus reproduce
     identical frame bytes.
     """
@@ -371,28 +356,35 @@ class FirmwareEmulator:
                 for kind, buf in ((FrameKind.FSR_BATCH, self._fsr_buf),
                                   (FrameKind.ACCEL_BATCH, self._accel_buf)) if buf]
 
-    def run(self, stimulus: StimulusSource, duration_s: float) -> list[protocol.TelemetryFrame]:
+    def run(self, stimulus: ArrayStimulus, duration_s: float) -> list[protocol.TelemetryFrame]:
         """Boot fresh, run the schedule for a duration, and flush.
 
         :meth:`FirmwareConfig.session_ms` turns ``duration_s`` into the
         schedule's length.  The returned list is every frame the device would
-        have sent, in transmit order.
+        have sent, in transmit order.  Each channel of ``stimulus`` must hold
+        exactly the instants ``range(0, session_ms, period)``, or
+        :class:`StimulusError` is raised.
 
-        The schedule is derived in bulk, not stepped: the stimulus is
-        queried once per sampling instant, each batch is a slice of the
-        samples, and activity, energy and battery readings follow from the
-        ticks that emit frames.  Frames, battery
-        log, timeline, energy and the state left behind are those of
-        :meth:`boot`, then :meth:`tick` at every tick, then :meth:`flush`.
+        The schedule is derived in bulk, not stepped: the force column goes
+        through the FSR chain in one array pass, each batch is a slice of
+        the samples, and activity, energy and battery readings follow from
+        the ticks that emit frames.  Frames, battery log, timeline, energy
+        and the state left behind are those of :meth:`boot`, then
+        :meth:`tick` at every tick, then :meth:`flush`.
         """
         total_ms = self.config.session_ms(duration_s)
         self.boot()
         cfg = self.config
         fsr_t = range(0, total_ms, cfg.fsr_period_ms)
         accel_t = range(0, total_ms, cfg.accel_period_ms)
-        codes = fsr_codes([stimulus.force_n(t) for t in fsr_t],
+        for name, t_ms, times in (("force", stimulus.force_t_ms, fsr_t),
+                                  ("accel", stimulus.accel["t_ms"], accel_t)):
+            if not np.array_equal(t_ms, np.arange(0, total_ms, times.step)):
+                raise StimulusError(f"{name} samples must be at exactly the instants "
+                                    f"range(0, {total_ms}, {times.step}) ms")
+        codes = fsr_codes(stimulus.force_n,
                           self.model.fsr, self.model.divider, self.model.adc).tolist()
-        accel = [(int(a[0]), int(a[1]), int(a[2])) for a in map(stimulus.accel_mg, accel_t)]
+        accel = stimulus.accel[["x_mg", "y_mg", "z_mg"]].tolist()
         _check_accel(accel, accel_t)
 
         events, states, self._tx_remaining_ms = _schedule(

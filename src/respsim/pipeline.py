@@ -242,7 +242,8 @@ def detect_breaths(
     the distance uses floor() so an exact multiple of the sample period
     (40 breaths/min at 25 Hz) isn't rejected by rounding.
 
-    Returns breath timestamps in ms.  Raises
+    Returns strictly increasing breath timestamps in ms: peaks at samples
+    that share an instant count as one breath.  Raises
     :class:`InsufficientDataError` when the series is shorter than one
     detrend window.
     """
@@ -274,7 +275,14 @@ def detect_breaths(
     # noise-sized prominence, so the prominence gate removes them without
     # touching real peaks (whose prominence is the full breath swing).
     threshold = hysteresis_fraction * p2p
-    return t[_find_peaks(detrended, threshold, distance, threshold)]
+    return _distinct(t[_find_peaks(detrended, threshold, distance, threshold)])
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a sorted 1-D array, which here would import ``numpy.ma``."""
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _find_peaks(x: np.ndarray, height: float, distance: int, prominence: float) -> np.ndarray:
@@ -463,7 +471,8 @@ def estimate_rate(
     mask = artifacts or ArtifactMask()
     window_ms = window_end_ms - window_start_ms
     breaths = np.asarray(breath_times_ms, dtype=np.float64)
-    inside = breaths[(window_start_ms <= breaths) & (breaths < window_end_ms)]
+    # distinct instants in order, so no interval is zero or negative
+    inside = _distinct(np.sort(breaths[(window_start_ms <= breaths) & (breaths < window_end_ms)]))
     accepted = inside[~mask.contains(inside)]
 
     if len(accepted) >= 2:

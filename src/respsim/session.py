@@ -10,8 +10,10 @@ scored against what actually happened.
 
 The stimulus is synthesized at the emulator's own sampling instants:
 ``range(0, session_ms, period)`` per channel, with the session length from
-:meth:`~respsim.firmware.FirmwareConfig.session_ms`, so every sample the
-firmware takes finds one and no sample goes unread.
+:meth:`~respsim.firmware.FirmwareConfig.session_ms`.  Those columns go to
+:meth:`~respsim.firmware.FirmwareEmulator.run` as an
+:class:`~respsim.firmware.ArrayStimulus`, which must hold exactly those
+instants and nothing else.
 """
 
 from __future__ import annotations
@@ -147,9 +149,7 @@ class SessionResult:
 
 def run_session(cfg: SessionConfig) -> SessionResult:
     """Synthesize stimulus, run the firmware emulator, collect ground truth."""
-    force_samples = synthesize_force(cfg)
-    accel_rows = synthesize_accel(cfg)
-    stimulus = ArrayStimulus(force_samples, accel_rows)
+    stimulus = ArrayStimulus(synthesize_force(cfg), synthesize_accel(cfg))
 
     emulator = FirmwareEmulator(
         config=cfg.firmware,
@@ -159,8 +159,6 @@ def run_session(cfg: SessionConfig) -> SessionResult:
         charging=cfg.battery.charging,
     )
     frames = emulator.run(stimulus, cfg.duration_s)
-    force_count = len(force_samples)
-    del stimulus, force_samples  # the stimulus is spent; free it before encoding
     data = encode_session(frames)
 
     report = accumulate(
@@ -180,8 +178,8 @@ def run_session(cfg: SessionConfig) -> SessionResult:
         "counts": {
             "frames": len(frames),
             "bytes": len(data),
-            "force_samples": force_count,
-            "accel_samples": len(accel_rows),
+            "force_samples": len(stimulus.force_n),
+            "accel_samples": len(stimulus.accel),
             "battery_reports": len(emulator.battery_log),
         },
     }

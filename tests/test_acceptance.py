@@ -35,7 +35,7 @@ from respsim.sensor import (
     fsr_resistance,
 )
 from respsim.session import run_session
-from tests.test_firmware import ConstantStimulus
+from tests.test_firmware import ConstantStimulus, run_on_grid
 from tests.test_protocol import random_frame
 
 
@@ -206,7 +206,7 @@ def test_battery_percent_agreement():
         assert model.device_percent(3.3) == battery_percent(3003) == 0
         # and a real emulated discharge agrees frame by frame
         emu = FirmwareEmulator(power_profile=uniform_profile(1.1e8))
-        frames = emu.run(ConstantStimulus(), 60.0)
+        frames = run_on_grid(emu, ConstantStimulus(), 60.0)
         battery_frames = [f for f in frames if f.kind == FrameKind.BATTERY_STATUS]
         assert len(battery_frames) == 30
         percents = []

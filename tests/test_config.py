@@ -286,13 +286,14 @@ def test_whole_float_adc_bits_run_as_int():
     (lambda: OcvCurve(((0, 3.3), (1, math.inf))), "voltages"),
     (lambda: OcvCurve(((0, 3.3), (float("nan"), 3.8), (1, 4.2))), "soc values"),
     (lambda: OcvCurve(((0, -1.0), (1, 4.2))), "voltages"),
+    (lambda: FirmwareConfig(tick_ms=3), "fsr period 40 ms is not a multiple of tick_ms=3"),
 ], ids=["amplitude", "empty-schedule", "device-adc", "device-nan-capacity",
         "device-inf-capacity", "device-nan-voltage", "device-inf-voltage", "session-adc",
         "replace-duration", "fraction-of-a-ms", "fsr-inf-k", "fsr-inf-r-max",
         "divider-inf-v-dd", "divider-inf-r-fixed", "adc-inf-v-ref", "analysis-inf-window",
         "analysis-inf-apnea", "scenario-inf-noise", "scenario-inf-force",
         "schedule-inf-start", "schedule-nan-start", "ocv-inf-voltage",
-        "ocv-nan-soc", "ocv-negative-voltage"])
+        "ocv-nan-soc", "ocv-negative-voltage", "period-off-the-tick-grid"])
 def test_invalid_config_is_rejected_at_construction(build, match):
     with pytest.raises(ParameterError, match=match):
         build()
@@ -377,3 +378,65 @@ def session_configs(draw):
 def test_sidecar_config_reloads_to_the_same_config(cfg):
     # the truth sidecar stores dataclasses.asdict(cfg) as JSON
     assert from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
+
+def _field_hints(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+# every key name a config holds at some depth (the top-level shorthands
+# rate_bpm and posture among them), and one it never holds
+KEYS = sorted({name for cls in (SessionConfig, *SECTIONS, BreathSegment, PostureSegment)
+               for name in _field_hints(cls)} | {"bogus"})
+# any YAML value: wrong types, non-finite and huge numbers, nested junk
+WILD = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([*POSTURES, *sorted(PRESETS)]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+NUMBERS = st.sampled_from([0, 0.5, 1, 2, 10, 40]) | st.integers(-1, 5000) | st.floats(-1, 5000)
+
+
+def now_and_then(rare, usual):
+    """``rare`` one time in twenty, ``usual`` otherwise."""
+    return st.integers(0, 19).flatmap(lambda k: rare if k == 0 else usual)
+
+
+def mappings(cls):
+    """Documents of one config section: its keys, mostly with values of their shape."""
+    doc = st.fixed_dictionaries(
+        {}, optional={name: values(hint) for name, hint in _field_hints(cls).items()})
+    # now and then an unknown key, or a known one given again with any value
+    extra = now_and_then(st.dictionaries(st.sampled_from(KEYS), WILD, min_size=1, max_size=1),
+                         st.just({}))
+    return st.builds(lambda doc, extra: {**doc, **extra}, doc, extra)
+
+
+def values(hint):
+    """A value for a field of type ``hint``: mostly of its shape, sometimes anything."""
+    if dataclasses.is_dataclass(hint):
+        shaped = mappings(hint)
+    elif typing.get_origin(hint) is tuple:
+        shaped = st.lists(values(typing.get_args(hint)[0]), max_size=4)
+    elif hint is bool:
+        shaped = st.booleans()
+    elif hint is str:
+        shaped = st.sampled_from([*POSTURES, *sorted(PRESETS)])
+    else:  # a number, or a number or None
+        shaped = (NUMBERS | st.none()) if type(None) in typing.get_args(hint) else NUMBERS
+    return now_and_then(WILD, shaped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mappings(SessionConfig))
+def test_from_dict_builds_or_raises_a_config_error(doc):
+    # any mapping from a file either builds or fails with one of the two
+    # config errors, never with a traceback from deeper in
+    try:
+        cfg = from_dict(doc)
+    except (ConfigError, ParameterError):
+        return
+    assert isinstance(cfg, SessionConfig)

@@ -30,6 +30,16 @@ class ConstantStimulus:
         return (0, 0, 1000)
 
 
+def run_on_grid(emu, stimulus, duration_s):
+    """``emu.run`` over a scalar stimulus, sampled at the emulator's instants."""
+    cfg = emu.config
+    total_ms = cfg.session_ms(duration_s)
+    force = [ForceSample(t, stimulus.force_n(t)) for t in range(0, total_ms, cfg.fsr_period_ms)]
+    accel = np.array([(t, *stimulus.accel_mg(t)) for t in range(0, total_ms, cfg.accel_period_ms)],
+                     dtype=ACCEL_DTYPE)
+    return emu.run(ArrayStimulus(force, accel), duration_s)
+
+
 def columns(timeline):
     """A timeline's three columns as lists, to compare with ``==``."""
     return timeline.states.tolist(), timeline.starts.tolist(), timeline.ends.tolist()
@@ -53,7 +63,7 @@ def test_boot_reports_full_charge():
 def test_two_second_run_frame_counts():
     # 2000 ms: 50 FSR samples -> 10 batches, 100 accel -> 10 batches,
     # one battery measurement (at t=0)
-    frames = FirmwareEmulator().run(ConstantStimulus(), 2.0)
+    frames = run_on_grid(FirmwareEmulator(), ConstantStimulus(), 2.0)
     counts = kind_counts(frames)
     assert counts[FrameKind.FSR_BATCH] == 10
     assert counts[FrameKind.ACCEL_BATCH] == 10
@@ -61,11 +71,11 @@ def test_two_second_run_frame_counts():
 
 
 def test_zero_duration_run_is_empty():
-    assert FirmwareEmulator().run(ConstantStimulus(), 0.0) == []
+    assert run_on_grid(FirmwareEmulator(), ConstantStimulus(), 0.0) == []
 
 
 def test_sixty_second_run_cadence():
-    frames = FirmwareEmulator().run(ConstantStimulus(), 60.0)
+    frames = run_on_grid(FirmwareEmulator(), ConstantStimulus(), 60.0)
     counts = kind_counts(frames)
     assert counts[FrameKind.BATTERY_STATUS] == 30
     fsr_samples = sum(
@@ -79,12 +89,12 @@ def test_sixty_second_run_cadence():
 
 
 def test_seq_is_gapless_and_in_transmit_order():
-    frames = FirmwareEmulator().run(ConstantStimulus(), 10.0)
+    frames = run_on_grid(FirmwareEmulator(), ConstantStimulus(), 10.0)
     assert [f.seq for f in frames] == list(range(len(frames)))
 
 
 def test_batch_timestamps_follow_sampling_grid():
-    frames = FirmwareEmulator().run(ConstantStimulus(), 4.0)
+    frames = run_on_grid(FirmwareEmulator(), ConstantStimulus(), 4.0)
     fsr = [f for f in frames if f.kind == FrameKind.FSR_BATCH]
     assert [f.payload.t0_ms for f in fsr] == [0, 200, 400, 600, 800,
                                               1000, 1200, 1400, 1600, 1800,
@@ -100,7 +110,7 @@ def test_batch_timestamps_follow_sampling_grid():
 def test_partial_batches_flush_with_flag():
     # 1.3 s: FSR samples at 0..1280 ms = 33 -> 6 full batches + 3 left over;
     # accel 65 samples -> 6 full batches + 5 left over
-    frames = FirmwareEmulator().run(ConstantStimulus(), 1.3)
+    frames = run_on_grid(FirmwareEmulator(), ConstantStimulus(), 1.3)
     flushed = [f for f in frames if f.final_flush]
     assert len(flushed) == 2
     fsr_flush = next(f for f in flushed if f.kind == FrameKind.FSR_BATCH)
@@ -112,20 +122,20 @@ def test_partial_batches_flush_with_flag():
 
 
 def test_exact_batch_boundary_needs_no_flush():
-    frames = FirmwareEmulator().run(ConstantStimulus(), 2.0)
+    frames = run_on_grid(FirmwareEmulator(), ConstantStimulus(), 2.0)
     assert not any(f.final_flush for f in frames)
 
 
 def test_charging_flag_propagates():
-    frames = FirmwareEmulator(charging=True).run(ConstantStimulus(), 2.0)
+    frames = run_on_grid(FirmwareEmulator(charging=True), ConstantStimulus(), 2.0)
     assert all(f.charging for f in frames)
-    frames = FirmwareEmulator(charging=False).run(ConstantStimulus(), 2.0)
+    frames = run_on_grid(FirmwareEmulator(charging=False), ConstantStimulus(), 2.0)
     assert not any(f.charging for f in frames)
 
 
 def test_battery_frame_contents():
     emu = FirmwareEmulator()
-    frames = emu.run(ConstantStimulus(), 2.0)
+    frames = run_on_grid(emu, ConstantStimulus(), 2.0)
     batt = next(f for f in frames if f.kind == FrameKind.BATTERY_STATUS)
     # full pack: 4.2 V * 0.4 = 1.68 V -> code 3822 -> 100 %
     assert batt.payload.adc_code == 3822
@@ -149,7 +159,8 @@ def test_whole_number_schedule_values_may_be_floats():
                                  power_profile=uniform_profile(400.0, tx_ms_per_frame=3.0))
     as_ints = FirmwareEmulator(FirmwareConfig(tick_ms=2, battery_period_ms=1000),
                                power_profile=uniform_profile(400.0, tx_ms_per_frame=3))
-    assert as_floats.run(ConstantStimulus(), 2.5) == as_ints.run(ConstantStimulus(), 2.5)
+    assert (run_on_grid(as_floats, ConstantStimulus(), 2.5)
+            == run_on_grid(as_ints, ConstantStimulus(), 2.5))
     assert columns(as_floats.activity_timeline) == columns(as_ints.activity_timeline)
     with pytest.raises(ParameterError):
         FirmwareConfig(fsr_batch=5.5)
@@ -223,26 +234,26 @@ def test_session_ms_rejects_what_no_tick_loop_can_run(config, duration_s, messag
         config.session_ms(duration_s)
     assert str(raised.value) == message
     with pytest.raises(ParameterError) as raised:
-        FirmwareEmulator(config).run(ConstantStimulus(), duration_s)
+        FirmwareEmulator(config).run(ArrayStimulus([], np.empty(0, ACCEL_DTYPE)), duration_s)
     assert str(raised.value) == message
 
 
 def test_run_is_byte_deterministic():
-    a = encode_session(FirmwareEmulator().run(ConstantStimulus(), 10.0))
-    b = encode_session(FirmwareEmulator().run(ConstantStimulus(), 10.0))
+    a = encode_session(run_on_grid(FirmwareEmulator(), ConstantStimulus(), 10.0))
+    b = encode_session(run_on_grid(FirmwareEmulator(), ConstantStimulus(), 10.0))
     assert a == b
 
 
 def test_soc_never_increases():
     emu = FirmwareEmulator(power_profile=uniform_profile(1e7))
-    emu.run(ConstantStimulus(), 10.0)
+    run_on_grid(emu, ConstantStimulus(), 10.0)
     socs = [m["soc"] for m in emu.battery_log]
     assert all(b < a for a, b in zip(socs, socs[1:]))
 
 
 def test_energy_decrement_matches_timeline_accumulation():
     emu = FirmwareEmulator(power_profile=uniform_profile(5000.0))
-    emu.run(ConstantStimulus(), 12.0)
+    run_on_grid(emu, ConstantStimulus(), 12.0)
     report = accumulate(emu.power_profile, emu.activity_timeline)
     assert report.energy_mwh == pytest.approx(emu.energy_mwh, rel=1e-9)
     # and the battery lost exactly that energy
@@ -252,7 +263,7 @@ def test_energy_decrement_matches_timeline_accumulation():
 
 def test_timeline_covers_run_without_overlap():
     emu = FirmwareEmulator()
-    emu.run(ConstantStimulus(), 3.0)
+    run_on_grid(emu, ConstantStimulus(), 3.0)
     timeline = emu.activity_timeline
     assert len(timeline) == len(timeline.states) == len(timeline.ends)
     assert timeline.starts[0] == 0
@@ -265,7 +276,7 @@ def test_timeline_covers_run_without_overlap():
 
 def test_radio_time_scales_with_frames():
     emu = FirmwareEmulator()
-    frames = emu.run(ConstantStimulus(), 4.0)
+    frames = run_on_grid(emu, ConstantStimulus(), 4.0)
     report = accumulate(emu.power_profile, emu.activity_timeline)
     # flush frames at teardown never got airtime, everything else did
     on_air = [f for f in frames if not f.final_flush]
@@ -276,7 +287,7 @@ def test_custom_ocv_curve_drives_percent():
     # a curve topping out at 4.0 V: full pack reads 4.0 V -> (4.0-3.3)/0.9 -> 78 %
     model = DeviceModel(ocv=OcvCurve(((0.0, 3.5), (1.0, 4.0))))
     emu = FirmwareEmulator(model=model)
-    emu.run(ConstantStimulus(), 2.0)
+    run_on_grid(emu, ConstantStimulus(), 2.0)
     m = emu.battery_log[0]
     assert m["v_terminal"] == pytest.approx(4.0)
     assert m["percent"] == 100  # device percent is relative to its own curve span
@@ -286,7 +297,7 @@ def test_fast_discharge_reaches_depleted():
     # 1.1e8 uW empties the 1665 mWh pack by t=54.5 s, so the last battery
     # measurements in a one-minute run actually read empty
     emu = FirmwareEmulator(power_profile=uniform_profile(1.1e8))
-    emu.run(ConstantStimulus(), 60.0)
+    run_on_grid(emu, ConstantStimulus(), 60.0)
     assert emu.soc == 0.0
     percents = [m["percent"] for m in emu.battery_log]
     assert percents[0] == 100
@@ -381,7 +392,7 @@ def test_run_equals_tick_loop(setup):
     bulk = FirmwareEmulator(**kwargs)
     stepped = FirmwareEmulator(**kwargs)
     expected = observed(stepped, tick_loop(stepped, stimulus, duration_s))
-    got = observed(bulk, bulk.run(stimulus, duration_s))
+    got = observed(bulk, run_on_grid(bulk, stimulus, duration_s))
     assert got == expected
     assert got["energy_mwh"] == expected["energy_mwh"]  # exact, not approx
     # the schedule alone gives the same timeline, whatever the stimulus and draws
@@ -398,7 +409,7 @@ def test_ticking_on_after_run_equals_tick_loop(setup, ticks):
     stimulus = VaryingStimulus(forces)
     bulk = FirmwareEmulator(**kwargs)
     stepped = FirmwareEmulator(**kwargs)
-    frames = bulk.run(stimulus, duration_s)
+    frames = run_on_grid(bulk, stimulus, duration_s)
     bulk.activity_timeline  # reading the timeline must leave the record appendable
     frames += tick_on(bulk, stimulus, ticks)
     expected = tick_loop(stepped, stimulus, duration_s) + tick_on(stepped, stimulus, ticks)
@@ -438,11 +449,23 @@ def test_run_rejects_invalid_force_like_tick(force, accel):
         FirmwareEmulator().run(ArrayStimulus(forces, rows), 1.0)
 
 
-@pytest.mark.parametrize("missing", ["force", "accel"])
-def test_run_raises_when_array_stimulus_misses_an_instant(missing):
-    force = [ForceSample(t, 4.0) for t in range(0, 1000, 40)
-             if not (missing == "force" and t == 480)]
-    accel = np.array([(t, 0, 0, 1000) for t in range(0, 1000, 20)
-                      if not (missing == "accel" and t == 480)], dtype=ACCEL_DTYPE)
+@pytest.mark.parametrize("channel, change", [
+    ("force", "missing"), ("accel", "missing"), ("force", "extra"), ("accel", "extra"),
+    ("force", "shifted"), ("accel", "shifted"),
+], ids=["force", "accel", "force-extra", "accel-extra", "force-shifted", "accel-shifted"])
+def test_run_raises_when_array_stimulus_misses_an_instant(channel, change):
+    def instants(name, period):
+        times = list(range(0, 1000, period))
+        if name == channel:
+            if change == "missing":
+                times.remove(480)
+            elif change == "extra":
+                times.append(1000)  # the session ends before it
+            else:
+                times[times.index(480)] = 481
+        return times
+
+    force = [ForceSample(t, 4.0) for t in instants("force", 40)]
+    accel = np.array([(t, 0, 0, 1000) for t in instants("accel", 20)], dtype=ACCEL_DTYPE)
     with pytest.raises(StimulusError):
         FirmwareEmulator().run(ArrayStimulus(force, accel), 1.0)

@@ -347,6 +347,21 @@ def test_mask_contains_equals_interval_scan(edges, adjacent, extra):
     assert got.tolist() == expected
 
 
+def test_detect_breaths_rejects_misaligned_or_unordered_series():
+    t, f = breathing_series(15.0)
+    with pytest.raises(InsufficientDataError, match="align"):
+        detect_breaths(t, f[:-1])
+    with pytest.raises(InsufficientDataError, match="strictly increasing"):
+        detect_breaths(t[::-1], f[::-1])
+
+
+def test_peaks_that_share_an_instant_are_one_breath():
+    # batches stamped with one t0 put several samples, and here two peaks,
+    # at one instant; they must not become two breaths 0 ms apart
+    breaths = detect_breaths([0, 6668, 6668, 6668, 10002], [1.0, 2.0, 1.0, 2.0, 1.0])
+    assert breaths.tolist() == [6668]
+
+
 # ---------------------------------------------------------------------------
 # rate estimation
 # ---------------------------------------------------------------------------
@@ -365,6 +380,12 @@ def test_estimate_rate_median_rejects_one_long_gap():
     breaths = [0, 4000, 8000, 14000]
     est = estimate_rate(breaths, 0, 15000)
     assert est.rate_bpm == pytest.approx(15.0)
+
+
+def test_estimate_rate_counts_a_repeated_instant_once():
+    est = estimate_rate([1000, 1000, 5000, 5000], 0, 10000)
+    assert est.rate_bpm == pytest.approx(15.0)
+    assert est.breath_count == 2
 
 
 def test_estimate_rate_empty_window():

@@ -37,7 +37,7 @@ from respsim.protocol import (
     encode,
     split_stream,
 )
-from tests.test_firmware import ConstantStimulus
+from tests.test_firmware import ConstantStimulus, run_on_grid
 
 
 def crc8_oracle(data: bytes) -> int:
@@ -427,6 +427,13 @@ def test_decode_rejects_fsr_code_past_twelve_bits():
 
 
 @pytest.mark.parametrize("kind", [FrameKind.FSR_BATCH, FrameKind.ACCEL_BATCH])
+def test_decode_rejects_payload_shorter_than_the_batch_head(kind):
+    # t0_ms is whole, but the count byte that follows it is missing
+    with pytest.raises(BadLength, match="too short"):
+        decode(crc_valid_frame(kind, struct.pack("<I", 0)))
+
+
+@pytest.mark.parametrize("kind", [FrameKind.FSR_BATCH, FrameKind.ACCEL_BATCH])
 def test_decode_rejects_zero_count_batch(kind):
     with pytest.raises(BadLength):
         decode(crc_valid_frame(kind, struct.pack("<IB", 0, 0)))
@@ -514,7 +521,7 @@ def test_split_holds_partial_tail():
 
 
 def test_split_drops_a_stray_magic_byte_at_the_end_of_a_capture():
-    frames = FirmwareEmulator().run(ConstantStimulus(), 2.0)
+    frames = run_on_grid(FirmwareEmulator(), ConstantStimulus(), 2.0)
     head = b"".join(encode(f) for f in frames[:-2])
     tail = b"".join(encode(f) for f in frames[-2:])
     stray = bytes([MAGIC, VERSION, 0x01, 0x00, 0x00, 0x00, 0xFF])  # declares 263 bytes

@@ -50,7 +50,8 @@ def test_tracer_records_every_benchmarked_layer(tmp_path, monkeypatch):
         assert cli.main(["simulate", "--duration", "4", "--out", capture]) == cli.EXIT_OK
         assert cli.main(["analyze", capture, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_OK
         assert cli.main(["power", "--duration", "4"]) == cli.EXIT_OK
-    for name in ("firmware.run", "firmware.encode_session", "protocol.split_stream",
+    for name in ("session.synthesize_force", "firmware.ArrayStimulus", "firmware.run",
+                 "firmware.encode_session", "protocol.split_stream",
                  "pipeline.extract_series", "pipeline.export_csv", "power.accumulate"):
         assert op.calls[name] > 0, name
     for name in ("firmware.ticks", "firmware.frames", "firmware.timeline_intervals",
