@@ -15,13 +15,14 @@ import math
 import socket
 import sys
 import time
+from contextlib import nullcontext
 
 from . import pipeline
 from ._output import open_output
 from .config import ConfigError, SessionConfig, apply_overrides, load_config
 from .firmware import schedule_timeline
 from .power import PRESETS, accumulate
-from .protocol import FrameKind, encode, split_stream
+from .protocol import FrameKind, StreamSplitter, encode, split_stream
 from .sensor import ParameterError
 from .session import run_session, write_capture
 
@@ -161,21 +162,18 @@ def _stream_listen(args) -> int:
         bound = server.getsockname()
         print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr, flush=True)
         conn, peer = server.accept()
-        chunks = []
-        with conn:
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-    data = b"".join(chunks)
-    if args.out:
-        with open_output(args.out, "wb") as fp:
-            fp.write(data)
-    frames, resyncs, pending = split_stream(data)
-    print(f"received {len(data)} bytes from {peer[0]}:{peer[1]}: "
-          f"{len(frames)} frames, {len(resyncs)} resyncs, {pending} pending bytes")
-    if data and not frames:
+    splitter, received = StreamSplitter(), 0  # frames are cut out as bytes arrive
+    with conn, (open_output(args.out, "wb") if args.out else nullcontext()) as out:
+        while chunk := conn.recv(65536):
+            received += len(chunk)
+            splitter.feed(chunk)
+            if out is not None:
+                out.write(chunk)
+    splitter.finish()
+    print(f"received {received} bytes from {peer[0]}:{peer[1]}: {splitter.frames_out} frames, "
+          f"{splitter.resync_count} resyncs, {splitter.pending_bytes} pending bytes")
+    if received and not splitter.frames_out:
+        print("no decodable frames in input", file=sys.stderr)
         return EXIT_CORRUPT
     return EXIT_OK
 

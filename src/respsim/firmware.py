@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -318,7 +317,7 @@ class FirmwareEmulator:
             if accel_mg is None:
                 raise StimulusError(f"accel sample due at t={t} ms but none supplied")
             accel = (int(accel_mg[0]), int(accel_mg[1]), int(accel_mg[2]))
-            _check_accel([accel], [t])
+            _check_accel([[a] for a in accel], [t])
 
         if fsr_due:
             self._fsr_buf.append((t, code))
@@ -384,8 +383,8 @@ class FirmwareEmulator:
                                     f"range(0, {total_ms}, {times.step}) ms")
         codes = fsr_codes(stimulus.force_n,
                           self.model.fsr, self.model.divider, self.model.adc).tolist()
+        _check_accel([stimulus.accel[a] for a in ("x_mg", "y_mg", "z_mg")], accel_t)
         accel = stimulus.accel[["x_mg", "y_mg", "z_mg"]].tolist()
-        _check_accel(accel, accel_t)
 
         events, states, self._tx_remaining_ms = _schedule(
             cfg, self.power_profile.tx_ms_per_frame, total_ms)
@@ -471,13 +470,13 @@ def schedule_timeline(config: FirmwareConfig, tx_ms_per_frame: int, duration_s: 
     return Timeline.from_ticks(states, config.tick_ms)
 
 
-def _check_accel(samples: list[tuple[int, int, int]], times) -> None:
-    """Reject accel triples past the sensor's full scale, as a negative force is rejected."""
-    if samples and max(map(abs, chain.from_iterable(samples))) > FULL_SCALE_MG:
-        i = next(i for i, s in enumerate(samples) if max(map(abs, s)) > FULL_SCALE_MG)
-        raise ParameterError(
-            f"accel sample {samples[i]} at t={times[i]} ms is beyond ±{FULL_SCALE_MG} mg"
-        )
+def _check_accel(axes, times) -> None:
+    """Reject accel samples past full scale, as a negative force is rejected; ``axes``
+    are their x, y and z columns, each bounded by its min and max without a copy."""
+    if len(times) and any(np.min(a) < -FULL_SCALE_MG or np.max(a) > FULL_SCALE_MG for a in axes):
+        i = next(i for i, s in enumerate(zip(*axes)) if max(map(abs, s)) > FULL_SCALE_MG)
+        raise ParameterError(f"accel sample {tuple(int(a[i]) for a in axes)} at t={times[i]} ms "
+                             f"is beyond ±{FULL_SCALE_MG} mg")
 
 
 def _drain(buf: list) -> tuple[int, list]:

@@ -8,11 +8,11 @@ the CRC byte itself and is always rejected.
 
 :class:`StreamSplitter` is the receive side for a raw byte stream: frames
 may arrive split across arbitrary chunk boundaries and interleaved with
-garbage; it scans forward to the next magic byte, validates candidates,
-and coalesces each maximal run of discarded bytes into one resync event.
-A candidate whose declared length runs past the data is held for more
-bytes; at the end of a capture, :meth:`StreamSplitter.finish` drops it
-when a frame follows its magic byte.
+garbage.  It reads frames with :func:`decode`'s own parser, skips garbage
+to the next magic byte in one step, and joins a discard to the last resync
+run when it starts where that run ends.  A candidate whose declared length
+runs past the data is held for more bytes; :meth:`StreamSplitter.finish`
+drops it at the end of a capture when a frame follows its magic byte.
 
 :class:`TelemetryFrame` and its payloads are plain records, checked at the
 two borders of the program instead of when built: :func:`encode` for
@@ -268,33 +268,39 @@ def encode(frame: TelemetryFrame) -> bytes:
     return header + payload + bytes([crc8(body)])
 
 
-def decode(data: bytes) -> TelemetryFrame:
-    """Parse exactly one frame from ``data``; reject anything malformed.
-
-    Raises :class:`Truncated` when bytes are missing, :class:`BadLength`
-    when trailing bytes follow a complete frame, and the specific error
-    class for magic/version/CRC/kind violations.
-    """
-    if len(data) < FRAME_OVERHEAD:
-        raise Truncated(f"need at least {FRAME_OVERHEAD} bytes, got {len(data)}")
-    magic, version, kind_byte, seq, flags, length = _HEADER.unpack_from(data)
+def _parse(buf, offset: int = 0) -> tuple[TelemetryFrame, int]:
+    """The frame at ``buf[offset]`` and the offset just past it: the one reader
+    of a frame's header.  :class:`Truncated` comes first, exactly when ``buf``
+    ends before the declared frame; then magic, version, CRC, kind, payload."""
+    if len(buf) < offset + HEADER_LEN:
+        raise Truncated(f"need a {HEADER_LEN}-byte header, got {len(buf) - offset} bytes")
+    magic, version, kind_byte, seq, flags, length = _HEADER.unpack_from(buf, offset)
+    end = offset + FRAME_OVERHEAD + length
+    if len(buf) < end:
+        raise Truncated(f"frame declares {end - offset} bytes, got {len(buf) - offset}")
     if magic != MAGIC:
         raise BadMagic(f"expected 0x{MAGIC:02X}, got 0x{magic:02X}")
     if version != VERSION:
         raise BadVersion(f"expected version 0x{VERSION:02X}, got 0x{version:02X}")
-    total = FRAME_OVERHEAD + length
-    if len(data) < total:
-        raise Truncated(f"frame declares {total} bytes, got {len(data)}")
-    if len(data) > total:
-        raise BadLength(f"{len(data) - total} trailing bytes after frame")
-    expected_crc = crc8(data[1 : HEADER_LEN + length])
-    actual_crc = data[total - 1]
-    if actual_crc != expected_crc:
-        raise BadCrc(f"crc mismatch: expected 0x{expected_crc:02X}, got 0x{actual_crc:02X}")
+    expected_crc = crc8(buf[offset + 1:end - 1])
+    if buf[end - 1] != expected_crc:
+        raise BadCrc(f"crc mismatch: expected 0x{expected_crc:02X}, got 0x{buf[end - 1]:02X}")
     kind = _kind(kind_byte)
-    payload = PAYLOAD_TYPES[kind].from_bytes(data[HEADER_LEN:total - 1])
+    payload = PAYLOAD_TYPES[kind].from_bytes(buf[offset + HEADER_LEN:end - 1])
     _check(kind, payload)
-    return TelemetryFrame(kind, seq, flags, payload)
+    return TelemetryFrame(kind, seq, flags, payload), end
+
+
+def decode(data: bytes) -> TelemetryFrame:
+    """Parse exactly one frame from ``data``; reject anything malformed.
+
+    :class:`Truncated` wins whenever ``data`` ends before the frame its
+    header declares, and :class:`BadLength` for trailing bytes comes last.
+    """
+    frame, end = _parse(data)
+    if end != len(data):
+        raise BadLength(f"{len(data) - end} trailing bytes after frame")
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +319,16 @@ class StreamSplitter:
     """Incremental frame extractor over an unreliable byte stream.
 
     Feed arbitrary chunks; complete valid frames come back in order.  Bytes
-    that cannot start a valid frame are dropped one at a time and coalesced
-    into :class:`ResyncEvent` runs.  A partial frame at the tail is held
-    until more bytes arrive, so splitting a valid stream at any point
-    yields a prefix of its frame sequence.  Call :meth:`finish` once the
-    stream has ended.
+    up to the next magic byte, and a magic byte that starts no valid frame,
+    are dropped and coalesced into :class:`ResyncEvent` runs.  A partial
+    frame at the tail is held until more bytes arrive, so splitting a valid
+    stream at any point yields a prefix of its frame sequence.  Call
+    :meth:`finish` once the stream has ended.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
         self._consumed = 0        # absolute offset of _buf[0] in the stream
-        self._in_skip_run = False
         self.resyncs: list[ResyncEvent] = []
         self.frames_out = 0
 
@@ -340,14 +345,15 @@ class StreamSplitter:
     def skipped_bytes(self) -> int:
         return sum(ev.skipped for ev in self.resyncs)
 
-    def _discard_one(self) -> None:
-        if self._in_skip_run:
-            self.resyncs[-1].skipped += 1
+    def _skip(self, n: int) -> None:
+        """Discard ``n`` bytes, joining the last run if they continue it."""
+        last = self.resyncs[-1] if self.resyncs else None
+        if last is not None and last.offset + last.skipped == self._consumed:
+            last.skipped += n
         else:
-            self.resyncs.append(ResyncEvent(offset=self._consumed, skipped=1))
-            self._in_skip_run = True
-        del self._buf[0]
-        self._consumed += 1
+            self.resyncs.append(ResyncEvent(offset=self._consumed, skipped=n))
+        del self._buf[:n]
+        self._consumed += n
 
     def feed(self, chunk: bytes) -> list[TelemetryFrame]:
         """Absorb a chunk and return every frame completed by it."""
@@ -355,24 +361,20 @@ class StreamSplitter:
         out: list[TelemetryFrame] = []
         while self._buf:
             if self._buf[0] != MAGIC:
-                self._discard_one()
+                start = self._buf.find(MAGIC)
+                self._skip(len(self._buf) if start < 0 else start)
                 continue
-            if len(self._buf) < HEADER_LEN:
-                break  # cannot know the frame length yet
-            total = FRAME_OVERHEAD + self._buf[6]
-            if len(self._buf) < total:
-                break  # wait for the rest of the candidate frame
-            candidate = bytes(self._buf[:total])
             try:
-                frame = decode(candidate)
+                frame, end = _parse(self._buf)
+            except Truncated:
+                break  # wait for the rest of the candidate frame
             except ProtocolError:
-                self._discard_one()
+                self._skip(1)
                 continue
             out.append(frame)
-            del self._buf[:total]
-            self._consumed += total
-            self._in_skip_run = False
-            self.frames_out += 1
+            del self._buf[:end]
+            self._consumed += end
+        self.frames_out += len(out)
         return out
 
     def finish(self) -> list[TelemetryFrame]:
@@ -385,17 +387,15 @@ class StreamSplitter:
         """
         out: list[TelemetryFrame] = []
         while any(_frame_at(self._buf, i) for i in range(1, len(self._buf))):
-            self._discard_one()
+            self._skip(1)
             out.extend(self.feed(b""))
         return out
 
 
 def _frame_at(buf: bytearray, i: int) -> bool:
     """Whether a whole valid frame starts at ``buf[i]``."""
-    if buf[i] != MAGIC or len(buf) < i + HEADER_LEN:
-        return False
     try:
-        decode(bytes(buf[i:i + FRAME_OVERHEAD + buf[i + 6]]))
+        _parse(buf, i)
     except ProtocolError:  # Truncated too, where the frame runs past the end
         return False
     return True

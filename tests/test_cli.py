@@ -20,7 +20,7 @@ import pytest
 import yaml
 
 import respsim
-from respsim.cli import EXIT_IO, main
+from respsim.cli import EXIT_CORRUPT, EXIT_IO, main
 from respsim.config import SessionConfig, apply_overrides, from_dict, load_config
 from respsim.session import read_truth
 
@@ -565,6 +565,30 @@ def test_stream_listen_captures_to_file(tmp_path, capsys):
     assert main(["simulate", "--out", ref, "--duration", "4"]) == 0
     capsys.readouterr()
     assert data == Path(ref).read_bytes()
+
+
+def test_stream_listen_without_a_frame_is_corruption(tmp_path, capsys):
+    port = free_port()
+    out = tmp_path / "captured.raw"
+    result = {}
+
+    def listener():
+        result["code"] = main(["stream", "--listen", f"127.0.0.1:{port}", "--out", str(out)])
+
+    thread = threading.Thread(target=listener, daemon=True)
+    thread.start()
+    garbage = bytes(range(256)) * 4  # magic bytes in it, but no frame
+    for _ in range(50):
+        try:
+            with socket.create_connection(("127.0.0.1", port)) as sender:
+                sender.sendall(garbage)
+            break
+        except ConnectionRefusedError:  # the listener is not up yet
+            time.sleep(0.1)
+    thread.join(timeout=10)
+    assert result["code"] == EXIT_CORRUPT
+    assert "no decodable frames in input" in capsys.readouterr().err
+    assert out.read_bytes() == garbage
 
 
 def test_stream_connection_refused_is_io_error(capsys):

@@ -445,8 +445,10 @@ def test_run_rejects_invalid_force_like_tick(force, accel):
     forces = [ForceSample(t, force if t == 400 else 4.0) for t in range(0, 1000, 40)]
     rows = np.array([(t, *accel) if t == 400 else (t, 0, 0, 1000) for t in range(0, 1000, 20)],
                     dtype=ACCEL_DTYPE)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as raised:
         FirmwareEmulator().run(ArrayStimulus(forces, rows), 1.0)
+    if accel[1] > 2000:  # run() names the triple and its instant, as tick() does
+        assert str(raised.value) == "accel sample (0, 2001, 1000) at t=400 ms is beyond ±2000 mg"
 
 
 @pytest.mark.parametrize("channel, change", [

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from respsim import pipeline
 from respsim.config import from_dict
@@ -46,6 +46,8 @@ from respsim.protocol import (
     FrameKind,
     FsrBatchPayload,
     TelemetryFrame,
+    decode,
+    encode,
     split_stream,
 )
 from respsim.sensor import (
@@ -633,6 +635,52 @@ def test_extract_series_matches_a_per_sample_loop(frames):
     assert series.battery.tobytes() == battery.tobytes()
     assert (series.fsr_period_ms, series.accel_period_ms) == (fsr_period, accel_period)
     assert series.frame_counts == counts
+
+
+# stamps within 200 s: a stamp near 2**32 makes one rate window per window
+# step up to it, seconds of work per frame
+_fuzz_t0s = st.sampled_from([0, 40, 3334]) | st.integers(0, 200_000)
+
+
+def _fuzz_samples(sample, most):
+    """1 to ``most`` samples, often only a few."""
+    return st.lists(sample, min_size=1, max_size=3) | st.lists(sample, min_size=1, max_size=most)
+
+
+@st.composite
+def well_formed_frames(draw):
+    """Any frame that decode reads back: every kind, seq and flags, and any
+    in-range samples, from one to the MTU's worth."""
+    kind = draw(st.sampled_from(list(FrameKind)))
+    if kind is FrameKind.FSR_BATCH:
+        payload = FsrBatchPayload(draw(_fuzz_t0s), tuple(draw(_fuzz_samples(
+            st.sampled_from([0, 4095]) | st.integers(0, 4095), 119))))
+    elif kind is FrameKind.ACCEL_BATCH:
+        payload = AccelBatchPayload(draw(_fuzz_t0s), tuple(draw(_fuzz_samples(
+            st.tuples(*[st.integers(-32768, 32767)] * 3), 39))))
+    else:
+        payload = BatteryStatusPayload(
+            draw(_fuzz_t0s), draw(st.integers(0, 4095)), draw(st.integers(0, 100)))
+    frame = TelemetryFrame(kind, draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFF)),
+                           payload)
+    assert decode(encode(frame)) == frame
+    return frame
+
+
+# the capture that divided by a zero median breath interval
+@example([TelemetryFrame(FrameKind.FSR_BATCH, seq, 0, FsrBatchPayload(t0, codes))
+          for seq, (t0, codes) in enumerate(
+              [(0, (1,)), (3334, (0, 2)), (3334, (0, 1)), (3334, (0, 2, 1))])])
+@settings(max_examples=200, deadline=None)
+@given(st.lists(well_formed_frames(), max_size=12))
+def test_well_formed_frames_raise_nothing_but_insufficient_data(frames):
+    try:
+        result = analyze_session(frames)
+        summarize(result)
+        export_csv(result, io.StringIO())
+        export_jsonl(result, io.StringIO())
+    except InsufficientDataError:
+        pass
 
 
 def battery_frames(seqs):

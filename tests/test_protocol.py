@@ -642,3 +642,60 @@ def test_split_never_raises_and_accounts_for_every_byte(data):
     frames, resyncs, pending = split_stream(data)
     framed = sum(len(encode(f)) for f in frames)
     assert framed + sum(r.skipped for r in resyncs) + pending == len(data)
+
+
+def reference_split(data: bytes):
+    """split_stream written out a byte at a time, with reference_decode.
+
+    At a magic byte whose declared frame is whole and valid, take the
+    frame; otherwise drop one byte, joining the current run of dropped
+    bytes.  A magic byte whose frame runs past the data is held, unless a
+    valid frame starts anywhere after it: then it is dropped too.
+    Returns (frames, resync (offset, skipped) runs, pending bytes).
+    """
+    def candidate(i):
+        """The bytes of the frame that data[i] declares, or None past the end."""
+        if len(data) - i < 7 or len(data) - i < 8 + data[i + 6]:
+            return None
+        return data[i:i + 8 + data[i + 6]]
+
+    def valid_at(i):
+        raw = candidate(i) if data[i] == MAGIC else None
+        return raw is not None and isinstance(outcome(reference_decode, raw), TelemetryFrame)
+
+    frames, runs, pos, in_run = [], [], 0, False
+    while pos < len(data):
+        if data[pos] == MAGIC:
+            raw = candidate(pos)
+            if raw is None and not any(valid_at(i) for i in range(pos + 1, len(data))):
+                break
+            frame = None if raw is None else outcome(reference_decode, raw)
+            if isinstance(frame, TelemetryFrame):
+                frames.append(frame)
+                pos += len(raw)
+                in_run = False
+                continue
+        if in_run:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((pos, 1))
+            in_run = True
+        pos += 1
+    return frames, runs, len(data) - pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_stream_pieces, max_size=48).map(b"".join),
+       st.lists(st.integers(1, 64), max_size=40))
+def test_split_matches_an_independent_reference_split(data, chunks):
+    expected = reference_split(data)
+    frames, resyncs, pending = split_stream(data)
+    assert (frames, [(r.offset, r.skipped) for r in resyncs], pending) == expected
+    splitter = StreamSplitter()
+    got, i = [], 0
+    for size in chunks:
+        got += splitter.feed(data[i:i + size])
+        i += size
+    got += splitter.feed(data[i:]) + splitter.finish()
+    assert (got, [(r.offset, r.skipped) for r in splitter.resyncs],
+            splitter.pending_bytes) == expected
