@@ -20,9 +20,9 @@ from contextlib import nullcontext
 from . import pipeline
 from ._output import open_output
 from .config import ConfigError, SessionConfig, apply_overrides, load_config
-from .firmware import schedule_timeline
+from .firmware import _schedule, schedule_timeline
 from .power import PRESETS, accumulate
-from .protocol import FrameKind, StreamSplitter, encode, split_stream
+from .protocol import StreamSplitter, encode, split_stream
 from .sensor import ParameterError
 from .session import run_session, write_capture
 
@@ -110,20 +110,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _frame_emit_ms(frame, cfg: SessionConfig) -> int:
-    """Millisecond instant the firmware would have sent this frame."""
-    fw = cfg.firmware
-    if frame.kind == FrameKind.FSR_BATCH:
-        return frame.payload.t0_ms + (len(frame.payload.codes) - 1) * fw.fsr_period_ms
-    if frame.kind == FrameKind.ACCEL_BATCH:
-        return frame.payload.t0_ms + (len(frame.payload.samples) - 1) * fw.accel_period_ms
-    return frame.payload.t_ms
-
-
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ConfigError(f"expected HOST:PORT, got {text!r}")
+    if not (sep and port.isascii() and port.isdigit() and int(port) <= 0xFFFF):
+        raise ConfigError(f"expected HOST:PORT with a decimal port in 0..65535, got {text!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -136,14 +126,17 @@ def cmd_stream(args) -> int:
 
 
 def _stream_connect(args) -> int:
+    host, port = _parse_endpoint(args.connect)
     cfg = _load_session_config(args)
     result = run_session(cfg)
-    host, port = _parse_endpoint(args.connect)
+    # each frame goes out at the instant the firmware's schedule sends it;
+    # airtime shapes only the activity states, so none is given
+    events, _, _ = _schedule(cfg.firmware, 0, cfg.firmware.session_ms(cfg.duration_s))
     start = time.monotonic()
     sent = 0
     with socket.create_connection((host, port)) as sock:
-        for frame in result.frames:
-            due_s = _frame_emit_ms(frame, cfg) / 1000.0 / args.speed
+        for frame, (t_ms, _, _) in zip(result.frames, events, strict=True):
+            due_s = t_ms / 1000.0 / args.speed
             delay = due_s - (time.monotonic() - start)
             if delay > 0:
                 time.sleep(delay)

@@ -33,9 +33,11 @@ channel's instants: frame send instants and tick activity from the function
 behind :func:`schedule_timeline`, ADC codes from one array pass of the
 force column through the FSR chain, each batch cut as a slice of those
 arrays, and energy summed per battery period with ``np.cumsum``, which adds
-in the same sequence as the per-tick ``+=``.  Both frame every batch through
-one builder.  The tests hold ``run`` to a tick loop frame for frame, float
-for float.
+in the same sequence as the per-tick ``+=``.  That schedule lists the final
+flush too, as sends at the session's end, so ``run`` frames every batch in
+one loop and ``respsim stream`` paces each frame by its listed instant.
+Both frame every batch through one builder.  The tests hold ``run`` to a
+tick loop frame for frame, float for float.
 """
 
 from __future__ import annotations
@@ -367,9 +369,11 @@ class FirmwareEmulator:
         The schedule is derived in bulk, not stepped: the force column goes
         through the FSR chain in one array pass, each batch is a slice of
         the samples, and activity, energy and battery readings follow from
-        the ticks that emit frames.  Frames, battery log, timeline, energy
-        and the state left behind are those of :meth:`boot`, then
-        :meth:`tick` at every tick, then :meth:`flush`.
+        the ticks that emit frames.  One loop frames every scheduled send;
+        the sends at the session's end are the final flush and carry its
+        flag.  Frames, battery log, timeline, energy and the state left
+        behind are those of :meth:`boot`, then :meth:`tick` at every tick,
+        then :meth:`flush`.
         """
         total_ms = self.config.session_ms(duration_s)
         self.boot()
@@ -403,13 +407,9 @@ class FirmwareEmulator:
                 frames.append(self._battery_frame(t))
             else:
                 samples, times, n = batches[kind]
-                frames.append(self._batch_frame(kind, times[i], samples[i:i + n]))
+                frames.append(self._batch_frame(kind, times[i], samples[i:i + n],
+                                                final_flush=t == total_ms))
         self._add_energy(self._tick_mwh[states[metered:]])
-        # the partial batches the tick loop's final flush would send
-        for kind, (samples, times, n) in batches.items():
-            i = len(samples) // n * n
-            if i < len(samples):
-                frames.append(self._batch_frame(kind, times[i], samples[i:], final_flush=True))
         self._clock_ms = total_ms
         return frames
 
@@ -428,9 +428,11 @@ def _schedule(
 ) -> tuple[list[tuple[int, FrameKind, int]], np.ndarray, int]:
     """A session's ``(events, states, tx_remaining_ms)``, as ``tick()`` decides them.
 
-    ``events`` is the ``(instant, kind, first sample)`` of every frame sent
-    before the final flush, in send order; within a tick that is FSR batch,
-    accel batch, battery status, the order of their kind codes.  ``states``
+    ``events`` is the ``(instant, kind, first sample)`` of every frame sent,
+    in send order; within a tick that is FSR batch, accel batch, battery
+    status, the order of their kind codes.  The final flush's partial
+    batches come last, FSR before accel, at ``total_ms``: the clock after
+    the last tick, where :meth:`FirmwareEmulator.flush` sends them.  ``states``
     is each tick's activity code.  Pending airtime grows only on ticks that
     send frames and drains by ``tick_ms`` per tick in between, so the queue
     is walked once per sending tick; ``tx_remaining_ms`` is what the tick
@@ -439,10 +441,13 @@ def _schedule(
     """
     events = [(t, FrameKind.BATTERY_STATUS, 0)
               for t in range(0, total_ms, config.battery_period_ms)]
+    flush = []  # the partial batches, FSR before accel
     for kind, period, n in ((FrameKind.FSR_BATCH, config.fsr_period_ms, config.fsr_batch),
                             (FrameKind.ACCEL_BATCH, config.accel_period_ms, config.accel_batch)):
         times = range(0, total_ms, period)
         events += [(times[i + n - 1], kind, i) for i in range(0, len(times) - n + 1, n)]
+        if len(times) % n:
+            flush.append((total_ms, kind, len(times) - len(times) % n))
     events.sort()
 
     tick = config.tick_ms
@@ -461,6 +466,7 @@ def _schedule(
             tx -= radio * tick
         tx += tx_ms_per_frame * count
         pos = k + 1
+    events += flush  # sent after the last tick, so they add no airtime
     return events, states, tx
 
 

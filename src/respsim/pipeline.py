@@ -195,6 +195,12 @@ def extract_series(
     accel, accel_period = _batch_rows(
         [(f.payload.t0_ms, f.payload.samples) for f in by_kind[FrameKind.ACCEL_BATCH]],
         ACCEL_DTYPE, ("x_mg", "y_mg", "z_mg"), firmware.accel_period_ms)
+    for f in by_kind[FrameKind.BATTERY_STATUS]:
+        if f.payload.adc_code > model.adc.full_scale:
+            raise ParameterError(
+                f"battery reading at t_ms={f.payload.t_ms} has code {f.payload.adc_code}, "
+                f"outside 0..{model.adc.full_scale} of adc.bits={model.adc.bits}, "
+                f"so the capture needs a wider adc.bits")
     battery = np.array([
         (f.payload.t_ms, f.payload.adc_code, f.payload.percent,
          battery_percent(f.payload.adc_code, model), f.charging)
@@ -591,15 +597,6 @@ def analyze_session(
               for rows, period in channels if len(rows)]
     span_start = min((first for first, _ in bounds), default=0)
     span_end = int(round(max((end for _, end in bounds), default=0)))
-    if span_end <= span_start:
-        return SessionAnalysis(
-            series=series,
-            breaths=np.empty(0, dtype=np.int64),
-            artifacts=ArtifactMask(),
-            estimates=[],
-            alerts=[],
-            span_ms=(span_start, span_end),
-        )
 
     fsr_t, force = series.fsr["t_ms"], series.fsr["force_n"]
     usable = ~np.isnan(force)
@@ -622,15 +619,12 @@ def analyze_session(
         fallback_period_ms=series.accel_period_ms,
     )
 
+    # whole windows from the span's start, or one window over a shorter, non-empty span
     window_ms = int(round(analysis.window_s * 1000))
-    estimates: list[RespirationEstimate] = []
-    n_windows = (span_end - span_start) // window_ms
-    if n_windows == 0:
-        estimates.append(estimate_rate(breaths, span_start, span_end, artifacts))
-    else:
-        for i in range(n_windows):
-            lo = span_start + i * window_ms
-            estimates.append(estimate_rate(breaths, lo, lo + window_ms, artifacts))
+    starts = range(span_start, span_end - window_ms + 1, window_ms)
+    windows = ([(lo, lo + window_ms) for lo in starts]
+               or ([(span_start, span_end)] if span_end > span_start else []))
+    estimates = [estimate_rate(breaths, lo, hi, artifacts) for lo, hi in windows]
 
     alerts = detect_apnea(breaths, span_start, span_end, analysis.apnea_timeout_s, artifacts)
     return SessionAnalysis(

@@ -111,6 +111,18 @@ def test_adc_wider_than_the_wire_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_a_capture_from_a_wider_adc_names_the_reading_and_adc_bits(tmp_path, capsys):
+    capture = tmp_path / "twelve-bit.raw"
+    assert main(["simulate", "--duration", "20", "--out", str(capture)]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "ten-bit.yaml"
+    cfg.write_text("adc:\n  bits: 10\n")
+    code, out, err = run_cli(capsys, "analyze", str(capture), "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == ("respsim: config error: battery reading at t_ms=0 has code 3822, "
+                   "outside 0..1023 of adc.bits=10, so the capture needs a wider adc.bits\n")
+
+
 def test_simulate_rejects_negative_duration(tmp_path, capsys):
     out = tmp_path / "s.raw"
     code, _, err = run_cli(capsys, "simulate", "--out", str(out), "--duration", "-5")
@@ -602,6 +614,20 @@ def test_stream_connection_refused_is_io_error(capsys):
 def test_stream_bad_endpoint_is_usage_error(capsys):
     assert run_cli(capsys, "stream", "--connect", "nonsense",
                    "--duration", "2")[0] == 1
+
+
+@pytest.mark.parametrize("mode", ["--connect", "--listen"])
+@pytest.mark.parametrize("port", ["70000", "99999", "\u00b2"],
+                         ids=["70000", "99999", "superscript-two"])
+def test_stream_port_outside_0_to_65535_is_config_error(capsys, mode, port):
+    # a socket would take 99999 as 99999 mod 65536 or overflow on 70000; the
+    # endpoint is checked before the session is configured, so its bad
+    # duration goes unread
+    endpoint = f"127.0.0.1:{port}"
+    code, out, err = run_cli(capsys, "stream", mode, endpoint, "--duration", "-1")
+    assert (code, out) == (1, "")
+    assert err == ("respsim: config error: expected HOST:PORT with a decimal port in "
+                   f"0..65535, got {endpoint!r}\n")
 
 
 @pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf"])

@@ -12,6 +12,7 @@ from respsim.firmware import (
     FirmwareConfig,
     FirmwareEmulator,
     StimulusError,
+    _schedule,
     encode_session,
     schedule_timeline,
 )
@@ -399,6 +400,23 @@ def test_run_equals_tick_loop(setup):
     schedule = schedule_timeline(stepped.config, stepped.power_profile.tx_ms_per_frame,
                                  duration_s)
     assert columns(schedule) == expected["timeline"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(emulator_setups())
+def test_schedule_lists_the_instant_each_frame_is_sent(setup):
+    # stream --connect paces each frame by its event's instant
+    kwargs, duration_s, forces = setup
+    stimulus = VaryingStimulus(forces)
+    emu = FirmwareEmulator(**kwargs)
+    session_ms = emu.config.session_ms(duration_s)
+    sent = []
+    while emu._clock_ms < session_ms:
+        t = emu._clock_ms
+        sent += [(t, f.kind) for f in tick_on(emu, stimulus, 1)]
+    sent += [(session_ms, f.kind) for f in emu.flush()]
+    events, _, _ = _schedule(emu.config, emu.power_profile.tx_ms_per_frame, session_ms)
+    assert [(t, kind) for t, kind, _ in events] == sent
 
 
 @settings(max_examples=20, deadline=None)

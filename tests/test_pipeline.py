@@ -531,6 +531,14 @@ def test_analyze_empty_frames():
     assert summarize(result)["frames"] == {
         "fsr_batch": 0, "accel_batch": 0, "battery_status": 0
     }
+    # one battery reading spans a single instant: no window to estimate over
+    reading = TelemetryFrame(FrameKind.BATTERY_STATUS, 0, 0, BatteryStatusPayload(4000, 3822, 100))
+    result = analyze_session([reading])
+    assert result.span_ms == (4000, 4000)
+    assert (result.estimates, result.alerts) == ([], [])
+    out = io.StringIO()
+    assert export_csv(result, out) == 1
+    assert out.getvalue().splitlines()[1].startswith("battery,4000,")
 
 
 def test_extract_series_reports_seq_gaps():
