@@ -214,6 +214,11 @@ def cmd_analyze(args) -> int:
     del data  # the frames hold all of it that the analysis reads
     result = pipeline.analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware)
     summary = pipeline.summarize(result)
+    if summary["battery_percent_mismatches"]:
+        print(f"respsim: warning: device and host battery percent differ by more than "
+              f"1 point on {summary['battery_percent_mismatches']} of "
+              f"{summary['battery_reports']} readings; analyze with the --config the "
+              f"capture was made with", file=sys.stderr)
     summary["resyncs"] = len(resyncs)
     summary["skipped_bytes"] = sum(ev.skipped for ev in resyncs)
     summary["pending_bytes"] = pending

@@ -123,14 +123,14 @@ def _batch_rows(
 ) -> tuple[np.ndarray, float]:
     """One channel's ``(t0, samples)`` batches as time-ordered ``dtype`` rows.
 
-    Each sample holds one int per name in ``fields`` (an FSR code, or an
-    accel x, y, z triple); the rows' other fields are left zero.  The period
+    Each sample holds one int per name in ``fields`` (an FSR code, an accel x, y, z
+    triple or a battery reading); other fields are left zero.  The period
     is the median intra-batch spacing of consecutive batch start times, or
     ``fallback_period_ms`` with fewer than two distinct ones, and sample j
     of a batch lies at ``round(t0 + j * period)``: numpy rounds half to even,
     as round() does.  Both sorts are stable, so batches and samples with
-    equal instants keep receive order; rows already in time order are
-    returned as built, since a stable sort leaves them so.
+    equal instants keep receive order; of the rows at one instant only the
+    first is kept, so a copied or conflicting later frame adds none there.
     """
     batches = sorted(batches, key=itemgetter(0))
     deltas = [(t1 - t0) / len(samples)
@@ -150,9 +150,11 @@ def _batch_rows(
         rows[name] = column
     del matrix
     t = rows["t_ms"]
-    if (t[1:] >= t[:-1]).all():
+    if (t[1:] > t[:-1]).all():
         return rows, period_ms
-    return rows[np.argsort(t, kind="stable")], period_ms
+    rows = rows[np.argsort(t, kind="stable")]
+    t = rows["t_ms"]
+    return rows[np.searchsorted(t, _distinct(t))], period_ms  # the first row per instant
 
 
 @dataclass
@@ -195,22 +197,22 @@ def extract_series(
     accel, accel_period = _batch_rows(
         [(f.payload.t0_ms, f.payload.samples) for f in by_kind[FrameKind.ACCEL_BATCH]],
         ACCEL_DTYPE, ("x_mg", "y_mg", "z_mg"), firmware.accel_period_ms)
-    for f in by_kind[FrameKind.BATTERY_STATUS]:
-        if f.payload.adc_code > model.adc.full_scale:
-            raise ParameterError(
-                f"battery reading at t_ms={f.payload.t_ms} has code {f.payload.adc_code}, "
-                f"outside 0..{model.adc.full_scale} of adc.bits={model.adc.bits}, "
-                f"so the capture needs a wider adc.bits")
-    battery = np.array([
-        (f.payload.t_ms, f.payload.adc_code, f.payload.percent,
-         battery_percent(f.payload.adc_code, model), f.charging)
-        for f in by_kind[FrameKind.BATTERY_STATUS]
-    ], dtype=BATTERY_DTYPE)
+    battery, _ = _batch_rows(
+        [(f.payload.t_ms, ((f.payload.adc_code, f.payload.percent, f.charging),))
+         for f in by_kind[FrameKind.BATTERY_STATUS]],
+        BATTERY_DTYPE, ("adc_code", "device_percent", "charging"), firmware.battery_period_ms)
+    wide = battery[battery["adc_code"] > model.adc.full_scale]
+    if len(wide):
+        raise ParameterError(
+            f"battery reading at t_ms={wide['t_ms'][0]} has code {wide['adc_code'][0]}, "
+            f"outside 0..{model.adc.full_scale} of adc.bits={model.adc.bits}, "
+            f"so the capture needs a wider adc.bits")
+    battery["host_percent"] = [battery_percent(c, model) for c in battery["adc_code"].tolist()]
 
     return ExtractedSeries(
         fsr=fsr,
         accel=accel,
-        battery=battery[np.argsort(battery["t_ms"], kind="stable")],
+        battery=battery,
         fsr_period_ms=fsr_period,
         accel_period_ms=accel_period,
         frame_counts={kind.name.lower(): len(by_kind[kind]) for kind in FrameKind},
@@ -235,6 +237,7 @@ def _moving_average(values: np.ndarray, width: int) -> np.ndarray:
 def detect_breaths(
     times_ms: Sequence[int] | np.ndarray,
     force_n: Sequence[float] | np.ndarray,
+    period_ms: float,
     detrend_window_s: float = 10.0,
     min_peak_distance_s: float = 1.5,
     hysteresis_fraction: float = 0.2,
@@ -246,7 +249,8 @@ def detect_breaths(
     A peak must rise ``hysteresis_fraction`` of the detrended peak-to-peak
     range and sit at least ``min_peak_distance_s`` from its neighbors —
     the distance uses floor() so an exact multiple of the sample period
-    (40 breaths/min at 25 Hz) isn't rejected by rounding.
+    (40 breaths/min at 25 Hz) isn't rejected by rounding.  ``period_ms`` is
+    that period, from :func:`extract_series`; ``times_ms`` must not decrease.
 
     Returns strictly increasing breath timestamps in ms: peaks at samples
     that share an instant count as one breath.  Raises
@@ -259,9 +263,8 @@ def detect_breaths(
         raise InsufficientDataError("times and values must align")
     if t.size < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {t.size}")
-    period_ms = _median(np.diff(t))
-    if period_ms <= 0:
-        raise InsufficientDataError("timestamps must be strictly increasing")
+    if (t[1:] < t[:-1]).any():
+        raise InsufficientDataError("timestamps must not decrease")
     fs = 1000.0 / period_ms
     duration_s = (t[-1] - t[0]) / 1000.0
     if duration_s < detrend_window_s:
@@ -404,9 +407,9 @@ class ArtifactMask:
 
 def detect_motion_artifacts(
     samples: np.ndarray,
+    period_ms: float,
     threshold_mg: float = 250.0,
     min_duration_ms: float = 500.0,
-    fallback_period_ms: float = FirmwareConfig().accel_period_ms,
 ) -> ArtifactMask:
     """Flag spans where |acceleration magnitude - 1 g| stays above threshold.
 
@@ -414,10 +417,10 @@ def detect_motion_artifacts(
     excursions (a bump, a single step) are ignored: only runs lasting
     ``min_duration_ms`` or longer become artifact intervals.  A posture
     change that merely reorients gravity keeps magnitude at 1 g and is
-    correctly not an artifact.  A run ends one sample period after its last
-    hot sample, but never after the next sample, so intervals stay disjoint
-    even where timestamps crowd closer than the period.  The period is the
-    median sample spacing, or ``fallback_period_ms`` for a single sample.
+    correctly not an artifact.  A run ends one sample period, ``period_ms``
+    as :func:`extract_series` infers it, after its last hot sample, but
+    never after the next sample, so intervals stay disjoint even where
+    timestamps crowd closer than the period.
     """
     if len(samples) == 0:
         return ArtifactMask()
@@ -431,17 +434,12 @@ def detect_motion_artifacts(
     np.sqrt(mag, out=mag)
     mag -= 1000.0
     hot = np.abs(mag, out=mag) > threshold_mg
-    period_ms = _median(np.diff(t)) if t.size > 1 else fallback_period_ms
-    intervals: list[tuple[int, int]] = []
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], hot, [False])).astype(np.int8)))
-    for start_idx, stop_idx in zip(edges[::2], edges[1::2]):
-        start_t = int(t[start_idx])
-        end_t = int(t[stop_idx - 1] + period_ms)
-        if stop_idx < t.size:
-            end_t = min(end_t, int(t[stop_idx]))
-        if end_t - start_t >= min_duration_ms:
-            intervals.append((start_t, end_t))
-    return ArtifactMask(tuple(intervals))
+    edges = np.flatnonzero(np.diff(hot, prepend=False, append=False))
+    start_t, stop = t[edges[::2]], edges[1::2]  # each hot run is samples[start:stop]
+    end_t = (t[stop - 1] + period_ms).astype(np.int64)  # truncated to a whole ms
+    np.minimum(end_t, t[np.minimum(stop, t.size - 1)], out=end_t, where=stop < t.size)
+    keep = end_t - start_t >= min_duration_ms
+    return ArtifactMask(tuple(zip(start_t[keep].tolist(), end_t[keep].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +602,7 @@ def analyze_session(
     if usable.any():
         try:
             breaths = detect_breaths(
-                fsr_t[usable], force[usable],
+                fsr_t[usable], force[usable], series.fsr_period_ms,
                 detrend_window_s=analysis.detrend_window_s,
                 min_peak_distance_s=analysis.min_peak_distance_s,
                 hysteresis_fraction=analysis.hysteresis_fraction,
@@ -613,10 +611,9 @@ def analyze_session(
             log.info("not enough force signal for breath detection")
 
     artifacts = detect_motion_artifacts(
-        series.accel,
+        series.accel, series.accel_period_ms,
         threshold_mg=analysis.artifact_threshold_mg,
         min_duration_ms=analysis.artifact_min_duration_ms,
-        fallback_period_ms=series.accel_period_ms,
     )
 
     # whole windows from the span's start, or one window over a shorter, non-empty span
@@ -641,6 +638,8 @@ def summarize(result: SessionAnalysis) -> dict:
     """Compact session summary for human output and JSON dumps."""
     series = result.series
     rates = [e.rate_bpm for e in result.estimates if e.breath_count >= 2]
+    # with the capture's own device model the two percents agree exactly
+    percent_gap = np.abs(series.battery["device_percent"] - series.battery["host_percent"])
     summary = {
         "frames": dict(series.frame_counts),
         "seq_gaps": series.seq_gaps,
@@ -648,6 +647,7 @@ def summarize(result: SessionAnalysis) -> dict:
         "fsr_samples": len(series.fsr),
         "accel_samples": len(series.accel),
         "battery_reports": len(series.battery),
+        "battery_percent_mismatches": int(np.count_nonzero(percent_gap > 1)),
         "breaths_detected": int(result.breaths.size),
         "median_rate_bpm": _median(rates) if rates else 0.0,
         "artifact_intervals": len(result.artifacts.intervals),

@@ -509,6 +509,26 @@ def test_analyze_times_single_batch_channels_by_the_config(tmp_path, capsys):
     assert json.loads(stdout)["span_ms"] == [0, 100]
 
 
+def test_analyze_warns_when_device_and_host_battery_percent_disagree(tmp_path, capsys):
+    # a capture made with another divider and sense ratio, analyzed with the
+    # default model: the host reads 0 % where the device sent 50 %
+    cfg = tmp_path / "other.yaml"
+    cfg.write_text("divider: {r_fixed_ohm: 4700}\n"
+                   "battery: {sense_ratio: 0.3, initial_soc: 0.5}\n")
+    capture = str(tmp_path / "other.raw")
+    assert run_cli(capsys, "simulate", "--config", str(cfg), "--duration", "120",
+                   "--out", capture)[0] == 0
+    code, stdout, err = run_cli(capsys, "analyze", capture)
+    assert code == 0
+    assert json.loads(stdout)["battery_percent_mismatches"] == 60
+    assert err == ("respsim: warning: device and host battery percent differ by more than "
+                   "1 point on 60 of 60 readings; analyze with the --config the capture "
+                   "was made with\n")
+    code, stdout, err = run_cli(capsys, "analyze", capture, "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["battery_percent_mismatches"] == 0
+
+
 # ---------------------------------------------------------------------------
 # stream
 # ---------------------------------------------------------------------------

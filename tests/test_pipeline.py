@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -181,7 +182,7 @@ def breathing_series(rate_bpm, duration_s=60.0):
 
 def test_detect_breaths_clean_15_bpm():
     t, f = breathing_series(15.0)
-    breaths = detect_breaths(t, f)
+    breaths = detect_breaths(t, f, 40)
     assert len(breaths) == 15
     # detected peaks on the analytic peak grid (within one sample)
     for b, expected in zip(breaths, range(1000, 60000, 4000)):
@@ -191,28 +192,28 @@ def test_detect_breaths_clean_15_bpm():
 def test_detect_breaths_flat_signal_has_none():
     t = list(range(0, 60000, 40))
     f = [4.0] * len(t)
-    assert detect_breaths(t, f).size == 0
+    assert detect_breaths(t, f, 40).size == 0
 
 
 def test_detect_breaths_short_series_raises():
     t, f = breathing_series(15.0, duration_s=8.0)
     with pytest.raises(InsufficientDataError):
-        detect_breaths(t, f)
+        detect_breaths(t, f, 40)
     with pytest.raises(InsufficientDataError):
-        detect_breaths([0, 40], [1.0, 2.0])
+        detect_breaths([0, 40], [1.0, 2.0], 40)
 
 
 def test_detect_breaths_survives_baseline_drift():
     t, f = breathing_series(12.0)
     drift = np.linspace(0.0, 3.0, len(f))          # slow strap-tension creep
-    breaths = detect_breaths(t, list(np.asarray(f) + drift))
+    breaths = detect_breaths(t, list(np.asarray(f) + drift), 40)
     assert len(breaths) == 12
 
 
 @pytest.mark.parametrize("bpm", [6.0, 10.0, 15.0, 20.0, 30.0, 40.0])
 def test_detect_breaths_rate_sweep(bpm):
     t, f = breathing_series(bpm)
-    breaths = detect_breaths(t, f)
+    breaths = detect_breaths(t, f, 40)
     intervals = np.diff(breaths)
     rate = 60000.0 / float(np.median(intervals))
     assert rate == pytest.approx(bpm, abs=1.0)
@@ -264,12 +265,12 @@ def posture_rows(posture, duration_s, seed):
 
 
 def test_still_posture_has_no_artifacts():
-    mask = detect_motion_artifacts(posture_rows("still", 30.0, seed=2))
+    mask = detect_motion_artifacts(posture_rows("still", 30.0, seed=2), 20)
     assert mask.intervals == ()
 
 
 def test_walking_is_one_long_artifact():
-    mask = detect_motion_artifacts(posture_rows("walking", 30.0, seed=2))
+    mask = detect_motion_artifacts(posture_rows("walking", 30.0, seed=2), 20)
     assert len(mask.intervals) >= 1
     assert mask.total_ms >= 0.9 * 30_000
 
@@ -279,14 +280,14 @@ def test_short_spike_is_ignored():
     spiked = accel_rows(
         (t, 0, 0, 2000 if 5000 <= t < 5100 else 1000) for t in range(0, 10000, 20)
     )
-    assert detect_motion_artifacts(spiked).intervals == ()
+    assert detect_motion_artifacts(spiked, 20).intervals == ()
 
 
 def test_sustained_excursion_is_flagged_with_bounds():
     samples = accel_rows(
         (t, 0, 0, 1400 if 2000 <= t < 2700 else 1000) for t in range(0, 10000, 20)
     )
-    mask = detect_motion_artifacts(samples)
+    mask = detect_motion_artifacts(samples, 20)
     assert len(mask.intervals) == 1
     start, end = mask.intervals[0]
     assert start == 2000
@@ -297,12 +298,12 @@ def test_sustained_excursion_is_flagged_with_bounds():
 
 
 def test_posture_shift_is_not_an_artifact():
-    mask = detect_motion_artifacts(posture_rows("shift", 30.0, seed=4))
+    mask = detect_motion_artifacts(posture_rows("shift", 30.0, seed=4), 20)
     assert mask.intervals == ()
 
 
 def test_empty_input_is_clean():
-    assert detect_motion_artifacts(accel_rows([])).intervals == ()
+    assert detect_motion_artifacts(accel_rows([]), 20).intervals == ()
 
 
 @pytest.mark.parametrize("duration_s, interval", [(0.01, (0, 10)), (0.02, (0, 20))],
@@ -317,14 +318,32 @@ def test_an_artifact_lasts_the_session_accel_period(duration_s, interval):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=60))
-def test_artifact_intervals_stay_disjoint_when_samples_crowd(steps):
+@given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=60),
+       st.integers(1, 40) | st.floats(0.5, 40.0), st.sampled_from([0.0, 30.0, 75.5]))
+def test_artifact_intervals_stay_disjoint_when_samples_crowd(steps, period_ms, min_duration_ms):
     # irregular and repeated timestamps, as overlapping or false frames give
-    t = np.cumsum([dt for dt, _ in steps])
-    rows = accel_rows((int(ti), 0, 0, 1400 if hot else 1000) for ti, (_, hot) in zip(t, steps))
-    intervals = detect_motion_artifacts(rows, min_duration_ms=0.0).intervals
+    t = np.cumsum([dt for dt, _ in steps]).tolist()
+    hot = [h for _, h in steps]
+    rows = accel_rows((ti, 0, 0, 1400 if h else 1000) for ti, h in zip(t, hot))
+    intervals = detect_motion_artifacts(rows, period_ms, min_duration_ms=min_duration_ms).intervals
     for (a, b), (next_a, _) in zip(intervals, intervals[1:] + ((math.inf, None),)):
         assert a <= b <= next_a
+    # the same intervals from a loop over the hot runs, one run at a time
+    expected, start = [], 0
+    while start < len(hot):
+        if not hot[start]:
+            start += 1
+            continue
+        stop = start
+        while stop < len(hot) and hot[stop]:
+            stop += 1
+        end = int(t[stop - 1] + period_ms)
+        if stop < len(t):
+            end = min(end, t[stop])
+        if end - t[start] >= min_duration_ms:
+            expected.append((t[start], end))
+        start = stop
+    assert intervals == tuple(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -352,15 +371,15 @@ def test_mask_contains_equals_interval_scan(edges, adjacent, extra):
 def test_detect_breaths_rejects_misaligned_or_unordered_series():
     t, f = breathing_series(15.0)
     with pytest.raises(InsufficientDataError, match="align"):
-        detect_breaths(t, f[:-1])
-    with pytest.raises(InsufficientDataError, match="strictly increasing"):
-        detect_breaths(t[::-1], f[::-1])
+        detect_breaths(t, f[:-1], 40)
+    with pytest.raises(InsufficientDataError, match="must not decrease"):
+        detect_breaths(t[::-1], f[::-1], 40)
 
 
 def test_peaks_that_share_an_instant_are_one_breath():
     # batches stamped with one t0 put several samples, and here two peaks,
     # at one instant; they must not become two breaths 0 ms apart
-    breaths = detect_breaths([0, 6668, 6668, 6668, 10002], [1.0, 2.0, 1.0, 2.0, 1.0])
+    breaths = detect_breaths([0, 6668, 6668, 6668, 10002], [1.0, 2.0, 1.0, 2.0, 1.0], 40)
     assert breaths.tolist() == [6668]
 
 
@@ -511,6 +530,49 @@ def test_analyze_is_frame_order_insensitive():
     assert a.series.accel.tobytes() == b.series.accel.tobytes()
 
 
+def export_bytes(result):
+    csv_text, jsonl_text = io.StringIO(), io.StringIO()
+    export_csv(result, csv_text)
+    export_jsonl(result, jsonl_text)
+    return csv_text.getvalue(), jsonl_text.getvalue()
+
+
+def test_a_capture_sent_twice_analyzes_as_the_clean_one():
+    # a host that re-queues every notification receives each frame twice
+    cfg = from_dict({"duration_s": 120, "seed": 1, "rate_bpm": 15})
+    frames = split_stream(run_session(cfg).data)[0]
+    doubled = split_stream(b"".join(encode(f) * 2 for f in frames))[0]
+    assert len(doubled) == 2 * len(frames)
+    clean = analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware)
+    twice = analyze_session(doubled, cfg.analysis, cfg.device_model(), cfg.firmware)
+    assert clean.breaths.size == twice.breaths.size == 30
+    assert twice.alerts == []
+    assert export_bytes(twice) == export_bytes(clean)
+    # the received frames are still counted as received
+    assert summarize(twice)["frames"] == {
+        kind: 2 * n for kind, n in summarize(clean)["frames"].items()}
+
+
+@functools.lru_cache(maxsize=None)
+def short_session(seed, posture):
+    """A 20 s session's frames and the export bytes and breaths they analyze to."""
+    frames = run_session(session_cfg(20.0, 15.0, posture, seed, noise=0.05)).frames
+    result = analyze_session(frames)
+    return frames, export_bytes(result), result.breaths.tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(0, 3), st.sampled_from(["still", "walking"]))
+def test_reordered_and_copied_frames_analyze_as_the_originals(data, seed, posture):
+    frames, exports, breaths = short_session(seed, posture)
+    received = data.draw(st.permutations(frames))
+    for copy in data.draw(st.lists(st.sampled_from(frames), max_size=40)):
+        received.insert(data.draw(st.integers(0, len(received))), decode(encode(copy)))
+    result = analyze_session(received)
+    assert result.breaths.tolist() == breaths
+    assert export_bytes(result) == exports
+
+
 def test_analyze_windows_tile_longer_sessions():
     result = analyze_session(run_frames(duration=180.0))
     assert len(result.estimates) == 3
@@ -581,6 +643,13 @@ def reference_series(frames, model, firmware):
             battery.append((p.t_ms, p.adc_code, p.percent, battery_percent(p.adc_code, model),
                             f.charging))
 
+    def first_per_instant(rows):
+        """Rows in time order, ties in the given order, keeping the first at each instant."""
+        kept = {}
+        for row in sorted(rows, key=lambda r: r[0]):
+            kept.setdefault(row[0], row)
+        return list(kept.values())
+
     def samples(batches, fallback_ms):
         batches = sorted(batches, key=lambda b: b[0])
         deltas = [(t1 - t0) / len(s) for (t0, s), (t1, _) in zip(batches, batches[1:]) if t1 > t0]
@@ -589,7 +658,7 @@ def reference_series(frames, model, firmware):
         for t0, batch in batches:
             for j, sample in enumerate(batch):
                 rows.append((round(t0 + j * period), sample))
-        return sorted(rows, key=lambda r: r[0]), period
+        return first_per_instant(rows), period
 
     fsr, fsr_period = samples(fsr_batches, firmware.fsr_period_ms)
     accel, accel_period = samples(accel_batches, firmware.accel_period_ms)
@@ -597,7 +666,7 @@ def reference_series(frames, model, firmware):
         np.array([(t, code, reconstruct_force([code], model)[0]) for t, code in fsr],
                  dtype=FSR_DTYPE),
         np.array([(t, *xyz) for t, xyz in accel], dtype=ACCEL_DTYPE),
-        np.array(sorted(battery, key=lambda r: r[0]), dtype=BATTERY_DTYPE),
+        np.array(first_per_instant(battery), dtype=BATTERY_DTYPE),
         fsr_period, accel_period, counts,
     )
 
