@@ -186,13 +186,10 @@ def cmd_decode(args) -> int:
     with open(args.input, "rb") as fp:
         data = fp.read()
     frames, resyncs, pending = split_stream(data)
-    out = open_output(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with (open_output(args.out, "w", encoding="utf-8") if args.out
+          else nullcontext(sys.stdout)) as out:
         for frame in frames:
             out.write(json.dumps(_frame_to_dict(frame), sort_keys=True) + "\n")
-    finally:
-        if args.out:
-            out.close()
     skipped = sum(ev.skipped for ev in resyncs)
     print(f"{len(frames)} frames, {len(resyncs)} resyncs "
           f"({skipped} bytes skipped), {pending} pending bytes",

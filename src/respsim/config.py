@@ -284,7 +284,7 @@ _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
 
 def load_config(path: str) -> SessionConfig:
     """Load and validate a YAML (or JSON) session config file."""
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "rb") as fp:
         try:
             data = yaml.load(fp, Loader=_Loader)
         except yaml.YAMLError as e:

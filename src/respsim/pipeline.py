@@ -257,6 +257,7 @@ def detect_breaths(
     :class:`InsufficientDataError` when the series is shorter than one
     detrend window.
     """
+    _check_period(period_ms)
     t = np.asarray(times_ms, dtype=np.int64)
     v = np.asarray(force_n, dtype=np.float64)
     if t.size != v.size:
@@ -285,6 +286,11 @@ def detect_breaths(
     # touching real peaks (whose prominence is the full breath swing).
     threshold = hysteresis_fraction * p2p
     return _distinct(t[_find_peaks(detrended, threshold, distance, threshold)])
+
+
+def _check_period(period_ms: float) -> None:
+    if not (0 < period_ms < math.inf):
+        raise ParameterError(f"period_ms must be finite and > 0, got {period_ms}")
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -376,7 +382,7 @@ class ArtifactMask:
 
     The intervals are sorted and disjoint: each one ends at or before the
     next one starts.  :func:`detect_motion_artifacts` builds them that way,
-    and :meth:`contains` depends on it.
+    and :meth:`contains` and :meth:`masked_ms` depend on it.
     """
 
     intervals: tuple[tuple[int, int], ...] = ()
@@ -395,14 +401,20 @@ class ArtifactMask:
         i = np.searchsorted(starts, t, side="right") - 1
         return (i >= 0) & (t < ends[i])
 
-    def overlap_ms(self, start_ms: float, end_ms: float) -> float:
-        return sum(
-            max(0.0, min(b, end_ms) - max(a, start_ms)) for a, b in self.intervals
-        )
+    def masked_ms(self, t_ms) -> np.ndarray:
+        """Masked time before each instant in ``t_ms``, in ms.
 
-    @property
-    def total_ms(self) -> float:
-        return sum(b - a for a, b in self.intervals)
+        A span's masked time is the difference of its two ends' values.
+        The last interval starting at or before an instant counts up to
+        it, and every interval before that one counts whole.
+        """
+        t = np.asarray(t_ms)
+        if not self.intervals:
+            return np.zeros(t.shape)
+        starts, ends = np.array(self.intervals).T
+        before = np.cumsum(ends - starts) - (ends - starts)  # masked time before each start
+        i = np.searchsorted(starts, t, side="right") - 1
+        return np.where(i >= 0, before[i] + np.minimum(t, ends[i]) - starts[i], 0)
 
 
 def detect_motion_artifacts(
@@ -422,6 +434,7 @@ def detect_motion_artifacts(
     never after the next sample, so intervals stay disjoint even where
     timestamps crowd closer than the period.
     """
+    _check_period(period_ms)
     if len(samples) == 0:
         return ArtifactMask()
     t = samples["t_ms"]
@@ -487,7 +500,8 @@ def estimate_rate(
     else:
         rate = 0.0
 
-    artifact_fraction = min(mask.overlap_ms(window_start_ms, window_end_ms) / window_ms, 1.0)
+    masked_lo, masked_hi = mask.masked_ms([window_start_ms, window_end_ms]).tolist()
+    artifact_fraction = min((masked_hi - masked_lo) / window_ms, 1.0)
     if len(accepted) == 0:
         confidence = 0.0
     else:
@@ -515,7 +529,6 @@ def estimate_rate(
 
 @dataclass(frozen=True)
 class Alert:
-    kind: str
     start_ms: int
     end_ms: int
 
@@ -537,13 +550,15 @@ def detect_apnea(
     mask = artifacts or ArtifactMask()
     timeout_ms = timeout_s * 1000.0
     breaths = np.asarray(breath_times_ms, dtype=np.float64)
-    marks = [float(session_start_ms)] + sorted(breaths[~mask.contains(breaths)].tolist())
-    marks.append(float(session_end_ms))
+    marks = np.concatenate(
+        ([session_start_ms], np.sort(breaths[~mask.contains(breaths)]), [session_end_ms]),
+        dtype=np.float64)
+    gap = np.diff(marks)
+    late = (gap > timeout_ms) & (gap - np.diff(mask.masked_ms(marks)) > timeout_ms)
     alerts = []
-    for a, b in zip(marks, marks[1:]):
-        if b - a > timeout_ms and b - a - mask.overlap_ms(a, b) > timeout_ms:
-            alerts.append(Alert("apnea", int(a), int(b)))
-            log.warning("apnea: no breath detected between %d and %d ms", int(a), int(b))
+    for a, b in zip(marks[:-1][late].tolist(), marks[1:][late].tolist()):
+        alerts.append(Alert(int(a), int(b)))
+        log.warning("apnea: no breath detected between %d and %d ms", int(a), int(b))
     return alerts
 
 
@@ -651,9 +666,9 @@ def summarize(result: SessionAnalysis) -> dict:
         "breaths_detected": int(result.breaths.size),
         "median_rate_bpm": _median(rates) if rates else 0.0,
         "artifact_intervals": len(result.artifacts.intervals),
-        "artifact_ms": float(result.artifacts.total_ms),
+        "artifact_ms": float(result.artifacts.masked_ms(math.inf)),
         "alerts": [
-            {"kind": a.kind, "start_ms": a.start_ms, "end_ms": a.end_ms}
+            {"kind": "apnea", "start_ms": a.start_ms, "end_ms": a.end_ms}
             for a in result.alerts
         ],
     }
@@ -724,13 +739,6 @@ def _saturation(code: int) -> str:
     return "low" if code <= 0 else "high"
 
 
-def _csv_text(text: str) -> str:
-    """A text cell as ``csv.writer`` writes it with ``lineterminator="\\n"``."""
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _json_real(x: float, digits: int) -> str:
     """``json.dumps(float(f"{x:.{digits}f}"))``: round() rounds the same way."""
     return repr(round(x, digits)) if math.isfinite(x) else json.dumps(x)
@@ -753,8 +761,7 @@ _CSV_LINES = {
     "estimate": lambda t, iso, end, rate, count, confidence, fraction: (
         f"estimate,{t},{iso},{end},,,,,,,,,,{rate:.3f},{count},{confidence:.4f},"
         f"{fraction:.4f},\n"),
-    "alert": lambda t, iso, end, note: (
-        f"alert,{t},{iso},{end},,,,,,,,,,,,,,{_csv_text(note)}\n"),
+    "alert": lambda t, iso, end: f"alert,{t},{iso},{end},,,,,,,,,,,,,,apnea\n",
 }
 _JSONL_LINES = {
     "fsr": lambda t, iso, code, f: (
@@ -776,8 +783,8 @@ _JSONL_LINES = {
         f'"confidence": {_json_real(confidence, 4)}, "end_ms": {end}, '
         f'"rate_bpm": {_json_real(rate, 3)}, "record": "estimate", '
         f'"t_iso": "{iso}", "t_ms": {t}}}\n'),
-    "alert": lambda t, iso, end, note: (
-        f'{{"end_ms": {end}, "note": {json.dumps(note)}, "record": "alert", '
+    "alert": lambda t, iso, end: (
+        f'{{"end_ms": {end}, "note": "apnea", "record": "alert", '
         f'"t_iso": "{iso}", "t_ms": {t}}}\n'),
 }
 
@@ -785,8 +792,8 @@ _JSONL_LINES = {
 def _records(result: SessionAnalysis) -> list[tuple[str, np.ndarray, list[np.ndarray]]]:
     """(record type, t_ms, field columns) per record type, in export order.
 
-    Every column is an array, text in an object array, so a block of it
-    converts back to Python values with one ``tolist()``.
+    Every column is an array, so a block of it converts back to Python
+    values with one ``tolist()``.
     """
     fsr, accel, battery = result.series.fsr, result.series.accel, result.series.battery
 
@@ -809,8 +816,7 @@ def _records(result: SessionAnalysis) -> list[tuple[str, np.ndarray, list[np.nda
           column(estimates, "breath_count", np.int64),
           column(estimates, "confidence", np.float64),
           column(estimates, "artifact_fraction", np.float64)]),
-        ("alert", column(alerts, "start_ms"),
-         [column(alerts, "end_ms", np.int64), column(alerts, "kind", object)]),
+        ("alert", column(alerts, "start_ms"), [column(alerts, "end_ms", np.int64)]),
     ]
 
 

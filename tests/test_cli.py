@@ -329,6 +329,19 @@ def test_an_integer_too_long_to_read_is_config_error(tmp_path, capsys, command):
     assert err.startswith(f"respsim: config error: {cfg}, line 3: ")
 
 
+def test_a_config_that_is_not_utf8_is_config_error_naming_the_file(tmp_path, capsys):
+    good = tmp_path / "good.yaml"
+    good.write_text("# 25 µs noise floor\nseed: 4\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "power", "--config", str(good))
+    assert (code, err) == (0, "")
+    assert load_config(str(good)).seed == 4
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"seed: 4\n# noise \xff floor\n")
+    code, _, err = run_cli(capsys, "power", "--config", str(bad))
+    assert code == 1
+    assert err.startswith(f"respsim: config error: {bad}: ")
+
+
 @pytest.mark.parametrize("command", ["simulate", "stream"])
 @pytest.mark.parametrize("text, flags, seed", [
     ("seed: 1.5\n", [], "1.5"),

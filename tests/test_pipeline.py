@@ -56,6 +56,7 @@ from respsim.sensor import (
     DividerConfig,
     FsrModel,
     OcvCurve,
+    ParameterError,
     adc_quantize,
     adc_to_voltage,
     divider_voltage,
@@ -272,7 +273,7 @@ def test_still_posture_has_no_artifacts():
 def test_walking_is_one_long_artifact():
     mask = detect_motion_artifacts(posture_rows("walking", 30.0, seed=2), 20)
     assert len(mask.intervals) >= 1
-    assert mask.total_ms >= 0.9 * 30_000
+    assert mask.masked_ms(math.inf) >= 0.9 * 30_000
 
 
 def test_short_spike_is_ignored():
@@ -294,7 +295,7 @@ def test_sustained_excursion_is_flagged_with_bounds():
     assert end == 2700
     assert mask.contains(2300)
     assert not mask.contains(1000)
-    assert mask.overlap_ms(0, 10000) == 700
+    assert np.diff(mask.masked_ms([0, 10000])).tolist() == [700]
 
 
 def test_posture_shift_is_not_an_artifact():
@@ -374,6 +375,24 @@ def test_detect_breaths_rejects_misaligned_or_unordered_series():
         detect_breaths(t, f[:-1], 40)
     with pytest.raises(InsufficientDataError, match="must not decrease"):
         detect_breaths(t[::-1], f[::-1], 40)
+
+
+_bad_periods = [0, -40, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("period_ms", _bad_periods)
+def test_detect_breaths_rejects_a_period_that_is_not_finite_and_positive(period_ms):
+    t, f = breathing_series(15.0)
+    with pytest.raises(ParameterError, match="period_ms must be finite and > 0"):
+        detect_breaths(t, f, period_ms)
+
+
+@pytest.mark.parametrize("period_ms", _bad_periods)
+def test_detect_motion_artifacts_rejects_a_period_that_is_not_finite_and_positive(period_ms):
+    samples = accel_rows(
+        (t, 0, 0, 1400 if 2000 <= t < 2700 else 1000) for t in range(0, 10000, 20))
+    with pytest.raises(ParameterError, match="period_ms must be finite and > 0"):
+        detect_motion_artifacts(samples, period_ms)
 
 
 def test_peaks_that_share_an_instant_are_one_breath():
@@ -458,7 +477,6 @@ def test_apnea_alert_on_long_gap():
     breaths = [float(t) for t in range(0, 20000, 4000)]    # breathing stops at 16 s
     alerts = detect_apnea(breaths, 0, 60000, timeout_s=30.0)
     assert len(alerts) == 1
-    assert alerts[0].kind == "apnea"
     assert alerts[0].start_ms == 16000
     assert alerts[0].end_ms == 60000
 
@@ -480,7 +498,7 @@ def test_apnea_counts_only_unmasked_time():
     breaths = [0.0, 4000.0, 20000.0, 45000.0, 49000.0]
     short_mask = ArtifactMask(((15000, 25000),))        # 31 s of it unmasked
     alerts = detect_apnea(breaths, 0, 50000, timeout_s=30.0, artifacts=short_mask)
-    assert alerts == [Alert("apnea", 4000, 45000)]
+    assert alerts == [Alert(4000, 45000)]
     long_mask = ArtifactMask(((10000, 25000),))         # 26 s of it unmasked
     assert detect_apnea(breaths, 0, 50000, timeout_s=30.0, artifacts=long_mask) == []
 
@@ -494,6 +512,50 @@ def test_walking_session_raises_no_apnea_alert():
     assert result.breaths.size == 30
     assert result.artifacts.intervals == ((0, 120000),)
     assert result.alerts == []
+
+
+def reference_masked(intervals, start_ms, end_ms):
+    """Masked time in [start_ms, end_ms), summed one interval at a time."""
+    return sum(max(0.0, min(b, end_ms) - max(a, start_ms)) for a, b in intervals)
+
+
+def reference_apnea(breaths, start_ms, end_ms, timeout_s, intervals):
+    """detect_apnea's (start_ms, end_ms) pairs, judged one gap at a time."""
+    timeout_ms = timeout_s * 1000.0
+    accepted = sorted(t for t in breaths if not any(a <= t < b for a, b in intervals))
+    marks = [float(start_ms), *accepted, float(end_ms)]
+    return [(int(a), int(b)) for a, b in zip(marks, marks[1:])
+            if b - a > timeout_ms and b - a - reference_masked(intervals, a, b) > timeout_ms]
+
+
+@st.composite
+def sorted_masks(draw):
+    """Sorted disjoint integer intervals, touching ones included, or none."""
+    intervals, end = [], draw(st.integers(-5_000, 50_000))
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 30_000), st.integers(1, 40_000)),
+                                     max_size=8)):
+        intervals.append((end + gap, end + gap + length))
+        end += gap + length
+    return tuple(intervals)
+
+
+# whole and fractional instants, all exact in float64
+_instants = st.integers(-40_000, 1_200_000).map(lambda quarters: quarters / 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_masks(), st.lists(_instants, max_size=30), st.integers(-5_000, 100_000),
+       st.integers(1, 300_000), st.integers(10, 60).map(lambda halves: halves / 2))
+def test_masked_time_matches_a_per_interval_loop(intervals, breaths, start, length, timeout_s):
+    mask, end = ArtifactMask(intervals), start + length
+    alerts = detect_apnea(breaths, start, end, timeout_s, mask)
+    assert [(a.start_ms, a.end_ms) for a in alerts] == reference_apnea(
+        breaths, start, end, timeout_s, intervals)
+    assert estimate_rate(breaths, start, end, mask).artifact_fraction == min(
+        reference_masked(intervals, start, end) / length, 1.0)
+    points = sorted([start, end, *breaths])
+    assert np.diff(mask.masked_ms(points)).tolist() == [
+        reference_masked(intervals, a, b) for a, b in zip(points, points[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +972,7 @@ def reference_rows(result):
                "artifact_fraction": f"{e.artifact_fraction:.4f}"}
     for alert in result.alerts:
         yield {"record": "alert", "t_ms": alert.start_ms, "end_ms": alert.end_ms,
-               "note": alert.kind}
+               "note": "apnea"}
 
 
 def reference_csv(result, fp):
@@ -963,9 +1025,7 @@ def session_analyses(draw):
         RespirationEstimate, _export_times, _export_times, st.floats(0, 60) | _reals,
         st.integers(0, 100), st.floats(0, 1) | _reals, st.floats(0, 1) | _reals),
         max_size=5))
-    # notes with the characters CSV quotes, and any others
-    notes = st.just("apnea") | st.text(',"\r\n a', max_size=6) | st.text(max_size=6)
-    alerts = draw(st.lists(st.builds(Alert, notes, _export_times, _export_times), max_size=3))
+    alerts = draw(st.lists(st.builds(Alert, _export_times, _export_times), max_size=3))
     series = ExtractedSeries(
         fsr=np.array(fsr, dtype=FSR_DTYPE),
         accel=np.array(accel, dtype=ACCEL_DTYPE),
