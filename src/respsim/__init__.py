@@ -22,6 +22,7 @@ from .sensor import (
 )
 from .protocol import (
     FrameKind,
+    FrameTable,
     ProtocolError,
     StreamSplitter,
     TelemetryFrame,
@@ -46,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdcConfig", "ConfigError", "DividerConfig", "EnergyReport",
-    "FirmwareConfig", "FirmwareEmulator", "ForceSample", "FrameKind", "FsrModel",
+    "FirmwareConfig", "FirmwareEmulator", "ForceSample", "FrameKind", "FrameTable", "FsrModel",
     "OcvCurve", "ParameterError", "PowerProfile", "PRESETS",
     "ProtocolError", "SessionConfig", "StreamSplitter",
     "TelemetryFrame", "accumulate", "adc_quantize", "analyze_session",

@@ -208,7 +208,7 @@ def cmd_analyze(args) -> int:
     if data and not frames:
         print("no decodable frames in input", file=sys.stderr)
         return EXIT_CORRUPT
-    del data  # the frames hold all of it that the analysis reads
+    del data  # the frame table holds copies of all the analysis reads
     result = pipeline.analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware)
     summary = pipeline.summarize(result)
     if summary["battery_percent_mismatches"]:

@@ -1,9 +1,10 @@
 """Host-side decoding pipeline: from frames back to physiology.
 
-Given a decoded frame sequence this module rebuilds the sample series as
-numpy columns, inverts the electrical chain (code -> voltage -> resistance
--> force) over a whole array at once, detects breaths on the detrended
-force signal, masks motion artifacts using the accelerometer magnitude,
+Given a decoded frame sequence, read as the columns of a
+:class:`~respsim.protocol.FrameTable`, this module rebuilds the sample
+series as numpy columns, inverts the electrical chain (code -> voltage ->
+resistance -> force) over a whole array at once, detects breaths on the
+detrended force signal, masks motion artifacts using the accelerometer magnitude,
 estimates respiration rate per window, recomputes battery percent from the
 raw sense code with the device's own percent map, and exports everything
 as delimited rows for downstream tools.  The electrical chain is one
@@ -21,15 +22,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from ._output import open_output
 from .firmware import DeviceModel, FirmwareConfig
-from .protocol import FrameKind, TelemetryFrame
+from .protocol import FLAG_CHARGING, FrameKind, FrameTable, TelemetryFrame
 from .sensor import ACCEL_DTYPE, ParameterError, adc_to_voltage
 
 log = logging.getLogger("respsim.pipeline")
@@ -99,56 +98,53 @@ BATTERY_DTYPE = np.dtype([
 ])
 
 
-def _count_seq_gaps(seqs: list[int]) -> int:
+def _count_seq_gaps(seqs: np.ndarray) -> int:
     """Sequence numbers missing between the lowest and highest received.
 
     ``seq`` is 16 bits and wraps, so each value is first unwrapped against
     the previous frame in receive order by its signed serial difference
-    (RFC 1982).  Duplicates count once, and reordered frames are no gap.
+    (RFC 1982), one cumulative sum for all of them.  Duplicates count once,
+    and reordered frames are no gap.
     """
-    if not seqs:
+    if not len(seqs):
         return 0
-    prev = unwrapped = seqs[0]
-    seen = {unwrapped}
-    for seq in seqs[1:]:
-        unwrapped += (seq - prev + 0x8000) % 0x10000 - 0x8000
-        prev = seq
-        seen.add(unwrapped)
-    return max(seen) - min(seen) + 1 - len(seen)
+    step = (np.diff(seqs.astype(np.int64)) + 0x8000) % 0x10000 - 0x8000
+    seen = _distinct(np.sort(np.concatenate(([0], np.cumsum(step)))))  # relative to seqs[0]
+    return int(seen[-1] - seen[0] + 1 - seen.size)
 
 
 def _batch_rows(
-    batches: list[tuple[int, tuple]], dtype: np.dtype, fields: tuple[str, ...],
+    t0: np.ndarray, counts: np.ndarray, values: dict[str, np.ndarray], dtype: np.dtype,
     fallback_period_ms: int,
 ) -> tuple[np.ndarray, float]:
-    """One channel's ``(t0, samples)`` batches as time-ordered ``dtype`` rows.
+    """One channel's batches as time-ordered ``dtype`` rows.
 
-    Each sample holds one int per name in ``fields`` (an FSR code, an accel x, y, z
-    triple or a battery reading); other fields are left zero.  The period
-    is the median intra-batch spacing of consecutive batch start times, or
-    ``fallback_period_ms`` with fewer than two distinct ones, and sample j
-    of a batch lies at ``round(t0 + j * period)``: numpy rounds half to even,
-    as round() does.  Both sorts are stable, so batches and samples with
-    equal instants keep receive order; of the rows at one instant only the
-    first is kept, so a copied or conflicting later frame adds none there.
+    Batch i starts at ``t0[i]`` and holds ``counts[i]`` samples.  ``values``
+    maps field names to columns holding every batch's samples, batch after
+    batch (an FSR code, an accel axis or a battery reading's field); other
+    fields are left zero.  The period is the median intra-batch spacing of
+    consecutive batch start times, or ``fallback_period_ms`` with fewer than
+    two distinct ones, and sample j of a batch lies at
+    ``round(t0 + j * period)``: numpy rounds half to even, as round() does.
+    Both sorts are stable, so batches and samples with equal instants keep
+    receive order; of the rows at one instant only the first is kept, so a
+    copied or conflicting later frame adds none there.
     """
-    batches = sorted(batches, key=itemgetter(0))
-    deltas = [(t1 - t0) / len(samples)
-              for (t0, samples), (t1, _) in zip(batches, batches[1:]) if samples and t1 > t0]
-    period_ms = _median(deltas) if deltas else float(fallback_period_ms)
-    counts = np.array([len(samples) for _, samples in batches], dtype=np.int64)
-    t0 = np.repeat(np.array([t0 for t0, _ in batches], dtype=np.int64), counts)
+    first = np.cumsum(counts) - counts  # each batch's first sample in values
+    order = np.argsort(t0, kind="stable")
+    t0, counts, first = t0[order], counts[order], first[order]
+    gaps = np.diff(t0)
+    spaced = (counts[:-1] > 0) & (gaps > 0)
+    deltas = gaps[spaced] / counts[:-1][spaced]
+    period_ms = _median(deltas) if deltas.size else float(fallback_period_ms)
     j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    rows = np.zeros(t0.size, dtype=dtype)
-    rows["t_ms"] = np.round(t0 + j * period_ms)
-    del t0, j  # each temporary of the series' length raises peak memory
-    values = chain.from_iterable(samples for _, samples in batches)
-    if len(fields) > 1:
-        values = chain.from_iterable(values)
-    matrix = np.fromiter(values, dtype=np.int64, count=rows.size * len(fields))
-    for name, column in zip(fields, matrix.reshape(-1, len(fields)).T):
-        rows[name] = column
-    del matrix
+    rows = np.zeros(j.size, dtype=dtype)
+    rows["t_ms"] = np.round(np.repeat(t0, counts) + j * period_ms)
+    take = np.repeat(first, counts) + j  # each row's sample in values
+    del j  # each temporary of the series' length raises peak memory
+    for name, column in values.items():
+        rows[name] = column[take]
+    del take
     t = rows["t_ms"]
     if (t[1:] > t[:-1]).all():
         return rows, period_ms
@@ -182,25 +178,30 @@ def extract_series(
 ) -> ExtractedSeries:
     """Unpack frames into time-ordered per-channel sample series.
 
-    Sample periods are inferred from the batches' start times; a channel
-    with a single batch takes its period from ``firmware``.
+    The frames are read as the columns of a
+    :class:`~respsim.protocol.FrameTable`; any other frame sequence is
+    converted to one first.  Sample periods are inferred from the batches'
+    start times; a channel with a single batch takes its period from
+    ``firmware``.
     """
-    frames = list(frames)
-    by_kind: dict[FrameKind, list[TelemetryFrame]] = {kind: [] for kind in FrameKind}
-    for f in frames:
-        by_kind[f.kind].append(f)
+    table = FrameTable.from_frames(frames)
+    of_kind = {kind: table.kind == kind for kind in FrameKind}
 
-    fsr, fsr_period = _batch_rows(
-        [(f.payload.t0_ms, f.payload.codes) for f in by_kind[FrameKind.FSR_BATCH]],
-        FSR_DTYPE, ("code",), firmware.fsr_period_ms)
+    def channel(kind: FrameKind, values: dict, dtype: np.dtype, fallback_period_ms: int):
+        return _batch_rows(table.t_ms[of_kind[kind]], table.count[of_kind[kind]], values, dtype,
+                           fallback_period_ms)
+
+    codes, xyz, readings = (table.samples[kind] for kind in FrameKind)
+    fsr, fsr_period = channel(FrameKind.FSR_BATCH, {"code": codes}, FSR_DTYPE,
+                              firmware.fsr_period_ms)
     fsr["force_n"] = reconstruct_force(fsr["code"], model)
-    accel, accel_period = _batch_rows(
-        [(f.payload.t0_ms, f.payload.samples) for f in by_kind[FrameKind.ACCEL_BATCH]],
-        ACCEL_DTYPE, ("x_mg", "y_mg", "z_mg"), firmware.accel_period_ms)
-    battery, _ = _batch_rows(
-        [(f.payload.t_ms, ((f.payload.adc_code, f.payload.percent, f.charging),))
-         for f in by_kind[FrameKind.BATTERY_STATUS]],
-        BATTERY_DTYPE, ("adc_code", "device_percent", "charging"), firmware.battery_period_ms)
+    accel, accel_period = channel(FrameKind.ACCEL_BATCH,
+                                  dict(zip(("x_mg", "y_mg", "z_mg"), xyz.T)),
+                                  ACCEL_DTYPE, firmware.accel_period_ms)
+    charging = (table.flags[of_kind[FrameKind.BATTERY_STATUS]] & FLAG_CHARGING) != 0
+    battery, _ = channel(FrameKind.BATTERY_STATUS, {
+        "adc_code": readings[:, 0], "device_percent": readings[:, 1], "charging": charging},
+        BATTERY_DTYPE, firmware.battery_period_ms)
     wide = battery[battery["adc_code"] > model.adc.full_scale]
     if len(wide):
         raise ParameterError(
@@ -215,8 +216,9 @@ def extract_series(
         battery=battery,
         fsr_period_ms=fsr_period,
         accel_period_ms=accel_period,
-        frame_counts={kind.name.lower(): len(by_kind[kind]) for kind in FrameKind},
-        seq_gaps=_count_seq_gaps([f.seq for f in frames]),
+        frame_counts={kind.name.lower(): int(np.count_nonzero(of_kind[kind]))
+                      for kind in FrameKind},
+        seq_gaps=_count_seq_gaps(table.seq),
     )
 
 
@@ -501,7 +503,7 @@ def estimate_rate(
         rate = 0.0
 
     masked_lo, masked_hi = mask.masked_ms([window_start_ms, window_end_ms]).tolist()
-    artifact_fraction = min((masked_hi - masked_lo) / window_ms, 1.0)
+    artifact_fraction = (masked_hi - masked_lo) / window_ms
     if len(accepted) == 0:
         confidence = 0.0
     else:

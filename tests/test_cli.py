@@ -20,7 +20,7 @@ import pytest
 import yaml
 
 import respsim
-from respsim.cli import EXIT_CORRUPT, EXIT_IO, main
+from respsim.cli import EXIT_CORRUPT, EXIT_IO, _parse_endpoint, main
 from respsim.config import SessionConfig, apply_overrides, from_dict, load_config
 from respsim.session import read_truth
 
@@ -642,6 +642,10 @@ def test_stream_connection_refused_is_io_error(capsys):
                            "--duration", "2", "--speed", "1000")
     assert code == 2
     assert "i/o error" in err
+
+
+def test_the_highest_port_is_an_endpoint():
+    assert _parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
 
 
 def test_stream_bad_endpoint_is_usage_error(capsys):

@@ -294,6 +294,12 @@ def test_custom_ocv_curve_drives_percent():
     assert m["percent"] == 100  # device percent is relative to its own curve span
 
 
+def test_device_percent_rounds_an_exact_half_up():
+    # 3.25 V on a 3.0 .. 5.0 V curve is exactly 12.5 %
+    model = DeviceModel(ocv=OcvCurve(((0.0, 3.0), (1.0, 5.0))), sense_ratio=0.3)
+    assert model.device_percent(3.25) == 13
+
+
 def test_fast_discharge_reaches_depleted():
     # 1.1e8 uW empties the 1665 mWh pack by t=54.5 s, so the last battery
     # measurements in a one-minute run actually read empty

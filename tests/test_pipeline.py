@@ -6,15 +6,16 @@ import functools
 import io
 import json
 import math
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from respsim import pipeline
+from respsim import pipeline, protocol
 from respsim.config import from_dict
-from respsim.firmware import DeviceModel, FirmwareConfig
+from respsim.firmware import DeviceModel, FirmwareConfig, encode_session
 from respsim.pipeline import (
     ACCEL_DTYPE,
     BATTERY_DTYPE,
@@ -63,6 +64,7 @@ from respsim.sensor import (
     fsr_resistance,
 )
 from respsim.session import run_session, synthesize_accel, synthesize_force
+from tests.test_protocol import random_frame
 
 
 def forward_code(force: float) -> int:
@@ -298,6 +300,14 @@ def test_sustained_excursion_is_flagged_with_bounds():
     assert np.diff(mask.masked_ms([0, 10000])).tolist() == [700]
 
 
+def test_a_hot_run_of_exactly_the_minimum_duration_is_flagged():
+    samples = accel_rows(
+        (t, 0, 0, 1400 if 2000 <= t < 2500 else 1000) for t in range(0, 10000, 20)
+    )
+    assert detect_motion_artifacts(samples, 20, min_duration_ms=500).intervals == (
+        (2000, 2500),)
+
+
 def test_posture_shift_is_not_an_artifact():
     mask = detect_motion_artifacts(posture_rows("shift", 30.0, seed=4), 20)
     assert mask.intervals == ()
@@ -501,6 +511,14 @@ def test_apnea_counts_only_unmasked_time():
     assert alerts == [Alert(4000, 45000)]
     long_mask = ArtifactMask(((10000, 25000),))         # 26 s of it unmasked
     assert detect_apnea(breaths, 0, 50000, timeout_s=30.0, artifacts=long_mask) == []
+
+
+def test_a_gap_of_exactly_the_timeout_raises_no_alert():
+    assert detect_apnea([0.0, 30000.0], 0, 30000, timeout_s=30.0) == []
+    # 11 s of the 41 s gap are masked, which leaves exactly the timeout
+    breaths = [0.0, 4000.0, 45000.0, 49000.0]
+    mask = ArtifactMask(((10000, 21000),))
+    assert detect_apnea(breaths, 0, 50000, timeout_s=30.0, artifacts=mask) == []
 
 
 def test_walking_session_raises_no_apnea_alert():
@@ -774,6 +792,19 @@ def test_extract_series_matches_a_per_sample_loop(frames):
     assert series.battery.tobytes() == battery.tobytes()
     assert (series.fsr_period_ms, series.accel_period_ms) == (fsr_period, accel_period)
     assert series.frame_counts == counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=80))
+def test_extract_series_reads_a_split_table_as_it_reads_the_frames(seeds):
+    frames = [random_frame(random.Random(seed)) for seed in seeds]
+    with mock.patch.object(protocol, "BULK_MIN_CANDIDATES", 1):  # the column-wise pass
+        table = split_stream(encode_session(frames))[0]
+    got, want = extract_series(table), extract_series(frames)
+    for name in ("fsr", "accel", "battery"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert (got.fsr_period_ms, got.accel_period_ms, got.frame_counts, got.seq_gaps) == (
+        want.fsr_period_ms, want.accel_period_ms, want.frame_counts, want.seq_gaps)
 
 
 # stamps within 200 s: a stamp near 2**32 makes one rate window per window

@@ -7,12 +7,16 @@ value, so a shared mistake can't hide.
 
 import random
 import struct
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from respsim import protocol
 from respsim.firmware import FirmwareEmulator
 from respsim.protocol import (
+    _HELD,
     MAGIC,
     MAX_PAYLOAD,
     VERSION,
@@ -25,6 +29,7 @@ from respsim.protocol import (
     FLAG_CHARGING,
     FLAG_FINAL_FLUSH,
     FrameKind,
+    FrameTable,
     FsrBatchPayload,
     OversizeFrame,
     ProtocolError,
@@ -32,6 +37,8 @@ from respsim.protocol import (
     TelemetryFrame,
     Truncated,
     UnknownKind,
+    _parse,
+    _scan,
     crc8,
     decode,
     encode,
@@ -536,6 +543,19 @@ def test_split_drops_a_stray_magic_byte_at_the_end_of_a_capture():
     assert pending == len(encode(frames[-1])) - 3
 
 
+def test_finish_finds_a_frame_directly_after_a_held_stray_magic_byte():
+    # the stray candidate's length byte is the frame's flags byte, so it
+    # declares 263 bytes and is held until finish() looks from offset 1
+    frame = TelemetryFrame(FrameKind.FSR_BATCH, 0x0102, 0xFF, FsrBatchPayload(40, (1, 2, 3)))
+    data = bytes([MAGIC]) + encode(frame)
+    splitter = StreamSplitter()
+    assert list(splitter.feed(data)) == []
+    assert splitter.pending_bytes == len(data)
+    assert list(splitter.finish()) == [frame]
+    assert [(r.offset, r.skipped) for r in splitter.resyncs] == [(0, 1)]
+    assert splitter.pending_bytes == 0
+
+
 def test_split_byte_at_a_time_equals_one_shot():
     rng = random.Random(53)
     frames, data = _frames_bytes(rng, 10)
@@ -699,3 +719,119 @@ def test_split_matches_an_independent_reference_split(data, chunks):
     got += splitter.feed(data[i:]) + splitter.finish()
     assert (got, [(r.offset, r.skipped) for r in splitter.resyncs],
             splitter.pending_bytes) == expected
+
+
+# ---------------------------------------------------------------------------
+# the column-wise validity pass and the frame table
+# ---------------------------------------------------------------------------
+
+def frame_with_version(version: int, kind_byte: int, payload: bytes) -> bytes:
+    body = struct.pack("<BBHBB", version, kind_byte, 0, 0, len(payload)) + payload
+    return bytes([MAGIC]) + body + bytes([crc8_oracle(body)])
+
+
+_FSR3 = struct.pack("<IB3H", 40, 3, 1, 2, 3)
+
+# whole frames with one field broken, each of them rejected by _parse, and
+# frames with a field at the largest value the wire allows
+_edge_frames = st.sampled_from([
+    frame_with_version(VERSION + 1, FrameKind.FSR_BATCH, _FSR3),
+    crc_valid_frame(0x04, _FSR3),
+    crc_valid_frame(FrameKind.FSR_BATCH, struct.pack("<IB3H", 40, 4, 1, 2, 3)),
+    crc_valid_frame(FrameKind.FSR_BATCH, struct.pack("<IB", 40, 0)),
+    crc_valid_frame(FrameKind.ACCEL_BATCH, struct.pack("<IB", 40, 0)),
+    crc_valid_frame(FrameKind.FSR_BATCH, struct.pack("<IB2H", 40, 2, 1, 0x1000)),
+    crc_valid_frame(FrameKind.BATTERY_STATUS, struct.pack("<IHB", 40, 0x1000, 50)),
+    crc_valid_frame(FrameKind.BATTERY_STATUS, struct.pack("<IHB", 40, 100, 101)),
+    crc_valid_frame(FrameKind.FSR_BATCH, struct.pack("<I", 40)),
+    crc_valid_frame(FrameKind.BATTERY_STATUS, struct.pack("<IHB", 40, 100, 50)[:6]),
+    crc_valid_frame(FrameKind.FSR_BATCH, struct.pack("<IB2H", 40, 2, 0x0FFF, 0)),
+    crc_valid_frame(FrameKind.BATTERY_STATUS, struct.pack("<IHB", 40, 0x0FFF, 100)),
+])
+
+
+def parse_verdict(data: bytes, i: int) -> str:
+    try:
+        _parse(data, i)
+    except Truncated:
+        return "truncated"
+    except ProtocolError:
+        return "rejected"
+    return "valid"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_stream_pieces, _edge_frames), max_size=48).map(b"".join))
+def test_the_column_pass_gives_parse_verdicts_at_every_offset(data):
+    verdicts = _scan(np.frombuffer(data, dtype=np.uint8))
+    for i in range(len(data)):
+        expected = parse_verdict(data, i)
+        if data[i] != MAGIC:
+            assert i not in verdicts and expected != "valid"
+            continue
+        end = verdicts[i]
+        got = "valid" if end > 0 else "truncated" if end == _HELD else "rejected"
+        assert got == expected, (i, data)
+        if end > 0:
+            assert end == _parse(data, i)[1]
+
+
+@pytest.mark.parametrize("frame", [
+    encode(TelemetryFrame(FrameKind.FSR_BATCH, 1, 0, FsrBatchPayload(40, (0x0FFF,)))),
+    encode(TelemetryFrame(FrameKind.BATTERY_STATUS, 2, FLAG_CHARGING,
+                          BatteryStatusPayload(40, 0x0FFF, 100))),
+], ids=["fsr-code-4095", "battery-code-4095-percent-100"])
+def test_the_column_pass_accepts_the_largest_codes_and_percent(frame):
+    assert _scan(np.frombuffer(frame, dtype=np.uint8)) == {0: len(frame)}
+
+
+@pytest.mark.parametrize("bulk_min", [0, 10**9], ids=["column-pass", "parse-each"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.lists(st.one_of(_stream_pieces, _edge_frames), max_size=48).map(b"".join),
+       chunks=st.lists(st.integers(1, 64), max_size=40))
+def test_both_verdict_sources_split_as_the_reference_does(bulk_min, data, chunks):
+    with mock.patch.object(protocol, "BULK_MIN_CANDIDATES", bulk_min):
+        expected = reference_split(data)
+        frames, resyncs, pending = split_stream(data)
+        assert (frames, [(r.offset, r.skipped) for r in resyncs], pending) == expected
+        splitter = StreamSplitter()
+        got, i = [], 0
+        for size in chunks:
+            got += splitter.feed(data[i:i + size])
+            i += size
+        got += splitter.feed(data[i:]) + splitter.finish()
+        assert (got, [(r.offset, r.skipped) for r in splitter.resyncs],
+                splitter.pending_bytes) == expected
+
+
+def test_a_split_table_holds_records_equal_to_decode():
+    rng = random.Random(67)
+    frames, data = _frames_bytes(rng, 80)
+    table, _, _ = split_stream(data)
+    assert isinstance(table, FrameTable) and len(table) == 80
+    assert list(table) == frames and [table[i] for i in range(80)] == frames
+    assert table[-1] == frames[-1] and table[2:5] == frames[2:5]
+    for record in (table[0], next(iter(table))):
+        assert type(record.kind) is FrameKind and type(record.seq) is int
+        payload = record.payload
+        assert type(payload.t0_ms if hasattr(payload, "t0_ms") else payload.t_ms) is int
+    with pytest.raises(IndexError):
+        table[80]
+
+
+def test_a_table_compares_and_joins_with_any_frame_sequence():
+    rng = random.Random(71)
+    frames, data = _frames_bytes(rng, 70)
+    table = split_stream(data)[0]
+    assert table == frames and frames == table and table == tuple(frames)
+    assert table == FrameTable.from_frames(frames)
+    assert table != frames[:-1] and table != frames[:-1] + frames[:1]
+    assert table != [1] * 70 and table != "x"
+    assert table + [] is table and list(table + frames[:2]) == frames + frames[:2]
+    assert list(frames[:2] + table) == frames[:2] + frames
+    assert FrameTable.from_frames(table) is table
+    with pytest.raises(BadLength):
+        FrameTable.from_frames([TelemetryFrame(FrameKind.FSR_BATCH, 0, 0,
+                                               BatteryStatusPayload(0, 1, 2))])
+    with pytest.raises(UnknownKind):
+        FrameTable.from_frames([TelemetryFrame(9, 0, 0, FsrBatchPayload(0, (1,)))])

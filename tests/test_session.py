@@ -63,6 +63,16 @@ def test_truth_counts_against_dense_grid_oracle():
     assert truth == pytest.approx(t[maxima] * 1000.0, abs=2.0)
 
 
+def test_truth_keeps_a_peak_on_a_segment_start():
+    # 15 bpm peaks at 1, 5 and 9 s, and the second segment starts at 5 s
+    cfg = cfg_with(
+        duration_s=10,
+        scenario={"breathing": [{"start_s": 0, "rate_bpm": 15},
+                                {"start_s": 5, "rate_bpm": 15}]},
+    )
+    assert true_breath_times_ms(cfg.scenario, cfg.duration_s) == [1000.0, 5000.0, 9000.0]
+
+
 def test_phase_continuity_across_rate_change():
     # no double peak or dropout at the segment boundary
     cfg = cfg_with(

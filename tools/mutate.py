@@ -1,0 +1,191 @@
+"""Mutation check of the tier-1 tests: does some test fail when src/ is wrong?
+
+Usage, from the root of a checkout:
+
+    python3 tools/mutate.py                 # every mutant
+    python3 tools/mutate.py NAME [NAME...]  # only these
+    python3 tools/mutate.py --list          # the table, nothing run
+
+Each mutant in ``MUTANTS`` is one small edit of a file under ``src/``: its
+old text, which must occur exactly once in the file, is replaced by its new
+text.  Per mutant the checkout is copied to a fresh scratch directory (under
+``--work``, a temporary directory by default), the edit is made there, and
+tier-1 runs in the copy with ``pytest -x``.  A mutant is *killed* when a
+test fails and *survives* when every test passes.  One line is printed per
+mutant, then the counts.  The standard library is all this needs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                                ".bench_work", ".bench_out")
+
+P, PL, FW, CLI, SES = ("src/respsim/protocol.py", "src/respsim/pipeline.py",
+                       "src/respsim/firmware.py", "src/respsim/cli.py", "src/respsim/session.py")
+
+# (name, file, old text, new text)
+MUTANTS = [
+    # boundaries the docstrings state
+    ("apnea-gap-at-timeout", PL,
+     "(gap - np.diff(mask.masked_ms(marks)) > timeout_ms)",
+     "(gap - np.diff(mask.masked_ms(marks)) >= timeout_ms)"),
+    ("artifact-run-at-minimum", PL,
+     "keep = end_t - start_t >= min_duration_ms",
+     "keep = end_t - start_t > min_duration_ms"),
+    ("device-percent-round-half-even", FW,
+     "return _round_half_up(min(max(pct, 0.0), 100.0))",
+     "return round(min(max(pct, 0.0), 100.0))"),
+    ("endpoint-port-65535", CLI,
+     "int(port) <= 0xFFFF",
+     "int(port) < 0xFFFF"),
+    ("finish-scan-from-offset-2", P,
+     "    pos = buf.find(MAGIC, pos + 1)\n    while pos >= 0:\n        if _verdict(",
+     "    pos = buf.find(MAGIC, pos + 2)\n    while pos >= 0:\n        if _verdict("),
+    ("breath-peak-on-segment-start", SES,
+     "if t >= start - 1e-9:",
+     "if t > start:"),
+    # equivalent mutants: no test can tell them apart
+    ("masked-ms-left-side", PL,
+     "(ends - starts)  # masked time before each start\n"
+     "        i = np.searchsorted(starts, t, side=\"right\") - 1",
+     "(ends - starts)  # masked time before each start\n"
+     "        i = np.searchsorted(starts, t, side=\"left\") - 1"),
+    ("seq-gap-half-range", PL,
+     "+ 0x8000) % 0x10000 - 0x8000",
+     "+ 0x7FFF) % 0x10000 - 0x7FFF"),
+    ("span-end-truncated", PL,
+     "span_end = int(round(max(",
+     "span_end = int((max("),
+    # the rest of the first table
+    ("force-rail-off-by-one", PL,
+     "resolved = (code > 0) & (code < adc.full_scale)",
+     "resolved = (code > 0) & (code < adc.full_scale - 1)"),
+    ("batch-rows-dedup-gate", PL,
+     "if (t[1:] > t[:-1]).all():",
+     "if (t[1:] >= t[:-1]).all():"),
+    ("airtime-rounded-down", FW,
+     "radio = min(-(-tx // tick), k + 1 - pos)",
+     "radio = min(tx // tick, k + 1 - pos)"),
+    ("session-length-cap", FW,
+     "if total_ms > MAX_SESSION_MS:",
+     "if total_ms >= MAX_SESSION_MS:"),
+    ("battery-percent-101-encodes", P,
+     "if payload.percent > 100:",
+     "if payload.percent > 101:"),
+    ("moving-average-window", PL,
+     "hi = np.minimum(np.arange(n) + half + 1, n)",
+     "hi = np.minimum(np.arange(n) + half, n)"),
+    ("peak-height-strict", PL,
+     "peaks = peaks[x[peaks] >= height]",
+     "peaks = peaks[x[peaks] > height]"),
+    ("resync-runs-never-join", P,
+     "if last is not None and last.offset + last.skipped == offset:",
+     "if last is not None and last.offset + last.skipped == offset + 1:"),
+    # the column-wise validity pass and the frame table
+    ("scan-no-version-test", P,
+     "c = c[b[at[c] + 1] == VERSION]",
+     "c = c[b[at[c] + 1] >= 0]"),
+    ("scan-count-zero-fits", P,
+     "fits[batch] = (count >= 1) &",
+     "fits[batch] = (count >= 0) &"),
+    ("scan-fsr-code-below-max", P,
+     "ok[fsr] &= (codes <= MAX_CODE).all(axis=1)",
+     "ok[fsr] &= (codes < MAX_CODE).all(axis=1)"),
+    ("scan-battery-code-below-max", P,
+     "ok[battery] &= (adc_code <= MAX_CODE)",
+     "ok[battery] &= (adc_code < MAX_CODE)"),
+    ("scan-percent-below-100", P,
+     "(payload[battery, 6] <= 100)",
+     "(payload[battery, 6] < 100)"),
+    ("scan-crc-columns-from-magic", P,
+     "np.ascontiguousarray(rows.T)[1:frame_len - 1]",
+     "np.ascontiguousarray(rows.T)[0:frame_len - 1]"),
+    ("scan-crc-columns-past-crc", P,
+     "np.ascontiguousarray(rows.T)[1:frame_len - 1]",
+     "np.ascontiguousarray(rows.T)[1:frame_len]"),
+    ("scan-held-at-exact-end", P,
+     "held = at + size > n",
+     "held = at + size >= n"),
+    ("table-count-byte", P,
+     "count[batch] = b[at[batch] + HEADER_LEN + 4]",
+     "count[batch] = b[at[batch] + HEADER_LEN + 3]"),
+    ("feed-waits-one-byte-more", P,
+     "if len(self._buf) < self._held_len:",
+     "if len(self._buf) <= self._held_len:"),
+]
+
+
+def check_table() -> None:
+    """Every old text occurs exactly once in its file; names are distinct."""
+    names = [name for name, *_ in MUTANTS]
+    assert len(set(names)) == len(names), "mutant names must be distinct"
+    for name, path, old, new in MUTANTS:
+        found = (ROOT / path).read_text(encoding="utf-8").count(old)
+        assert found == 1, f"{name}: old text occurs {found} times in {path}"
+        assert old != new, f"{name}: old and new text are the same"
+
+
+def run(name: str, path: str, old: str, new: str, work: Path) -> tuple[str, float]:
+    """Copy the checkout, apply one mutant, run tier-1; 'killed', 'survived' or 'error'."""
+    copy = work / name
+    shutil.copytree(ROOT, copy, ignore=IGNORE)
+    try:
+        target = copy / path
+        target.write_text(target.read_text(encoding="utf-8").replace(old, new, 1),
+                          encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        start = time.perf_counter()
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+        elapsed = time.perf_counter() - start
+    finally:
+        shutil.rmtree(copy, ignore_errors=True)
+    # pytest exits 0 when every test passes and 1 when some test failed
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})"), elapsed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("names", nargs="*", help="run only these mutants")
+    parser.add_argument("--list", action="store_true", help="print the table and stop")
+    parser.add_argument("--work", type=Path, default=None,
+                        help="scratch directory for the copies (default: a temporary one)")
+    args = parser.parse_args(argv)
+
+    check_table()
+    unknown = set(args.names) - {name for name, *_ in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+    if args.list:
+        for name, path, old, new in chosen:
+            print(f"{name}: {path}: {old!r} -> {new!r}")
+        return 0
+
+    work = Path(tempfile.mkdtemp(prefix="mutate-", dir=args.work))
+    tally: dict[str, int] = {}
+    try:
+        for name, path, old, new in chosen:
+            outcome, elapsed = run(name, path, old, new, work)
+            tally[outcome] = tally.get(outcome, 0) + 1
+            print(f"{outcome:<9} {name} ({elapsed:.0f} s)", flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print(", ".join(f"{n} {outcome}" for outcome, n in sorted(tally.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
