@@ -11,6 +11,14 @@ as delimited rows for downstream tools.  The electrical chain is one
 :class:`~respsim.firmware.DeviceModel`, the same object the firmware
 emulator runs on.
 
+Both export formats go through one writer.  Each record type's line is a
+layout of constant bytes and typed fields (integers, hh:mm:ss.mmm stamps,
+fixed-decimal and JSON reals, and texts picked per row), and a block of
+rows becomes one byte matrix filled field by field from digit tables.  A
+value the numeric rule cannot render exactly, such as a near-tie or a
+non-finite real, is formatted by Python itself, so the bytes are those of
+Python's own formatting.
+
 Ordering is reconstructed from payload timestamps, not sequence numbers:
 seq is 16-bit and wraps, while the millisecond timestamps are 32-bit and
 monotonic at session scale.  seq only feeds the gap diagnostics.
@@ -21,7 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -711,140 +719,250 @@ def format_relative_ms(t_ms: int) -> str:
     return f"{h:02d}:{m:02d}:{s:02d}.{ms:03d}"
 
 
-_STAMP = np.frombuffer(b"00:00:00.000", dtype=np.uint8)
-_STAMP_DIGITS = [0, 1, 3, 4, 6, 7, 9, 10, 11]
-
-
-def _relative_ms_column(t_ms: np.ndarray) -> list[str]:
-    """:func:`format_relative_ms` of every entry of an int64 array.
-
-    numpy's divmod floors as Python's does.  Each stamp's 12 ASCII bytes
-    are filled one digit column at a time; stamps whose hours do not fit
-    two digits (100 h and beyond, or before 0) are formatted one by one.
-    """
-    s, ms = np.divmod(t_ms, 1000)
-    m, s = np.divmod(s, 60)
-    h, m = np.divmod(m, 60)
-    hh = np.clip(h, 0, 99)
-    chars = np.tile(_STAMP, (t_ms.size, 1))
-    chars[:, _STAMP_DIGITS] = np.stack(
-        [hh // 10, hh % 10, m // 10, m % 10, s // 10, s % 10, ms // 100, ms // 10 % 10, ms % 10],
-        axis=1,
-    ) + ord("0")
-    stamps = chars.view("S12").ravel().astype("U12").tolist()
-    for i in np.flatnonzero(h != hh).tolist():
-        stamps[i] = format_relative_ms(t_ms[i])
-    return stamps
-
-
-def _saturation(code: int) -> str:
-    return "low" if code <= 0 else "high"
-
-
 def _json_real(x: float, digits: int) -> str:
     """``json.dumps(float(f"{x:.{digits}f}"))``: round() rounds the same way."""
     return repr(round(x, digits)) if math.isfinite(x) else json.dumps(x)
 
 
-# One line builder per record type and format.  Each takes a row's t_ms and
-# t_iso, then that record's fields in the order _records gives them.  A CSV
-# line leaves every other column of CSV_COLUMNS empty; a JSONL line holds
-# the record's keys as json.dumps(row, sort_keys=True) writes them.  An FSR
-# force is NaN (f != f) only at a rail, which the row marks as saturated.
-_CSV_LINES = {
-    "fsr": lambda t, iso, code, f: (
-        f"fsr,{t},{iso},,{code},{f:.6f},,,,,,,,,,,,\n" if f == f
-        else f"fsr,{t},{iso},,{code},,{_saturation(code)},,,,,,,,,,,\n"),
-    "accel": lambda t, iso, x, y, z: f"accel,{t},{iso},,,,,{x},{y},{z},,,,,,,,\n",
-    "battery": lambda t, iso, code, device, host, charging: (
-        f"battery,{t},{iso},,{code},,,,,,{device},{host},{charging},,,,,\n"),
-    "breath": lambda t, iso: f"breath,{t},{iso},,,,,,,,,,,,,,,\n",
-    "artifact": lambda t, iso, end: f"artifact,{t},{iso},{end},,,,,,,,,,,,,,\n",
-    "estimate": lambda t, iso, end, rate, count, confidence, fraction: (
-        f"estimate,{t},{iso},{end},,,,,,,,,,{rate:.3f},{count},{confidence:.4f},"
-        f"{fraction:.4f},\n"),
-    "alert": lambda t, iso, end: f"alert,{t},{iso},{end},,,,,,,,,,,,,,apnea\n",
-}
-_JSONL_LINES = {
-    "fsr": lambda t, iso, code, f: (
-        f'{{"code": {code}, "force_n": {_json_real(f, 6)}, "record": "fsr", '
-        f'"saturated": "", "t_iso": "{iso}", "t_ms": {t}}}\n' if f == f
-        else f'{{"code": {code}, "record": "fsr", "saturated": "{_saturation(code)}", '
-             f'"t_iso": "{iso}", "t_ms": {t}}}\n'),
-    "accel": lambda t, iso, x, y, z: (
-        f'{{"record": "accel", "t_iso": "{iso}", "t_ms": {t}, '
-        f'"x_mg": {x}, "y_mg": {y}, "z_mg": {z}}}\n'),
-    "battery": lambda t, iso, code, device, host, charging: (
-        f'{{"charging": {charging}, "code": {code}, "percent_device": {device}, '
-        f'"percent_host": {host}, "record": "battery", "t_iso": "{iso}", "t_ms": {t}}}\n'),
-    "breath": lambda t, iso: f'{{"record": "breath", "t_iso": "{iso}", "t_ms": {t}}}\n',
-    "artifact": lambda t, iso, end: (
-        f'{{"end_ms": {end}, "record": "artifact", "t_iso": "{iso}", "t_ms": {t}}}\n'),
-    "estimate": lambda t, iso, end, rate, count, confidence, fraction: (
-        f'{{"artifact_fraction": {_json_real(fraction, 4)}, "breath_count": {count}, '
-        f'"confidence": {_json_real(confidence, 4)}, "end_ms": {end}, '
-        f'"rate_bpm": {_json_real(rate, 3)}, "record": "estimate", '
-        f'"t_iso": "{iso}", "t_ms": {t}}}\n'),
-    "alert": lambda t, iso, end: (
-        f'{{"end_ms": {end}, "note": "apnea", "record": "alert", '
-        f'"t_iso": "{iso}", "t_ms": {t}}}\n'),
-}
+# A block of rows is rendered as one uint8 matrix, one column per line: each
+# field of the record's layout fills a few rows of it for the whole block
+# with numpy, NUL bytes pad each field to its widest value, and the block's
+# text is the transposed matrix without them.  Digits come from _DIGITS,
+# whose column v is f"{v:03d}" as three ASCII bytes, so that one gather by
+# value fills three digit rows.
+_DIGITS = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
+_HOUR_MS = 3_600_000
 
 
-def _records(result: SessionAnalysis) -> list[tuple[str, np.ndarray, list[np.ndarray]]]:
-    """(record type, t_ms, field columns) per record type, in export order.
+def _padded(mag: np.ndarray, width: int) -> np.ndarray:
+    """Each non-negative integer of ``mag`` (uint64) as a column of ``width`` digits."""
+    groups = -(-width // 3)
+    digits = np.concatenate(
+        [np.take(_DIGITS, mag // 1000 ** g % 1000, axis=1) for g in reversed(range(groups))])
+    return digits[3 * groups - width:]
 
-    Every column is an array, so a block of it converts back to Python
-    values with one ``tolist()``.
+
+def _blank_zero_run(digits: np.ndarray) -> None:
+    """Blank the run of '0's that each column of ``digits`` starts with."""
+    run = np.ones(digits.shape[1], dtype=bool)
+    for row in digits:
+        run &= row == ord("0")
+        row[run] = 0
+
+
+def _sign(negative: np.ndarray) -> np.ndarray:
+    return (negative * np.uint8(ord("-")))[None]
+
+
+def _patch(chars: np.ndarray, lines: np.ndarray, texts: list[str]) -> np.ndarray:
+    """``chars`` with each line of ``lines`` replaced by its text, widened as the texts need."""
+    if not lines.size:
+        return chars
+    fill = np.array(texts, dtype=np.bytes_)
+    fill = fill.view(np.uint8).reshape(lines.size, fill.itemsize).T
+    chars = np.pad(chars, ((0, max(len(fill) - len(chars), 0)), (0, 0)))
+    chars[:, lines] = 0
+    chars[:len(fill), lines] = fill
+    return chars
+
+
+def _integers(values: np.ndarray) -> np.ndarray:
+    """``str(v)`` of each integer."""
+    v = values.astype(np.int64, copy=False)
+    mag = np.abs(v).view(np.uint64)  # abs(-2**63) wraps to itself, which uint64 reads right
+    digits = _padded(mag, len(str(int(mag.max()))))
+    _blank_zero_run(digits[:-1])
+    negative = v < 0
+    return np.concatenate([_sign(negative), digits]) if negative.any() else digits
+
+
+def _stamps(t_ms: np.ndarray) -> np.ndarray:
+    """:func:`format_relative_ms` of each instant.
+
+    An instant before 0, or at 100 h or later, has no two-digit hours and
+    is formatted by :func:`format_relative_ms` itself.
     """
-    fsr, accel, battery = result.series.fsr, result.series.accel, result.series.battery
+    inside = (t_ms >= 0) & (t_ms < 100 * _HOUR_MS)
+    s, ms = np.divmod(np.where(inside, t_ms, 0), 1000)
+    m, s = np.divmod(s, 60)
+    h, m = np.divmod(m, 60)
+    chars = np.empty((12, t_ms.size), dtype=np.uint8)
+    for at, value in ((0, h), (3, m), (6, s)):
+        chars[at:at + 2] = np.take(_DIGITS[1:], value, axis=1)
+    chars[9:] = np.take(_DIGITS, ms, axis=1)
+    chars[[2, 5]] = ord(":")
+    chars[8] = ord(".")
+    outside = np.flatnonzero(~inside)
+    return _patch(chars, outside, [format_relative_ms(t) for t in t_ms[outside].tolist()])
 
-    def column(items, attr: str, dtype=None) -> np.ndarray:
-        return np.array([getattr(item, attr) for item in items], dtype=dtype)
 
-    estimates, alerts = result.estimates, result.alerts
-    intervals = np.array(result.artifacts.intervals, dtype=np.int64).reshape(-1, 2)
+def _decimals(x: np.ndarray, digits: int, json_real: bool, blank_nan: bool) -> np.ndarray:
+    """``f"{v:.{digits}f}"`` of each float, or ``_json_real(v, digits)`` if ``json_real``.
+
+    Python rounds the exact binary value half to even.  ``y = x * 10**digits``
+    is within ``|y| * 2**-53`` of it, so ``rint(y)`` gives the same integer
+    unless the fraction of ``y`` lies within twice that of one half; such
+    near-ties, values of 1e9 and more (whose ``y`` may not be exact) and
+    non-finite values are formatted by Python one by one.  The sign is the
+    sign bit, so a negative value that rounds to zero keeps its '-', as
+    Python's does.  Above 1e-4 the JSON real is the fixed digits without
+    trailing zeros, keeping one: the rounded decimal has at most 15
+    significant digits, so it is the shortest one that reads back as the
+    float ``round()`` returns.  ``repr`` writes smaller non-zero values
+    with an exponent, and those go to Python too.  With ``blank_nan`` a NaN
+    is written as nothing.
+    """
+    exact = np.abs(x) < 1e9
+    y = np.where(exact, x, 0.0) * 10.0 ** digits
+    r = np.rint(y)
+    exact &= np.abs(y - np.floor(y) - 0.5) > np.abs(y) * 2.0 ** -52
+    if json_real:
+        exact &= (r == 0) | (np.abs(r) >= 10.0 ** (digits - 4))
+    mag = np.abs(r).astype(np.uint64)
+    width = max(len(str(int(mag.max()))), digits + 1)
+    chars = _padded(mag, width)
+    whole, fraction = chars[:width - digits], chars[width - digits:]
+    _blank_zero_run(whole[:-1])
+    if json_real:
+        _blank_zero_run(fraction[:0:-1])  # trailing zeros, keeping the first digit
+    point = np.full((1, x.size), ord("."), dtype=np.uint8)
+    chars = np.concatenate([_sign(np.signbit(x)), whole, point, fraction])
+    blank = blank_nan & np.isnan(x)
+    chars[:, blank] = 0
+    python = np.flatnonzero(~exact & ~blank)
+    format_one = (lambda v: _json_real(v, digits)) if json_real else (lambda v: f"{v:.{digits}f}")
+    return _patch(chars, python, [format_one(v) for v in x[python].tolist()])
+
+
+# Fields render a block of structured rows, those of _records, as characters
+def _int(name: str):
+    return lambda rows: _integers(rows[name])
+
+
+def _real(name: str, digits: int, json_real: bool = False, blank_nan: bool = False):
+    return lambda rows: _decimals(rows[name], digits, json_real, blank_nan)
+
+
+def _text(pick, *choices: bytes):
+    """``choices[pick(rows)]`` for each row."""
+    table = np.array(choices, dtype=np.bytes_)
+    table = np.ascontiguousarray(table.view(np.uint8).reshape(len(choices), table.itemsize).T)
+    return lambda rows: np.take(table, pick(rows), axis=1)
+
+
+def _rail(rows: np.ndarray) -> np.ndarray:
+    """0 for an FSR row with a force, else 1 at the low rail and 2 at the high one."""
+    return np.isnan(rows["force_n"]) * np.where(rows["code"] <= 0, 1, 2)
+
+
+def _layout(*items) -> tuple:
+    """A line's items: constant bytes, as uint8 arrays, and fields."""
+    return tuple(np.frombuffer(item, dtype=np.uint8) if isinstance(item, bytes) else item
+                 for item in items)
+
+
+_T_MS, _T_ISO, _END_MS = _int("t_ms"), lambda rows: _stamps(rows["t_ms"]), _int("end_ms")
+_SATURATED = _text(_rail, b"", b"low", b"high")
+
+
+def _csv(record: str, *items) -> tuple:
+    """A CSV line: the record type, t_ms, t_iso, then ``items``.
+
+    Every column of CSV_COLUMNS the record has no field for is left empty.
+    """
+    return _layout(record.encode() + b",", _T_MS, b",", _T_ISO, *items)
+
+
+def _jsonl(*items) -> tuple:
+    """A JSON Lines line: ``items``, which hold the keys before t_iso, then t_iso and t_ms.
+
+    The keys are in ``json.dumps(row, sort_keys=True)``'s order.
+    """
+    return _layout(b"{", *items, b'"t_iso": "', _T_ISO, b'", "t_ms": ', _T_MS, b"}\n")
+
+
+# An FSR force is NaN only at a rail, which the row marks as saturated.
+_CSV_LAYOUTS = {
+    "fsr": _csv("fsr", b",,", _int("code"), b",", _real("force_n", 6, blank_nan=True), b",",
+                _SATURATED, b",,,,,,,,,,,\n"),
+    "accel": _csv("accel", b",,,,,", _int("x_mg"), b",", _int("y_mg"), b",", _int("z_mg"),
+                  b",,,,,,,,\n"),
+    "battery": _csv("battery", b",,", _int("adc_code"), b",,,,,,", _int("device_percent"), b",",
+                    _int("host_percent"), b",", _int("charging"), b",,,,,\n"),
+    "breath": _csv("breath", b",,,,,,,,,,,,,,,\n"),
+    "artifact": _csv("artifact", b",", _END_MS, b",,,,,,,,,,,,,,\n"),
+    "estimate": _csv("estimate", b",", _END_MS, b",,,,,,,,,,", _real("rate_bpm", 3), b",",
+                     _int("breath_count"), b",", _real("confidence", 4), b",",
+                     _real("artifact_fraction", 4), b",\n"),
+    "alert": _csv("alert", b",", _END_MS, b",,,,,,,,,,,,,,apnea\n"),
+}
+_JSONL_LAYOUTS = {
+    "fsr": _jsonl(b'"code": ', _int("code"), _text(_rail, b', "force_n": ', b"", b""),
+                  _real("force_n", 6, json_real=True, blank_nan=True),
+                  b', "record": "fsr", "saturated": "', _SATURATED, b'", '),
+    "accel": _layout(b'{"record": "accel", "t_iso": "', _T_ISO, b'", "t_ms": ', _T_MS,
+                     b', "x_mg": ', _int("x_mg"), b', "y_mg": ', _int("y_mg"),
+                     b', "z_mg": ', _int("z_mg"), b"}\n"),
+    "battery": _jsonl(b'"charging": ', _int("charging"), b', "code": ', _int("adc_code"),
+                      b', "percent_device": ', _int("device_percent"),
+                      b', "percent_host": ', _int("host_percent"), b', "record": "battery", '),
+    "breath": _jsonl(b'"record": "breath", '),
+    "artifact": _jsonl(b'"end_ms": ', _END_MS, b', "record": "artifact", '),
+    "estimate": _jsonl(b'"artifact_fraction": ', _real("artifact_fraction", 4, json_real=True),
+                       b', "breath_count": ', _int("breath_count"),
+                       b', "confidence": ', _real("confidence", 4, json_real=True),
+                       b', "end_ms": ', _END_MS,
+                       b', "rate_bpm": ', _real("rate_bpm", 3, json_real=True),
+                       b', "record": "estimate", '),
+    "alert": _jsonl(b'"end_ms": ', _END_MS, b', "note": "apnea", "record": "alert", '),
+}
+
+_SPAN_DTYPE = np.dtype([("t_ms", np.int64), ("end_ms", np.int64)])
+_ESTIMATE_DTYPE = np.dtype([
+    ("t_ms", np.int64), ("end_ms", np.int64), ("rate_bpm", np.float64),
+    ("breath_count", np.int64), ("confidence", np.float64), ("artifact_fraction", np.float64),
+])
+
+
+def _records(result: SessionAnalysis) -> list[tuple[str, np.ndarray]]:
+    """(record type, structured rows) per record type, in export order."""
+    series = result.series
     return [
-        ("fsr", fsr["t_ms"], [fsr["code"], fsr["force_n"]]),
-        ("accel", accel["t_ms"], [accel["x_mg"], accel["y_mg"], accel["z_mg"]]),
-        ("battery", battery["t_ms"],
-         [battery["adc_code"], battery["device_percent"], battery["host_percent"],
-          battery["charging"].astype(np.int64)]),
-        ("breath", result.breaths, []),
-        ("artifact", intervals[:, 0], [intervals[:, 1]]),
-        ("estimate", column(estimates, "window_start_ms"),
-         [column(estimates, "window_end_ms", np.int64),
-          column(estimates, "rate_bpm", np.float64),
-          column(estimates, "breath_count", np.int64),
-          column(estimates, "confidence", np.float64),
-          column(estimates, "artifact_fraction", np.float64)]),
-        ("alert", column(alerts, "start_ms"), [column(alerts, "end_ms", np.int64)]),
+        ("fsr", series.fsr),
+        ("accel", series.accel),
+        ("battery", series.battery),
+        ("breath", np.array([(t,) for t in result.breaths.tolist()], dtype=[("t_ms", np.int64)])),
+        ("artifact", np.array(list(result.artifacts.intervals), dtype=_SPAN_DTYPE)),
+        ("estimate", np.array([astuple(e) for e in result.estimates], dtype=_ESTIMATE_DTYPE)),
+        ("alert", np.array([(a.start_ms, a.end_ms) for a in result.alerts], dtype=_SPAN_DTYPE)),
     ]
 
 
-def _write(result: SessionAnalysis, fp: IO[str], lines: dict) -> int:
-    """Write every record through ``lines``, one block at a time; returns the row count."""
+def _write(result: SessionAnalysis, fp: IO[str], layouts: dict) -> int:
+    """Write every record by its layout, one block at a time; returns the row count."""
     n = 0
-    for record, t_ms, columns in _records(result):
-        line = lines[record]
-        t_ms = np.asarray(t_ms, dtype=np.int64)
-        for lo in range(0, t_ms.size, BLOCK_ROWS):
-            t = t_ms[lo:lo + BLOCK_ROWS]
-            fields = [c[lo:lo + BLOCK_ROWS].tolist() for c in columns]
-            fp.write("".join(map(line, t.tolist(), _relative_ms_column(t), *fields)))
-        n += t_ms.size
+    for record, rows in _records(result):
+        layout = layouts[record]
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            block = rows[lo:lo + BLOCK_ROWS]
+            chars = np.concatenate([
+                np.broadcast_to(item[:, None], (item.size, block.size))
+                if isinstance(item, np.ndarray) else item(block)
+                for item in layout]).T.ravel()
+            fp.write(chars[chars != 0].tobytes().decode("ascii"))
+        n += len(rows)
     return n
 
 
 def export_csv(result: SessionAnalysis, fp: IO[str]) -> int:
     """Write the session as CSV; returns the number of data rows."""
     fp.write(",".join(CSV_COLUMNS) + "\n")
-    return _write(result, fp, _CSV_LINES)
+    return _write(result, fp, _CSV_LAYOUTS)
 
 
 def export_jsonl(result: SessionAnalysis, fp: IO[str]) -> int:
     """Write the session as JSON Lines with the same fields as the CSV."""
-    return _write(result, fp, _JSONL_LINES)
+    return _write(result, fp, _JSONL_LAYOUTS)
 
 
 def export(result: SessionAnalysis, path: str, fmt: str = "csv") -> int:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -1036,31 +1037,27 @@ _export_times = st.one_of(
     st.integers(359_999_000, 360_001_000),
     st.integers(-10**6, 10**6),
 )
-_reals = st.floats(allow_nan=True, allow_infinity=True)
+# exact binary ties and their neighbours; decimal halves at 3, 4 and 6 digits,
+# whose binary value lies just off the half, though x * 10**digits rounds onto
+# it; values that round to -0, that repr writes with an exponent, that are too
+# large for the export's numeric rule; and the non-finite ones
+EDGE_REALS = [
+    *(float(v) for tie in (0.0078125, 0.0234375)
+      for v in (np.nextafter(tie, -math.inf), tie, np.nextafter(tie, math.inf))),
+    0.0005, 0.0055, 0.00025, 0.00035, 2.5e-6, 3.5e-6,
+    5e-7, -1e-7, -0.0, 1e-5, 9.99e-5, 1e8 + 0.5, 1e9, 1e16, math.inf, -math.inf, math.nan,
+]
+EDGE_TIMES = [-1, 359_999_999, 360_000_000]
+_reals = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_REALS)
 
 
-@st.composite
-def session_analyses(draw):
-    """Every record type, rail codes with NaN force, and empty channels."""
-    fsr = draw(st.lists(st.tuples(
-        _export_times,
-        st.sampled_from([0, 4095]) | st.integers(0, 4095),
-        st.just(math.nan) | st.floats(-1e3, 1e4) | _reals)))
-    accel = draw(st.lists(st.tuples(_export_times, *[st.integers(-32768, 32767)] * 3)))
-    battery = draw(st.lists(st.tuples(
-        _export_times, st.integers(0, 4095), st.integers(0, 100),
-        st.integers(0, 100), st.booleans()), max_size=5))
-    breaths = draw(st.lists(_export_times, max_size=10))
-    intervals = draw(st.lists(st.tuples(_export_times, _export_times), max_size=5))
-    estimates = draw(st.lists(st.builds(
-        RespirationEstimate, _export_times, _export_times, st.floats(0, 60) | _reals,
-        st.integers(0, 100), st.floats(0, 1) | _reals, st.floats(0, 1) | _reals),
-        max_size=5))
-    alerts = draw(st.lists(st.builds(Alert, _export_times, _export_times), max_size=3))
+def session_analysis(fsr=(), accel=(), battery=(), breaths=(), intervals=(), estimates=(),
+                     alerts=()) -> SessionAnalysis:
+    """A SessionAnalysis holding these rows, as the export reads it."""
     series = ExtractedSeries(
-        fsr=np.array(fsr, dtype=FSR_DTYPE),
-        accel=np.array(accel, dtype=ACCEL_DTYPE),
-        battery=np.array(battery, dtype=BATTERY_DTYPE),
+        fsr=np.array(list(fsr), dtype=FSR_DTYPE),
+        accel=np.array(list(accel), dtype=ACCEL_DTYPE),
+        battery=np.array(list(battery), dtype=BATTERY_DTYPE),
         fsr_period_ms=40.0,
         accel_period_ms=20.0,
         frame_counts={},
@@ -1068,12 +1065,58 @@ def session_analyses(draw):
     )
     return SessionAnalysis(
         series=series,
-        breaths=np.array(breaths, dtype=np.int64),
+        breaths=np.array(list(breaths), dtype=np.int64),
         artifacts=ArtifactMask(tuple(intervals)),
-        estimates=estimates,
-        alerts=alerts,
+        estimates=list(estimates),
+        alerts=list(alerts),
         span_ms=(0, 0),
     )
+
+
+@st.composite
+def session_analyses(draw):
+    """Every record type, rail codes with NaN force, and empty channels."""
+    return session_analysis(
+        fsr=draw(st.lists(st.tuples(
+            _export_times,
+            st.sampled_from([0, 4095]) | st.integers(0, 4095),
+            st.just(math.nan) | st.floats(-1e3, 1e4) | _reals))),
+        accel=draw(st.lists(st.tuples(_export_times, *[st.integers(-32768, 32767)] * 3))),
+        battery=draw(st.lists(st.tuples(
+            _export_times, st.integers(0, 4095), st.integers(0, 100),
+            st.integers(0, 100), st.booleans()), max_size=5)),
+        breaths=draw(st.lists(_export_times, max_size=10)),
+        intervals=draw(st.lists(st.tuples(_export_times, _export_times), max_size=5)),
+        estimates=draw(st.lists(st.builds(
+            RespirationEstimate, _export_times, _export_times, st.floats(0, 60) | _reals,
+            st.integers(0, 100), st.floats(0, 1) | _reals, st.floats(0, 1) | _reals),
+            max_size=5)),
+        alerts=draw(st.lists(st.builds(Alert, _export_times, _export_times), max_size=3)),
+    )
+
+
+def assert_exports_match_the_reference_writers(result):
+    for export, reference in ((export_csv, reference_csv), (export_jsonl, reference_jsonl)):
+        got, expected = io.StringIO(), io.StringIO()
+        assert export(result, got) == reference(result, expected)
+        assert got.getvalue() == expected.getvalue()
+
+
+def test_exports_of_edge_values_match_the_reference_writers():
+    """Each edge real as a force, rate, confidence and fraction, NaN at both
+    rails, and stamps before 0, just below 100 h and at 100 h."""
+    times = EDGE_TIMES * len(EDGE_REALS)
+    result = session_analysis(
+        fsr=[(t, 2000, v) for t, v in zip(times, EDGE_REALS)]
+        + [(-1, 0, math.nan), (360_000_000, 4095, math.nan)],
+        accel=[(t, -5, 0, 32767) for t in EDGE_TIMES],
+        battery=[(t, 4095, 0, 100, t > 0) for t in EDGE_TIMES],
+        breaths=EDGE_TIMES,
+        intervals=zip(EDGE_TIMES, EDGE_TIMES[1:]),
+        estimates=[RespirationEstimate(t, t + 1, v, 2, v, v) for t, v in zip(times, EDGE_REALS)],
+        alerts=[Alert(t, t + 1) for t in EDGE_TIMES],
+    )
+    assert_exports_match_the_reference_writers(result)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1081,16 +1124,46 @@ def session_analyses(draw):
 def test_exports_match_the_reference_writers(result, block_rows):
     # small blocks put block boundaries inside every record group
     with mock.patch.object(pipeline, "BLOCK_ROWS", block_rows):
-        for export, reference in ((export_csv, reference_csv), (export_jsonl, reference_jsonl)):
-            got, expected = io.StringIO(), io.StringIO()
-            assert export(result, got) == reference(result, expected)
-            assert got.getvalue() == expected.getvalue()
+        assert_exports_match_the_reference_writers(result)
 
 
 def test_export_of_a_session_matches_the_reference_writers():
     result = analyze_session(run_frames(duration=200.0, rate=20.0, posture="walking"))
     assert len(result.series.fsr) > pipeline.BLOCK_ROWS
-    for export, reference in ((export_csv, reference_csv), (export_jsonl, reference_jsonl)):
-        got, expected = io.StringIO(), io.StringIO()
-        assert export(result, got) == reference(result, expected)
-        assert got.getvalue() == expected.getvalue()
+    assert_exports_match_the_reference_writers(result)
+
+
+def test_digit_table_holds_every_three_digit_value():
+    assert [bytes(column).decode("ascii") for column in pipeline._DIGITS.T] == [
+        f"{v:03d}" for v in range(1000)]
+
+
+def test_export_memory_stays_flat_as_the_capture_grows():
+    """The export holds one block at a time, however many rows there are."""
+
+    class CountingSink:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    peaks = {}
+    for blocks in (2, 10):
+        t = np.arange(blocks * pipeline.BLOCK_ROWS)
+        fsr = np.zeros(t.size, dtype=FSR_DTYPE)
+        fsr["t_ms"], fsr["code"] = 40 * t, t % 4096
+        fsr["force_n"] = reconstruct_force(fsr["code"])
+        accel = np.zeros(t.size, dtype=ACCEL_DTYPE)
+        accel["t_ms"], accel["x_mg"], accel["y_mg"], accel["z_mg"] = 20 * t, t % 2001 - 1000, -7, 1000
+        result = session_analysis(fsr=fsr, accel=accel)
+        for export in (export_csv, export_jsonl):
+            sink = CountingSink()
+            tracemalloc.start()
+            try:
+                assert export(result, sink) == 2 * t.size
+                peaks[export.__name__, blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sink.chars > 20 * 2 * t.size
+    for export in (export_csv, export_jsonl):
+        assert peaks[export.__name__, 10] < 1.5 * peaks[export.__name__, 2]

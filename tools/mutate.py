@@ -122,6 +122,28 @@ MUTANTS = [
     ("feed-waits-one-byte-more", P,
      "if len(self._buf) < self._held_len:",
      "if len(self._buf) <= self._held_len:"),
+    # the byte-column export writer
+    ("export-near-tie-fallback-dropped", PL,
+     "exact &= np.abs(y - np.floor(y) - 0.5) > np.abs(y) * 2.0 ** -52",
+     "exact &= np.abs(y) >= 0"),
+    ("export-json-strip-keeps-no-digit", PL,
+     "_blank_zero_run(fraction[:0:-1])",
+     "_blank_zero_run(fraction[::-1])"),
+    ("export-stamp-hours-to-100", PL,
+     "(t_ms < 100 * _HOUR_MS)",
+     "(t_ms < 101 * _HOUR_MS)"),
+    ("export-stamp-before-0-inside", PL,
+     "inside = (t_ms >= 0) &",
+     "inside = (t_ms >= -1000) &"),
+    ("export-int-sign-dropped", PL,
+     "return np.concatenate([_sign(negative), digits]) if negative.any() else digits",
+     "return digits"),
+    ("export-nonfinite-fallback-dropped", PL,
+     "exact = np.abs(x) < 1e9",
+     "exact = (np.abs(x) < 1e9) | np.isinf(x)"),
+    ("export-json-exponent-fallback-dropped", PL,
+     "exact &= (r == 0) | (np.abs(r) >= 10.0 ** (digits - 4))",
+     "exact &= (r == 0) | (np.abs(r) >= 0)"),
 ]
 
 
