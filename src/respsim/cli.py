@@ -211,6 +211,11 @@ def cmd_analyze(args) -> int:
     del data  # the frame table holds copies of all the analysis reads
     result = pipeline.analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware)
     summary = pipeline.summarize(result)
+    for kind, misplaced in summary["misplaced_frames"].items():
+        if 2 * misplaced > summary["frames"][kind]:
+            raise ParameterError(
+                f"{misplaced} of {summary['frames'][kind]} {kind} frames are off the firmware "
+                f"schedule; analyze with the --config the capture was made with")
     if summary["battery_percent_mismatches"]:
         print(f"respsim: warning: device and host battery percent differ by more than "
               f"1 point on {summary['battery_percent_mismatches']} of "

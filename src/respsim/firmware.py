@@ -5,8 +5,9 @@ accelerometer at 50 Hz, and a battery measurement every 2 s, all phased so
 every channel takes its first sample at t=0.  :class:`FirmwareConfig` owns
 it: :meth:`FirmwareConfig.session_ms` turns a session's duration into whole
 milliseconds and ticks, and each channel samples at
-``range(0, session_ms, period)``.  The emulator runs that schedule, and
-:mod:`respsim.session` synthesizes its stimulus at the same instants.
+``range(0, session_ms, period)``.  The emulator runs that schedule,
+:mod:`respsim.session` synthesizes its stimulus at the same instants, and
+the host places only frames that :meth:`FirmwareConfig.on_schedule` finds on it.
 Samples accumulate into
 fixed-size batches (5 FSR codes, 10 accel triples per frame) and each
 completed batch is framed immediately; partially filled batches are flushed
@@ -122,6 +123,31 @@ class FirmwareConfig:
     @property
     def accel_period_ms(self) -> int:
         return 1000 // self.accel_rate_hz
+
+    def _kinds(self) -> tuple[tuple[FrameKind, int, int], ...]:
+        """``(kind, period, batch)`` per frame kind; a battery reading is a batch of one."""
+        return ((FrameKind.FSR_BATCH, self.fsr_period_ms, self.fsr_batch),
+                (FrameKind.ACCEL_BATCH, self.accel_period_ms, self.accel_batch),
+                (FrameKind.BATTERY_STATUS, self.battery_period_ms, 1))
+
+    def slot(self, kind, send_ms):
+        """Each frame's index in the send order: kind k sends at ``(m * b + b - 1) * p``, and
+        the sends before a frame's instant, or at it with a lower kind code, precede it."""
+        return sum((send_ms + (k < kind) + p - 1) // (p * b) for k, p, b in self._kinds())
+
+    def on_schedule(self, kind, seq, flags, t_ms, count) -> np.ndarray:
+        """Whether each frame, as frame-table columns, is one this schedule sends: a whole
+        batch, or a smaller final flush, on its kind's grid of ``period * batch``, and
+        without the flush flag (whose slot depends on the session's length) a ``seq``
+        equal to its slot mod 2**16."""
+        grid = np.ones((2, max(FrameKind) + 1), dtype=np.int64)  # period, batch by kind code
+        for k, p, b in self._kinds():
+            grid[:, k] = p, b
+        period, batch = grid[:, kind]
+        flush = (flags & protocol.FLAG_FINAL_FLUSH) != 0
+        slot = self.slot(kind, t_ms + (batch - 1) * period)
+        return ((t_ms % (period * batch) == 0) & ((count == batch) | flush & (count < batch))
+                & (flush | (seq == slot % 2 ** 16)))
 
     def session_ms(self, duration_s: float) -> int:
         """A session's length in ms, where every channel's ``range(0, ms, period)`` ends."""
@@ -439,11 +465,9 @@ def _schedule(
     loop leaves pending, negative when airtime is not a multiple of
     ``tick_ms``.  Nothing here depends on the stimulus or the power draws.
     """
-    events = [(t, FrameKind.BATTERY_STATUS, 0)
-              for t in range(0, total_ms, config.battery_period_ms)]
+    events = []
     flush = []  # the partial batches, FSR before accel
-    for kind, period, n in ((FrameKind.FSR_BATCH, config.fsr_period_ms, config.fsr_batch),
-                            (FrameKind.ACCEL_BATCH, config.accel_period_ms, config.accel_batch)):
+    for kind, period, n in config._kinds():
         times = range(0, total_ms, period)
         events += [(times[i + n - 1], kind, i) for i in range(0, len(times) - n + 1, n)]
         if len(times) % n:
@@ -452,7 +476,7 @@ def _schedule(
 
     tick = config.tick_ms
     states = np.full(total_ms // tick, IDLE, dtype=np.int8)
-    for period in (config.fsr_period_ms, config.accel_period_ms, config.battery_period_ms):
+    for _, period, _ in config._kinds():
         states[::period // tick] = ACTIVE
     tx = 0
     pos = 0  # first tick not yet walked

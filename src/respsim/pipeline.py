@@ -19,9 +19,11 @@ value the numeric rule cannot render exactly, such as a near-tie or a
 non-finite real, is formatted by Python itself, so the bytes are those of
 Python's own formatting.
 
-Ordering is reconstructed from payload timestamps, not sequence numbers:
-seq is 16-bit and wraps, while the millisecond timestamps are 32-bit and
-monotonic at session scale.  seq only feeds the gap diagnostics.
+Samples are placed by the firmware config's periods, and only from frames
+on its schedule (:meth:`~respsim.firmware.FirmwareConfig.on_schedule`);
+any other frame is counted as misplaced.  Ordering is reconstructed from
+payload timestamps: seq is 16-bit and wraps, while the millisecond
+timestamps are 32-bit and monotonic at session scale.
 """
 
 from __future__ import annotations
@@ -122,32 +124,24 @@ def _count_seq_gaps(seqs: np.ndarray) -> int:
 
 
 def _batch_rows(
-    t0: np.ndarray, counts: np.ndarray, values: dict[str, np.ndarray], dtype: np.dtype,
-    fallback_period_ms: int,
-) -> tuple[np.ndarray, float]:
-    """One channel's batches as time-ordered ``dtype`` rows.
+    table: FrameTable, keep: np.ndarray, values: dict[str, np.ndarray], dtype: np.dtype,
+    period_ms: int,
+) -> np.ndarray:
+    """The samples of one channel's ``keep`` frames of ``table`` as time-ordered ``dtype`` rows.
 
-    Batch i starts at ``t0[i]`` and holds ``counts[i]`` samples.  ``values``
-    maps field names to columns holding every batch's samples, batch after
-    batch (an FSR code, an accel axis or a battery reading's field); other
-    fields are left zero.  The period is the median intra-batch spacing of
-    consecutive batch start times, or ``fallback_period_ms`` with fewer than
-    two distinct ones, and sample j of a batch lies at
-    ``round(t0 + j * period)``: numpy rounds half to even, as round() does.
-    Both sorts are stable, so batches and samples with equal instants keep
-    receive order; of the rows at one instant only the first is kept, so a
-    copied or conflicting later frame adds none there.
+    ``values`` maps field names to columns holding every frame's samples of
+    the channel, frame after frame (an FSR code, an accel axis or a battery
+    reading's field); other fields are left zero.  Sample j of a batch lies
+    at ``t0 + j * period_ms``.  Both sorts are stable, so batches and samples
+    with equal instants keep receive order; of the rows at one instant only
+    the first is kept, so a copied or conflicting later frame adds none there.
     """
-    first = np.cumsum(counts) - counts  # each batch's first sample in values
+    t0, counts, first = table.t_ms[keep], table.count[keep], table.offset[keep]
     order = np.argsort(t0, kind="stable")
     t0, counts, first = t0[order], counts[order], first[order]
-    gaps = np.diff(t0)
-    spaced = (counts[:-1] > 0) & (gaps > 0)
-    deltas = gaps[spaced] / counts[:-1][spaced]
-    period_ms = _median(deltas) if deltas.size else float(fallback_period_ms)
     j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     rows = np.zeros(j.size, dtype=dtype)
-    rows["t_ms"] = np.round(np.repeat(t0, counts) + j * period_ms)
+    rows["t_ms"] = np.repeat(t0, counts) + j * period_ms
     take = np.repeat(first, counts) + j  # each row's sample in values
     del j  # each temporary of the series' length raises peak memory
     for name, column in values.items():
@@ -155,10 +149,10 @@ def _batch_rows(
     del take
     t = rows["t_ms"]
     if (t[1:] > t[:-1]).all():
-        return rows, period_ms
+        return rows
     rows = rows[np.argsort(t, kind="stable")]
     t = rows["t_ms"]
-    return rows[np.searchsorted(t, _distinct(t))], period_ms  # the first row per instant
+    return rows[np.searchsorted(t, _distinct(t))]  # the first row per instant
 
 
 @dataclass
@@ -167,15 +161,15 @@ class ExtractedSeries:
 
     ``fsr`` holds :data:`FSR_DTYPE` rows, ``accel`` :data:`ACCEL_DTYPE`
     rows and ``battery`` :data:`BATTERY_DTYPE` rows; ``len()`` of each is
-    its sample count.
+    its sample count.  ``frame_counts`` counts every frame by kind, and
+    ``misplaced_frames`` those off the firmware schedule, which add no rows.
     """
 
     fsr: np.ndarray
     accel: np.ndarray
     battery: np.ndarray
-    fsr_period_ms: float
-    accel_period_ms: float
     frame_counts: dict[str, int]
+    misplaced_frames: dict[str, int]
     seq_gaps: int
 
 
@@ -188,26 +182,21 @@ def extract_series(
 
     The frames are read as the columns of a
     :class:`~respsim.protocol.FrameTable`; any other frame sequence is
-    converted to one first.  Sample periods are inferred from the batches'
-    start times; a channel with a single batch takes its period from
-    ``firmware``.
+    converted to one first.  A frame off ``firmware``'s schedule is
+    counted as misplaced and adds no rows; the others' samples lie
+    ``firmware``'s period apart.
     """
     table = FrameTable.from_frames(frames)
+    placed = firmware.on_schedule(table.kind, table.seq, table.flags, table.t_ms, table.count)
     of_kind = {kind: table.kind == kind for kind in FrameKind}
-
-    def channel(kind: FrameKind, values: dict, dtype: np.dtype, fallback_period_ms: int):
-        return _batch_rows(table.t_ms[of_kind[kind]], table.count[of_kind[kind]], values, dtype,
-                           fallback_period_ms)
-
+    fsr_keep, accel_keep, battery_keep = (of_kind[kind] & placed for kind in FrameKind)
     codes, xyz, readings = (table.samples[kind] for kind in FrameKind)
-    fsr, fsr_period = channel(FrameKind.FSR_BATCH, {"code": codes}, FSR_DTYPE,
-                              firmware.fsr_period_ms)
+    fsr = _batch_rows(table, fsr_keep, {"code": codes}, FSR_DTYPE, firmware.fsr_period_ms)
     fsr["force_n"] = reconstruct_force(fsr["code"], model)
-    accel, accel_period = channel(FrameKind.ACCEL_BATCH,
-                                  dict(zip(("x_mg", "y_mg", "z_mg"), xyz.T)),
-                                  ACCEL_DTYPE, firmware.accel_period_ms)
+    accel = _batch_rows(table, accel_keep, dict(zip(("x_mg", "y_mg", "z_mg"), xyz.T)),
+                        ACCEL_DTYPE, firmware.accel_period_ms)
     charging = (table.flags[of_kind[FrameKind.BATTERY_STATUS]] & FLAG_CHARGING) != 0
-    battery, _ = channel(FrameKind.BATTERY_STATUS, {
+    battery = _batch_rows(table, battery_keep, {
         "adc_code": readings[:, 0], "device_percent": readings[:, 1], "charging": charging},
         BATTERY_DTYPE, firmware.battery_period_ms)
     wide = battery[battery["adc_code"] > model.adc.full_scale]
@@ -222,10 +211,10 @@ def extract_series(
         fsr=fsr,
         accel=accel,
         battery=battery,
-        fsr_period_ms=fsr_period,
-        accel_period_ms=accel_period,
         frame_counts={kind.name.lower(): int(np.count_nonzero(of_kind[kind]))
                       for kind in FrameKind},
+        misplaced_frames={kind.name.lower(): int(np.count_nonzero(of_kind[kind] & ~placed))
+                          for kind in FrameKind},
         seq_gaps=_count_seq_gaps(table.seq),
     )
 
@@ -260,7 +249,7 @@ def detect_breaths(
     range and sit at least ``min_peak_distance_s`` from its neighbors —
     the distance uses floor() so an exact multiple of the sample period
     (40 breaths/min at 25 Hz) isn't rejected by rounding.  ``period_ms`` is
-    that period, from :func:`extract_series`; ``times_ms`` must not decrease.
+    that period, the firmware config's; ``times_ms`` must not decrease.
 
     Returns strictly increasing breath timestamps in ms: peaks at samples
     that share an instant count as one breath.  Raises
@@ -440,7 +429,7 @@ def detect_motion_artifacts(
     ``min_duration_ms`` or longer become artifact intervals.  A posture
     change that merely reorients gravity keeps magnitude at 1 g and is
     correctly not an artifact.  A run ends one sample period, ``period_ms``
-    as :func:`extract_series` infers it, after its last hot sample, but
+    as the firmware config sets it, after its last hot sample, but
     never after the next sample, so intervals stay disjoint even where
     timestamps crowd closer than the period.
     """
@@ -614,12 +603,12 @@ def analyze_session(
     series = extract_series(frames, model, firmware)
     # each channel is time-ordered, so its first and last rows bound it; a
     # sample covers one period, a battery reading only its instant
-    channels = ((series.fsr, series.fsr_period_ms), (series.accel, series.accel_period_ms),
-                (series.battery, 0.0))
+    channels = ((series.fsr, firmware.fsr_period_ms), (series.accel, firmware.accel_period_ms),
+                (series.battery, 0))
     bounds = [(int(rows["t_ms"][0]), int(rows["t_ms"][-1]) + period)
               for rows, period in channels if len(rows)]
     span_start = min((first for first, _ in bounds), default=0)
-    span_end = int(round(max((end for _, end in bounds), default=0)))
+    span_end = max((end for _, end in bounds), default=0)
 
     fsr_t, force = series.fsr["t_ms"], series.fsr["force_n"]
     usable = ~np.isnan(force)
@@ -627,7 +616,7 @@ def analyze_session(
     if usable.any():
         try:
             breaths = detect_breaths(
-                fsr_t[usable], force[usable], series.fsr_period_ms,
+                fsr_t[usable], force[usable], firmware.fsr_period_ms,
                 detrend_window_s=analysis.detrend_window_s,
                 min_peak_distance_s=analysis.min_peak_distance_s,
                 hysteresis_fraction=analysis.hysteresis_fraction,
@@ -636,7 +625,7 @@ def analyze_session(
             log.info("not enough force signal for breath detection")
 
     artifacts = detect_motion_artifacts(
-        series.accel, series.accel_period_ms,
+        series.accel, firmware.accel_period_ms,
         threshold_mg=analysis.artifact_threshold_mg,
         min_duration_ms=analysis.artifact_min_duration_ms,
     )
@@ -667,6 +656,7 @@ def summarize(result: SessionAnalysis) -> dict:
     percent_gap = np.abs(series.battery["device_percent"] - series.battery["host_percent"])
     summary = {
         "frames": dict(series.frame_counts),
+        "misplaced_frames": dict(series.misplaced_frames),
         "seq_gaps": series.seq_gaps,
         "span_ms": list(result.span_ms),
         "fsr_samples": len(series.fsr),

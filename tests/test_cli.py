@@ -22,7 +22,9 @@ import yaml
 import respsim
 from respsim.cli import EXIT_CORRUPT, EXIT_IO, _parse_endpoint, main
 from respsim.config import SessionConfig, apply_overrides, from_dict, load_config
-from respsim.session import read_truth
+from respsim.firmware import encode_session
+from respsim.protocol import FrameKind, FsrBatchPayload
+from respsim.session import read_truth, run_session
 
 
 def run_cli(capsys, *argv):
@@ -498,18 +500,27 @@ def test_analyze_empty_capture(tmp_path, capsys):
 
 
 def test_analyze_capture_whose_breaths_share_an_instant(tmp_path, capsys):
-    # four CRC-valid FSR frames, seq 0-3, flags 0, with (t0_ms, codes) of
-    # (0, (1,)), (3334, (0, 2)), (3334, (0, 1)) and (3334, (0, 2, 1)):
-    # samples share instants, and two breaths landed on one and divided
-    # the rate by a zero interval
+    # the FSR frames of a 15 s session on the default schedule, at a flat
+    # code but for one peak in the batch at 6,000 ms.  That slot's frame
+    # arrives three times: twice as sent, then with the peak moved.  Two
+    # breaths once landed on one instant and divided the rate by a zero
+    # interval; now the first frame received wins at each instant
+    sent = [f for f in run_session(from_dict({"duration_s": 15})).frames
+            if f.kind == FrameKind.FSR_BATCH]
+    flat = [dataclasses.replace(f, payload=FsrBatchPayload(f.payload.t0_ms, (1000,) * 5))
+            for f in sent]
+    assert flat[30].payload.t0_ms == 6000
+    peak, moved = (dataclasses.replace(flat[30], payload=FsrBatchPayload(6000, codes))
+                   for codes in ((1000, 1000, 3000, 1000, 1000), (1000, 1000, 1000, 1000, 3000)))
     p = tmp_path / "same_instant.raw"
-    p.write_bytes(bytes.fromhex(
-        "a501010000000700000000010100cea5010101000009060d00000200000200dd"
-        "a5010102000009060d0000020000010059a501010300000b060d000003000002"
-        "0001004e"))
+    p.write_bytes(encode_session(flat[:30] + [peak, peak, moved] + flat[31:]))
     code, stdout, _ = run_cli(capsys, "analyze", str(p), "--out", str(tmp_path / "x.csv"))
     assert code == 0
-    assert json.loads(stdout)["breaths_detected"] == 1
+    summary = json.loads(stdout)
+    assert summary["frames"]["fsr_batch"] == 77
+    assert summary["misplaced_frames"] == {"fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
+    assert (summary["fsr_samples"], summary["breaths_detected"]) == (375, 1)
+    assert "breath,6080," in (tmp_path / "x.csv").read_text()
 
 
 def test_analyze_times_single_batch_channels_by_the_config(tmp_path, capsys):
@@ -540,6 +551,30 @@ def test_analyze_warns_when_device_and_host_battery_percent_disagree(tmp_path, c
     code, stdout, err = run_cli(capsys, "analyze", capture, "--config", str(cfg))
     assert (code, err) == (0, "")
     assert json.loads(stdout)["battery_percent_mismatches"] == 0
+
+
+# a capture made with another firmware schedule, analyzed with the default
+# one: more than half of its frames of one kind are off the default schedule
+@pytest.mark.parametrize("firmware, misplaced", [
+    ("{fsr_rate_hz: 50, fsr_batch: 10}", "300 of 300 fsr_batch frames"),
+    ("{fsr_rate_hz: 5}", "59 of 60 fsr_batch frames"),
+])
+def test_a_capture_from_another_schedule_is_config_error_naming_config(
+        tmp_path, capsys, firmware, misplaced):
+    cfg = tmp_path / "other.yaml"
+    cfg.write_text(f"duration_s: 60\nfirmware: {firmware}\n")
+    capture = str(tmp_path / "other.raw")
+    assert run_cli(capsys, "simulate", "--config", str(cfg), "--out", capture)[0] == 0
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "analyze", capture, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == (f"respsim: config error: {misplaced} are off the firmware schedule; "
+                   f"analyze with the --config the capture was made with\n")
+    assert not out.exists()
+    code, stdout, err = run_cli(capsys, "analyze", capture, "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["misplaced_frames"] == {
+        "fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from respsim.firmware import (
     schedule_timeline,
 )
 from respsim.power import PowerProfile, accumulate, uniform_profile
-from respsim.protocol import FrameKind
+from respsim.protocol import FLAG_FINAL_FLUSH, FrameKind, FrameTable
 from respsim.sensor import ACCEL_DTYPE, ForceSample, OcvCurve, ParameterError
 
 
@@ -495,3 +495,53 @@ def test_run_raises_when_array_stimulus_misses_an_instant(channel, change):
     accel = np.array([(t, 0, 0, 1000) for t in instants("accel", 20)], dtype=ACCEL_DTYPE)
     with pytest.raises(StimulusError):
         FirmwareEmulator().run(ArrayStimulus(force, accel), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the schedule check the host runs on a capture
+# ---------------------------------------------------------------------------
+
+RATES_HZ = [r for r in range(1, 1001) if 1000 % r == 0]
+
+
+@st.composite
+def schedules(draw):
+    """A firmware config with any rates and batches of 1-30, and a session length."""
+    config = FirmwareConfig(
+        fsr_rate_hz=draw(st.sampled_from(RATES_HZ)),
+        accel_rate_hz=draw(st.sampled_from(RATES_HZ)),
+        fsr_batch=draw(st.integers(1, 30)),
+        accel_batch=draw(st.integers(1, 30)),
+        battery_period_ms=draw(st.sampled_from([1, 7, 40, 500, 2000, 3000])),
+    )
+    return config, draw(st.integers(0, 5000)) / 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules())
+def test_every_frame_run_sends_is_on_its_schedule(setup):
+    config, duration_s = setup
+    frames = FrameTable.from_frames(run_on_grid(FirmwareEmulator(config), ConstantStimulus(),
+                                                duration_s))
+    columns = frames.kind, frames.seq, frames.flags, frames.t_ms, frames.count
+    assert config.on_schedule(*columns).all()
+    # each frame's closed-form slot is its index in the schedule's send order
+    events, _, _ = _schedule(config, 0, config.session_ms(duration_s))
+    assert len(events) == len(frames)
+    send_ms = np.array([t for t, _, _ in events], dtype=np.int64)
+    kind = np.array([kind for _, kind, _ in events], dtype=np.int64)
+    assert (kind == frames.kind).all()
+    flush = (frames.flags & FLAG_FINAL_FLUSH) != 0
+    assert (flush == (send_ms == config.session_ms(duration_s))).all()
+    index = np.arange(len(events))
+    assert (config.slot(kind, send_ms)[~flush] == index[~flush]).all()
+    assert (frames.seq == index % 2**16).all()
+    # any other seq is off the schedule, unless the frame is the final flush
+    assert (config.on_schedule(kind, frames.seq ^ 1, *columns[2:]) == flush).all()
+    # a frame a sample period late is off its kind's grid, whatever its seq,
+    # unless its batches hold one sample
+    grid = {k: (p, b) for k, p, b in config._kinds()}
+    period, batch = np.array([grid[k] for k in kind.tolist()], dtype=np.int64).reshape(-1, 2).T
+    late = frames.t_ms + period
+    seq = config.slot(kind, late + (batch - 1) * period) % 2**16
+    assert (config.on_schedule(kind, seq, frames.flags, late, frames.count) == (batch == 1)).all()

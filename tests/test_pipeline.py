@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from respsim import pipeline, protocol
 from respsim.config import from_dict
-from respsim.firmware import DeviceModel, FirmwareConfig, encode_session
+from respsim.firmware import DeviceModel, FirmwareConfig, _schedule, encode_session
 from respsim.pipeline import (
     ACCEL_DTYPE,
     BATTERY_DTYPE,
@@ -44,6 +44,7 @@ from respsim.pipeline import (
 )
 from respsim.protocol import (
     FLAG_CHARGING,
+    FLAG_FINAL_FLUSH,
     AccelBatchPayload,
     BatteryStatusPayload,
     FrameKind,
@@ -642,6 +643,20 @@ def short_session(seed, posture):
     return frames, export_bytes(result), result.breaths.tolist()
 
 
+# D2: one CRC-valid frame stamped 2**31 stretched the default 60 s analysis
+# to 0-2,147,483,848 ms, with 35,791 rate windows and a false apnea alert;
+# one at 200,000 ms, on its kind's grid, to 0-200,200 ms with another false
+# alert.  The first is off the grid, the second has the wrong seq
+@pytest.mark.parametrize("t0_ms, seq", [(2**31, 630), (200_000, 0)])
+def test_a_frame_off_the_schedule_is_counted_and_places_no_sample(t0_ms, seq):
+    frames = run_frames()
+    wild = TelemetryFrame(FrameKind.FSR_BATCH, seq, 0, FsrBatchPayload(t0_ms, (2000,) * 5))
+    result = analyze_session(frames + [wild])
+    assert export_bytes(result) == export_bytes(analyze_session(frames))
+    assert summarize(result)["misplaced_frames"] == {**NONE_MISPLACED, "fsr_batch": 1}
+    assert summarize(result)["frames"]["fsr_batch"] == 301
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data(), st.integers(0, 3), st.sampled_from(["still", "walking"]))
 def test_reordered_and_copied_frames_analyze_as_the_originals(data, seed, posture):
@@ -674,9 +689,12 @@ def test_analyze_empty_frames():
     assert summarize(result)["frames"] == {
         "fsr_batch": 0, "accel_batch": 0, "battery_status": 0
     }
-    # one battery reading spans a single instant: no window to estimate over
-    reading = TelemetryFrame(FrameKind.BATTERY_STATUS, 0, 0, BatteryStatusPayload(4000, 3822, 100))
+    # one battery reading spans a single instant: no window to estimate over.
+    # It is the default schedule's reading at 4,000 ms, whose seq is 42: 20
+    # FSR and 20 accel batches and 2 readings are sent before it
+    reading = TelemetryFrame(FrameKind.BATTERY_STATUS, 42, 0, BatteryStatusPayload(4000, 3822, 100))
     result = analyze_session([reading])
+    assert summarize(result)["misplaced_frames"] == NONE_MISPLACED
     assert result.span_ms == (4000, 4000)
     assert (result.estimates, result.alerts) == ([], [])
     out = io.StringIO()
@@ -692,7 +710,7 @@ def test_extract_series_reports_seq_gaps():
 
 
 def test_single_batch_channels_take_their_period_from_the_firmware_config():
-    # one batch per channel leaves no batch spacing to infer a period from
+    # one batch per channel: no spacing between batches shows the period
     cfg = from_dict({"duration_s": 0.1,
                      "firmware": {"fsr_rate_hz": 50, "accel_rate_hz": 100}})
     frames = run_session(cfg).frames
@@ -700,27 +718,57 @@ def test_single_batch_channels_take_their_period_from_the_firmware_config():
     assert result.series.fsr["t_ms"].tolist() == list(range(0, 100, 20))
     assert result.series.accel["t_ms"].tolist() == list(range(0, 100, 10))
     assert result.span_ms == (0, 100)
-    # from two batches on the spacing is inferred, whatever config is given
+    # so do channels with more batches, and the default config's grid of
+    # 200 ms holds only the first batch of each
     cfg = dataclasses.replace(cfg, duration_s=0.2)
-    series = extract_series(run_session(cfg).frames, cfg.device_model(), FirmwareConfig())
+    frames = run_session(cfg).frames
+    series = extract_series(frames, cfg.device_model(), cfg.firmware)
     assert series.fsr["t_ms"].tolist() == list(range(0, 200, 20))
     assert series.accel["t_ms"].tolist() == list(range(0, 200, 10))
+    series = extract_series(frames, cfg.device_model(), FirmwareConfig())
+    assert series.misplaced_frames == {"fsr_batch": 1, "accel_batch": 1, "battery_status": 0}
 
 
-def reference_series(frames, model, firmware):
-    """extract_series written as a per-sample loop: rows, periods, frame counts."""
-    counts = {"fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
+NONE_MISPLACED = {"fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
+
+# the default schedule's period and batch per kind; a battery reading is a batch of one
+DEFAULT_GRID = {FrameKind.FSR_BATCH: (40, 5), FrameKind.ACCEL_BATCH: (20, 10),
+                FrameKind.BATTERY_STATUS: (2000, 1)}
+# the index of each send of the default schedule's first 110 s, by (instant, kind)
+DEFAULT_SLOTS = {(t, kind): i for i, (t, kind, _) in
+                 enumerate(_schedule(FirmwareConfig(), 0, 110_000)[0])}
+
+
+def on_default_schedule(frame) -> bool:
+    """Whether the default firmware sends ``frame``: a whole batch, or a smaller final
+    flush, on its kind's grid, whose seq without the flush flag is its send's index."""
+    period, batch = DEFAULT_GRID[frame.kind]
+    p = frame.payload
+    if frame.kind == FrameKind.BATTERY_STATUS:
+        t0, count = p.t_ms, 1
+    else:
+        t0, count = p.t0_ms, len(p.codes if frame.kind == FrameKind.FSR_BATCH else p.samples)
+    if t0 % (period * batch) or not (count == batch or frame.final_flush and count < batch):
+        return False
+    slot = DEFAULT_SLOTS[t0 + (batch - 1) * period, frame.kind]
+    return frame.final_flush or slot % 2**16 == frame.seq
+
+
+def reference_series(frames, model):
+    """extract_series under the default firmware config written as a per-sample
+    loop: rows, frame counts and misplaced frame counts."""
+    counts, misplaced = dict(NONE_MISPLACED), dict(NONE_MISPLACED)
     fsr_batches, accel_batches, battery = [], [], []
     for f in frames:
-        p = f.payload
-        if f.kind == FrameKind.FSR_BATCH:
-            counts["fsr_batch"] += 1
+        p, name = f.payload, f.kind.name.lower()
+        counts[name] += 1
+        if not on_default_schedule(f):
+            misplaced[name] += 1
+        elif f.kind == FrameKind.FSR_BATCH:
             fsr_batches.append((p.t0_ms, p.codes))
         elif f.kind == FrameKind.ACCEL_BATCH:
-            counts["accel_batch"] += 1
             accel_batches.append((p.t0_ms, p.samples))
         else:
-            counts["battery_status"] += 1
             battery.append((p.t_ms, p.adc_code, p.percent, battery_percent(p.adc_code, model),
                             f.charging))
 
@@ -731,24 +779,19 @@ def reference_series(frames, model, firmware):
             kept.setdefault(row[0], row)
         return list(kept.values())
 
-    def samples(batches, fallback_ms):
-        batches = sorted(batches, key=lambda b: b[0])
-        deltas = [(t1 - t0) / len(s) for (t0, s), (t1, _) in zip(batches, batches[1:]) if t1 > t0]
-        period = float(np.median(deltas)) if deltas else float(fallback_ms)
+    def samples(batches, period):
         rows = []
-        for t0, batch in batches:
+        for t0, batch in sorted(batches, key=lambda b: b[0]):
             for j, sample in enumerate(batch):
-                rows.append((round(t0 + j * period), sample))
-        return first_per_instant(rows), period
+                rows.append((t0 + j * period, sample))
+        return first_per_instant(rows)
 
-    fsr, fsr_period = samples(fsr_batches, firmware.fsr_period_ms)
-    accel, accel_period = samples(accel_batches, firmware.accel_period_ms)
     return (
-        np.array([(t, code, reconstruct_force([code], model)[0]) for t, code in fsr],
-                 dtype=FSR_DTYPE),
-        np.array([(t, *xyz) for t, xyz in accel], dtype=ACCEL_DTYPE),
+        np.array([(t, code, reconstruct_force([code], model)[0])
+                  for t, code in samples(fsr_batches, 40)], dtype=FSR_DTYPE),
+        np.array([(t, *xyz) for t, xyz in samples(accel_batches, 20)], dtype=ACCEL_DTYPE),
         np.array(first_per_instant(battery), dtype=BATTERY_DTYPE),
-        fsr_period, accel_period, counts,
+        counts, misplaced,
     )
 
 
@@ -757,24 +800,32 @@ _t0s = st.sampled_from([0, 40, 200, 1000]) | st.integers(0, 100_000)
 
 
 @st.composite
+def received_frame(draw):
+    """A frame of any kind, often on the default schedule: on its kind's grid
+    within 100 s, with a whole batch and the seq of its slot."""
+    kind = draw(st.sampled_from(list(FrameKind)))
+    period, batch = DEFAULT_GRID[kind]
+    t0 = draw(st.integers(0, 100_000 // (period * batch)).map(lambda m: m * period * batch)
+              | _t0s)
+    count = draw(st.just(batch) | st.integers(1, batch + 1))
+    slot = DEFAULT_SLOTS.get((t0 + (batch - 1) * period, kind), 0)
+    seq = draw(st.just(slot) | st.integers(0, 0xFFFF))
+    flags = draw(st.sampled_from([0, FLAG_CHARGING, FLAG_FINAL_FLUSH]))
+    if kind is FrameKind.FSR_BATCH:
+        payload = FsrBatchPayload(t0, tuple(draw(st.lists(
+            st.integers(0, 4095), min_size=count, max_size=count))))
+    elif kind is FrameKind.ACCEL_BATCH:
+        payload = AccelBatchPayload(t0, tuple(draw(st.lists(
+            st.tuples(*[st.integers(-32768, 32767)] * 3), min_size=count, max_size=count))))
+    else:
+        payload = BatteryStatusPayload(t0, draw(st.integers(0, 4095)), draw(st.integers(0, 100)))
+    return TelemetryFrame(kind, seq, flags, payload)
+
+
+@st.composite
 def received_frames(draw):
     """Frames of all three kinds, duplicated in part and in any receive order."""
-    fsr = draw(st.lists(st.builds(
-        FsrBatchPayload, _t0s, st.lists(st.integers(0, 4095), min_size=1, max_size=6)
-        .map(tuple)), max_size=6))
-    accel = draw(st.lists(st.builds(
-        AccelBatchPayload, _t0s,
-        st.lists(st.tuples(*[st.integers(-32768, 32767)] * 3), min_size=1, max_size=6)
-        .map(tuple)), max_size=6))
-    battery = draw(st.lists(st.builds(
-        BatteryStatusPayload, _t0s, st.integers(0, 4095), st.integers(0, 100)), max_size=4))
-    frames = [
-        TelemetryFrame(kind, seq, draw(st.sampled_from([0, FLAG_CHARGING])), payload)
-        for seq, (kind, payload) in enumerate(
-            [(FrameKind.FSR_BATCH, p) for p in fsr]
-            + [(FrameKind.ACCEL_BATCH, p) for p in accel]
-            + [(FrameKind.BATTERY_STATUS, p) for p in battery])
-    ]
+    frames = draw(st.lists(received_frame(), max_size=16))
     if frames:
         frames += draw(st.lists(st.sampled_from(frames), max_size=3))
     return draw(st.permutations(frames))
@@ -783,34 +834,39 @@ def received_frames(draw):
 @settings(max_examples=200, deadline=None)
 @given(received_frames())
 def test_extract_series_matches_a_per_sample_loop(frames):
-    model, firmware = DeviceModel(), FirmwareConfig()
-    series = extract_series(frames, model, firmware)
-    fsr, accel, battery, fsr_period, accel_period, counts = reference_series(
-        frames, model, firmware)
+    model = DeviceModel()
+    series = extract_series(frames, model, FirmwareConfig())
+    fsr, accel, battery, counts, misplaced = reference_series(frames, model)
     # byte equality also holds the NaN forces at the rails to each other
     assert series.fsr.tobytes() == fsr.tobytes()
     assert series.accel.tobytes() == accel.tobytes()
     assert series.battery.tobytes() == battery.tobytes()
-    assert (series.fsr_period_ms, series.accel_period_ms) == (fsr_period, accel_period)
     assert series.frame_counts == counts
+    assert series.misplaced_frames == misplaced
+
+
+@functools.cache
+def sent_frames():
+    return run_frames(duration=10.0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 2**32 - 1), max_size=80))
-def test_extract_series_reads_a_split_table_as_it_reads_the_frames(seeds):
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=80), st.data())
+def test_extract_series_reads_a_split_table_as_it_reads_the_frames(seeds, data):
+    # random frames are off the schedule, so frames it sends ride along
     frames = [random_frame(random.Random(seed)) for seed in seeds]
+    frames = data.draw(st.permutations(
+        frames + data.draw(st.lists(st.sampled_from(sent_frames()), max_size=40))))
     with mock.patch.object(protocol, "BULK_MIN_CANDIDATES", 1):  # the column-wise pass
         table = split_stream(encode_session(frames))[0]
     got, want = extract_series(table), extract_series(frames)
     for name in ("fsr", "accel", "battery"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert (got.fsr_period_ms, got.accel_period_ms, got.frame_counts, got.seq_gaps) == (
-        want.fsr_period_ms, want.accel_period_ms, want.frame_counts, want.seq_gaps)
+    assert (got.frame_counts, got.misplaced_frames, got.seq_gaps) == (
+        want.frame_counts, want.misplaced_frames, want.seq_gaps)
 
 
-# stamps within 200 s: a stamp near 2**32 makes one rate window per window
-# step up to it, seconds of work per frame
-_fuzz_t0s = st.sampled_from([0, 40, 3334]) | st.integers(0, 200_000)
+_fuzz_t0s = st.sampled_from([0, 40, 3334]) | st.integers(0, 2**32 - 1)
 
 
 def _fuzz_samples(sample, most):
@@ -838,12 +894,36 @@ def well_formed_frames(draw):
     return frame
 
 
+@st.composite
+def scheduled_frames(draw):
+    """A frame the default schedule sends within 200 s, so that the analysis
+    runs: a whole batch with its slot as seq, or a smaller final flush."""
+    firmware = FirmwareConfig()
+    kind, period, batch = draw(st.sampled_from(firmware._kinds()))
+    t0 = period * batch * draw(st.integers(0, 200_000 // (period * batch)))
+    count = batch
+    if batch > 1 and draw(st.booleans()):
+        count, seq = draw(st.integers(1, batch - 1)), draw(st.integers(0, 0xFFFF))
+        flags = FLAG_FINAL_FLUSH
+    else:
+        seq, flags = int(firmware.slot(kind, t0 + (batch - 1) * period)) % 2**16, 0
+    if kind is FrameKind.FSR_BATCH:
+        payload = FsrBatchPayload(t0, tuple(draw(st.lists(
+            st.sampled_from([0, 4095]) | st.integers(0, 4095), min_size=count, max_size=count))))
+    elif kind is FrameKind.ACCEL_BATCH:
+        payload = AccelBatchPayload(t0, tuple(draw(st.lists(
+            st.tuples(*[st.integers(-32768, 32767)] * 3), min_size=count, max_size=count))))
+    else:
+        payload = BatteryStatusPayload(t0, draw(st.integers(0, 4095)), draw(st.integers(0, 100)))
+    return TelemetryFrame(kind, seq, flags | draw(st.sampled_from([0, FLAG_CHARGING])), payload)
+
+
 # the capture that divided by a zero median breath interval
 @example([TelemetryFrame(FrameKind.FSR_BATCH, seq, 0, FsrBatchPayload(t0, codes))
           for seq, (t0, codes) in enumerate(
               [(0, (1,)), (3334, (0, 2)), (3334, (0, 1)), (3334, (0, 2, 1))])])
 @settings(max_examples=200, deadline=None)
-@given(st.lists(well_formed_frames(), max_size=12))
+@given(st.lists(well_formed_frames() | scheduled_frames(), max_size=12))
 def test_well_formed_frames_raise_nothing_but_insufficient_data(frames):
     try:
         result = analyze_session(frames)
@@ -895,8 +975,9 @@ def test_session_past_the_16_bit_seq_wrap():
     frames, resyncs, pending = split_stream(run_session(cfg).data)
     assert len(frames) == 66_017 and frames[-1].seq == 480
     assert resyncs == [] and pending == 0
-    series = analyze_session(frames, cfg.analysis, cfg.device_model()).series
+    series = analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware).series
     assert series.seq_gaps == 0
+    assert series.misplaced_frames == NONE_MISPLACED
     assert len(series.fsr) == len(series.accel) == 33_000
     assert (np.diff(series.fsr["t_ms"]) > 0).all()
 
@@ -953,7 +1034,9 @@ def test_export_jsonl_round_trips():
 
 
 def test_export_marks_rails_and_leaves_their_force_empty():
-    frames = [TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, FsrBatchPayload(0, (0, 4095, 2000)))]
+    # a session's final flush of three FSR samples
+    frames = [TelemetryFrame(FrameKind.FSR_BATCH, 0, FLAG_FINAL_FLUSH,
+                             FsrBatchPayload(0, (0, 4095, 2000)))]
     result = analyze_session(frames)
     buf = io.StringIO()
     export_csv(result, buf)
@@ -1058,9 +1141,8 @@ def session_analysis(fsr=(), accel=(), battery=(), breaths=(), intervals=(), est
         fsr=np.array(list(fsr), dtype=FSR_DTYPE),
         accel=np.array(list(accel), dtype=ACCEL_DTYPE),
         battery=np.array(list(battery), dtype=BATTERY_DTYPE),
-        fsr_period_ms=40.0,
-        accel_period_ms=20.0,
         frame_counts={},
+        misplaced_frames={},
         seq_gaps=0,
     )
     return SessionAnalysis(

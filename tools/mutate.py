@@ -63,9 +63,6 @@ MUTANTS = [
     ("seq-gap-half-range", PL,
      "+ 0x8000) % 0x10000 - 0x8000",
      "+ 0x7FFF) % 0x10000 - 0x7FFF"),
-    ("span-end-truncated", PL,
-     "span_end = int(round(max(",
-     "span_end = int((max("),
     # the rest of the first table
     ("force-rail-off-by-one", PL,
      "resolved = (code > 0) & (code < adc.full_scale)",
@@ -122,6 +119,19 @@ MUTANTS = [
     ("feed-waits-one-byte-more", P,
      "if len(self._buf) < self._held_len:",
      "if len(self._buf) <= self._held_len:"),
+    # the schedule check on received frames
+    ("slot-tie-lower-kind-or-same", FW,
+     "(send_ms + (k < kind) + p - 1)",
+     "(send_ms + (k <= kind) + p - 1)"),
+    ("schedule-flush-exemption-dropped", FW,
+     "& (flush | (seq == slot % 2 ** 16))",
+     "& (seq == slot % 2 ** 16)"),
+    ("schedule-count-rule-dropped", FW,
+     "(t_ms % (period * batch) == 0) & ((count == batch) | flush & (count < batch))",
+     "(t_ms % (period * batch) == 0)"),
+    ("schedule-grid-is-the-period", FW,
+     "(t_ms % (period * batch) == 0)",
+     "(t_ms % period == 0)"),
     # the byte-column export writer
     ("export-near-tie-fallback-dropped", PL,
      "exact &= np.abs(y - np.floor(y) - 0.5) > np.abs(y) * 2.0 ** -52",
