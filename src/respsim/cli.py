@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from . import pipeline
 from ._output import open_output
 from .config import ConfigError, SessionConfig, apply_overrides, load_config
-from .firmware import _schedule, schedule_timeline
+from .firmware import schedule_timeline
 from .power import PRESETS, accumulate
 from .protocol import StreamSplitter, encode, split_stream
 from .sensor import ParameterError
@@ -129,13 +129,13 @@ def _stream_connect(args) -> int:
     host, port = _parse_endpoint(args.connect)
     cfg = _load_session_config(args)
     result = run_session(cfg)
-    # each frame goes out at the instant the firmware's schedule sends it;
-    # airtime shapes only the activity states, so none is given
-    events, _, _ = _schedule(cfg.firmware, 0, cfg.firmware.session_ms(cfg.duration_s))
+    # each frame goes out at its send instant in FirmwareConfig.sends, which
+    # lists the frames in the order run_session returned them
+    send_ms, _, _ = cfg.firmware.sends(cfg.firmware.session_ms(cfg.duration_s))
     start = time.monotonic()
     sent = 0
     with socket.create_connection((host, port)) as sock:
-        for frame, (t_ms, _, _) in zip(result.frames, events, strict=True):
+        for frame, t_ms in zip(result.frames, send_ms.tolist(), strict=True):
             due_s = t_ms / 1000.0 / args.speed
             delay = due_s - (time.monotonic() - start)
             if delay > 0:

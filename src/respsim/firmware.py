@@ -23,28 +23,31 @@ tick, which both :meth:`FirmwareEmulator.tick` and
 :attr:`FirmwareEmulator.activity_timeline` run-length encodes it with
 :meth:`~respsim.power.Timeline.from_ticks` for
 :func:`~respsim.power.accumulate` to read.  The codes follow from the
-schedule and the airtime per frame alone, so :func:`schedule_timeline`
-builds the same timeline without a run, stimulus or frames; ``respsim
-power`` audits that.
+send instants and the airtime per frame alone, so :func:`schedule_timeline`
+builds the same timeline with ``_activity``, without a run, stimulus or
+frames; ``respsim power`` audits that.
+
+:meth:`FirmwareConfig.sends` lists a session's frames in send order: each
+whole batch at its :meth:`FirmwareConfig.slot`, the closed form by which the
+host checks a frame's seq, and the final flush last.
 
 :meth:`FirmwareEmulator.tick` steps that schedule one tick at a time and is
 the reference.  :meth:`FirmwareEmulator.run` derives the same schedule in
 bulk from an :class:`ArrayStimulus`, whose columns hold exactly each
-channel's instants: frame send instants and tick activity from the function
-behind :func:`schedule_timeline`, ADC codes from one array pass of the
+channel's instants: frames in the order of :meth:`FirmwareConfig.sends`,
+tick activity from ``_activity``, ADC codes from one array pass of the
 force column through the FSR chain, each batch cut as a slice of those
 arrays, and energy summed per battery period with ``np.cumsum``, which adds
-in the same sequence as the per-tick ``+=``.  That schedule lists the final
-flush too, as sends at the session's end, so ``run`` frames every batch in
-one loop and ``respsim stream`` paces each frame by its listed instant.
-Both frame every batch through one builder.  The tests hold ``run`` to a
-tick loop frame for frame, float for float.
+in the same sequence as the per-tick ``+=``.  Because ``sends`` lists the
+final flush too, ``run`` frames every batch in one loop and ``respsim
+stream`` paces each frame by its send instant.  Both frame every batch
+through one builder.  The tests hold ``run`` and ``sends`` to a tick loop
+frame for frame, float for float.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +137,31 @@ class FirmwareConfig:
         """Each frame's index in the send order: kind k sends at ``(m * b + b - 1) * p``, and
         the sends before a frame's instant, or at it with a lower kind code, precede it."""
         return sum((send_ms + (k < kind) + p - 1) // (p * b) for k, p, b in self._kinds())
+
+    def sends(self, total_ms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(send_ms, kind, first)`` of every frame a session of ``total_ms`` sends, in send
+        order, as int64 columns; ``first`` indexes the batch's first sample in its channel.
+
+        Each whole batch is sent when its last sample is taken, at its :meth:`slot`.  The
+        final flush's partial batches come last, FSR before accel, at ``total_ms``: the
+        clock after the last tick, where :meth:`FirmwareEmulator.flush` sends them.
+        """
+        whole, flush = [], []
+        for kind, period, batch in self._kinds():
+            samples = -(-total_ms // period)  # len(range(0, total_ms, period))
+            start = np.arange(0, samples - batch + 1, batch, dtype=np.int64)
+            whole.append((kind, start, (start + batch - 1) * period))
+            if samples % batch:
+                flush.append((kind, samples - samples % batch))
+        n = sum(len(start) for _, start, _ in whole)
+        send_ms = np.full(n + len(flush), total_ms, dtype=np.int64)
+        kind, first = np.empty((2, send_ms.size), dtype=np.int64)
+        for k, start, t in whole:
+            at = self.slot(k, t)
+            send_ms[at], kind[at], first[at] = t, k, start
+        for at, (k, start) in enumerate(flush, n):
+            kind[at], first[at] = k, start
+        return send_ms, kind, first
 
     def on_schedule(self, kind, seq, flags, t_ms, count) -> np.ndarray:
         """Whether each frame, as frame-table columns, is one this schedule sends: a whole
@@ -395,11 +423,11 @@ class FirmwareEmulator:
         The schedule is derived in bulk, not stepped: the force column goes
         through the FSR chain in one array pass, each batch is a slice of
         the samples, and activity, energy and battery readings follow from
-        the ticks that emit frames.  One loop frames every scheduled send;
-        the sends at the session's end are the final flush and carry its
-        flag.  Frames, battery log, timeline, energy and the state left
-        behind are those of :meth:`boot`, then :meth:`tick` at every tick,
-        then :meth:`flush`.
+        the ticks that emit frames.  One loop frames every send of
+        :meth:`FirmwareConfig.sends`; the sends at the session's end are the
+        final flush and carry its flag.  Frames, battery log, timeline,
+        energy and the state left behind are those of :meth:`boot`, then
+        :meth:`tick` at every tick, then :meth:`flush`.
         """
         total_ms = self.config.session_ms(duration_s)
         self.boot()
@@ -416,23 +444,26 @@ class FirmwareEmulator:
         _check_accel([stimulus.accel[a] for a in ("x_mg", "y_mg", "z_mg")], accel_t)
         accel = stimulus.accel[["x_mg", "y_mg", "z_mg"]].tolist()
 
-        events, states, self._tx_remaining_ms = _schedule(
-            cfg, self.power_profile.tx_ms_per_frame, total_ms)
+        send_ms, kinds, firsts = cfg.sends(total_ms)
+        states, self._tx_remaining_ms = _activity(
+            cfg, self.power_profile.tx_ms_per_frame, send_ms, total_ms)
         self._ticks = bytearray(states)
 
-        # samples, sample instants and batch size of each batch kind
-        batches = {FrameKind.FSR_BATCH: (codes, fsr_t, cfg.fsr_batch),
-                   FrameKind.ACCEL_BATCH: (accel, accel_t, cfg.accel_batch)}
+        # by kind code, the FrameKind member (decode names it), samples, sample
+        # instants and batch size of each batch kind
+        batches = {kind: (kind, *columns) for kind, *columns in (
+            (FrameKind.FSR_BATCH, codes, fsr_t, cfg.fsr_batch),
+            (FrameKind.ACCEL_BATCH, accel, accel_t, cfg.accel_batch))}
         frames: list[protocol.TelemetryFrame] = []
         metered = 0
-        for t, kind, i in events:
-            if kind is FrameKind.BATTERY_STATUS:
+        for t, code, i in zip(send_ms.tolist(), kinds.tolist(), firsts.tolist()):
+            if code == FrameKind.BATTERY_STATUS:
                 k = t // cfg.tick_ms
                 self._add_energy(self._tick_mwh[states[metered:k]])
                 metered = k
                 frames.append(self._battery_frame(t))
             else:
-                samples, times, n = batches[kind]
+                kind, samples, times, n = batches[code]
                 frames.append(self._batch_frame(kind, times[i], samples[i:i + n],
                                                 final_flush=t == total_ms))
         self._add_energy(self._tick_mwh[states[metered:]])
@@ -449,54 +480,48 @@ class FirmwareEmulator:
             self.energy_mwh = float(np.cumsum(tick_mwh)[-1])
 
 
-def _schedule(
-    config: FirmwareConfig, tx_ms_per_frame: int, total_ms: int
-) -> tuple[list[tuple[int, FrameKind, int]], np.ndarray, int]:
-    """A session's ``(events, states, tx_remaining_ms)``, as ``tick()`` decides them.
+def _activity(
+    config: FirmwareConfig, tx_ms_per_frame: int, send_ms: np.ndarray, total_ms: int
+) -> tuple[np.ndarray, int]:
+    """A session's ``(states, tx_remaining_ms)``, as ``tick()`` decides them.
 
-    ``events`` is the ``(instant, kind, first sample)`` of every frame sent,
-    in send order; within a tick that is FSR batch, accel batch, battery
-    status, the order of their kind codes.  The final flush's partial
-    batches come last, FSR before accel, at ``total_ms``: the clock after
-    the last tick, where :meth:`FirmwareEmulator.flush` sends them.  ``states``
-    is each tick's activity code.  Pending airtime grows only on ticks that
-    send frames and drains by ``tick_ms`` per tick in between, so the queue
-    is walked once per sending tick; ``tx_remaining_ms`` is what the tick
-    loop leaves pending, negative when airtime is not a multiple of
-    ``tick_ms``.  Nothing here depends on the stimulus or the power draws.
+    ``send_ms`` is the sorted send instants of :meth:`FirmwareConfig.sends`;
+    the final flush, sent at ``total_ms`` after the last tick, adds no
+    airtime.  ``states`` is each tick's activity code.  Pending airtime grows
+    only on ticks that send frames, by one frame's airtime per send at the
+    tick's instant, and drains by ``tick_ms`` per tick in between, so the
+    queue is walked once per sending tick; ``tx_remaining_ms`` is what the
+    tick loop leaves pending, negative when airtime is not a multiple of
+    ``tick_ms``.
+    Nothing here depends on the stimulus or the power draws.
     """
-    events = []
-    flush = []  # the partial batches, FSR before accel
-    for kind, period, n in config._kinds():
-        times = range(0, total_ms, period)
-        events += [(times[i + n - 1], kind, i) for i in range(0, len(times) - n + 1, n)]
-        if len(times) % n:
-            flush.append((total_ms, kind, len(times) - len(times) % n))
-    events.sort()
-
     tick = config.tick_ms
     states = np.full(total_ms // tick, IDLE, dtype=np.int8)
     for _, period, _ in config._kinds():
         states[::period // tick] = ACTIVE
+    sent = send_ms[send_ms < total_ms]
+    start = np.flatnonzero(np.diff(sent, prepend=-1))  # each run of one instant's sends
+    # a zero-frame entry at the last tick drains the queue to the end
+    instants = np.append(sent[start], total_ms - tick).tolist()
+    counts = np.append(np.diff(start, append=len(sent)), 0).tolist()
     tx = 0
     pos = 0  # first tick not yet walked
-    sent = Counter(t for t, _, _ in events)
-    # a zero-frame entry at the last tick drains the queue to the end
-    for t, count in [*sent.items(), (total_ms - tick, 0)]:
+    for t, n in zip(instants, counts):
         k = t // tick
         if tx > 0:
             radio = min(-(-tx // tick), k + 1 - pos)
             states[pos:pos + radio] = RADIO
             tx -= radio * tick
-        tx += tx_ms_per_frame * count
+        tx += tx_ms_per_frame * n
         pos = k + 1
-    events += flush  # sent after the last tick, so they add no airtime
-    return events, states, tx
+    return states, tx
 
 
 def schedule_timeline(config: FirmwareConfig, tx_ms_per_frame: int, duration_s: float) -> Timeline:
     """The activity timeline of a session, the one :meth:`FirmwareEmulator.run` records."""
-    _, states, _ = _schedule(config, tx_ms_per_frame, config.session_ms(duration_s))
+    total_ms = config.session_ms(duration_s)
+    send_ms, _, _ = config.sends(total_ms)
+    states, _ = _activity(config, tx_ms_per_frame, send_ms, total_ms)
     return Timeline.from_ticks(states, config.tick_ms)
 
 

@@ -163,6 +163,7 @@ class ExtractedSeries:
     rows and ``battery`` :data:`BATTERY_DTYPE` rows; ``len()`` of each is
     its sample count.  ``frame_counts`` counts every frame by kind, and
     ``misplaced_frames`` those off the firmware schedule, which add no rows.
+    ``seq_gaps`` counts the seqs missing among the frames on it.
     """
 
     fsr: np.ndarray
@@ -215,7 +216,7 @@ def extract_series(
                       for kind in FrameKind},
         misplaced_frames={kind.name.lower(): int(np.count_nonzero(of_kind[kind] & ~placed))
                           for kind in FrameKind},
-        seq_gaps=_count_seq_gaps(table.seq),
+        seq_gaps=_count_seq_gaps(table.seq[placed]),
     )
 
 

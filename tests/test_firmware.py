@@ -12,7 +12,6 @@ from respsim.firmware import (
     FirmwareConfig,
     FirmwareEmulator,
     StimulusError,
-    _schedule,
     encode_session,
     schedule_timeline,
 )
@@ -411,7 +410,7 @@ def test_run_equals_tick_loop(setup):
 @settings(max_examples=40, deadline=None)
 @given(emulator_setups())
 def test_schedule_lists_the_instant_each_frame_is_sent(setup):
-    # stream --connect paces each frame by its event's instant
+    # stream --connect paces each frame by its send instant
     kwargs, duration_s, forces = setup
     stimulus = VaryingStimulus(forces)
     emu = FirmwareEmulator(**kwargs)
@@ -419,10 +418,16 @@ def test_schedule_lists_the_instant_each_frame_is_sent(setup):
     sent = []
     while emu._clock_ms < session_ms:
         t = emu._clock_ms
-        sent += [(t, f.kind) for f in tick_on(emu, stimulus, 1)]
-    sent += [(session_ms, f.kind) for f in emu.flush()]
-    events, _, _ = _schedule(emu.config, emu.power_profile.tx_ms_per_frame, session_ms)
-    assert [(t, kind) for t, kind, _ in events] == sent
+        sent += [(t, f) for f in tick_on(emu, stimulus, 1)]
+    sent += [(session_ms, f) for f in emu.flush()]
+    # the first sample of each frame, as an index into its channel's instants
+    period = {kind: p for kind, p, _ in emu.config._kinds()}
+    first = [(f.payload.t_ms if f.kind == FrameKind.BATTERY_STATUS else f.payload.t0_ms)
+             // period[f.kind] for _, f in sent]
+    columns = emu.config.sends(session_ms)
+    assert all(c.dtype == np.int64 for c in columns)
+    assert [c.tolist() for c in columns] == [
+        [t for t, _ in sent], [f.kind for _, f in sent], first]
 
 
 @settings(max_examples=20, deadline=None)
@@ -525,23 +530,27 @@ def test_every_frame_run_sends_is_on_its_schedule(setup):
                                                 duration_s))
     columns = frames.kind, frames.seq, frames.flags, frames.t_ms, frames.count
     assert config.on_schedule(*columns).all()
-    # each frame's closed-form slot is its index in the schedule's send order
-    events, _, _ = _schedule(config, 0, config.session_ms(duration_s))
-    assert len(events) == len(frames)
-    send_ms = np.array([t for t, _, _ in events], dtype=np.int64)
-    kind = np.array([kind for _, kind, _ in events], dtype=np.int64)
-    assert (kind == frames.kind).all()
+    # the send order of whole batches, each sent when its last sample is
+    # taken: by instant, and within an instant by kind code.  The final flush
+    # follows them, and each whole batch's closed-form slot is its index
+    total_ms = config.session_ms(duration_s)
+    whole = sorted((t, kind) for kind, period, batch in config._kinds()
+                   for t in range(0, total_ms, period)[batch - 1::batch])
     flush = (frames.flags & FLAG_FINAL_FLUSH) != 0
-    assert (flush == (send_ms == config.session_ms(duration_s))).all()
-    index = np.arange(len(events))
-    assert (config.slot(kind, send_ms)[~flush] == index[~flush]).all()
-    assert (frames.seq == index % 2**16).all()
+    assert flush.tolist() == [False] * len(whole) + [True] * (len(frames) - len(whole))
+    send_ms = np.array([t for t, _ in whole], dtype=np.int64)
+    kind = np.array([k for _, k in whole], dtype=np.int64)
+    assert (kind == frames.kind[~flush]).all()
+    assert (config.slot(kind, send_ms) == np.arange(len(whole))).all()
+    assert (frames.seq == np.arange(len(frames)) % 2**16).all()
     # any other seq is off the schedule, unless the frame is the final flush
-    assert (config.on_schedule(kind, frames.seq ^ 1, *columns[2:]) == flush).all()
+    assert (config.on_schedule(frames.kind, frames.seq ^ 1, *columns[2:]) == flush).all()
     # a frame a sample period late is off its kind's grid, whatever its seq,
     # unless its batches hold one sample
     grid = {k: (p, b) for k, p, b in config._kinds()}
-    period, batch = np.array([grid[k] for k in kind.tolist()], dtype=np.int64).reshape(-1, 2).T
+    period, batch = np.array([grid[k] for k in frames.kind.tolist()],
+                             dtype=np.int64).reshape(-1, 2).T
     late = frames.t_ms + period
-    seq = config.slot(kind, late + (batch - 1) * period) % 2**16
-    assert (config.on_schedule(kind, seq, frames.flags, late, frames.count) == (batch == 1)).all()
+    seq = config.slot(frames.kind, late + (batch - 1) * period) % 2**16
+    assert (config.on_schedule(frames.kind, seq, frames.flags, late, frames.count)
+            == (batch == 1)).all()

@@ -16,7 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from respsim import pipeline, protocol
 from respsim.config import from_dict
-from respsim.firmware import DeviceModel, FirmwareConfig, _schedule, encode_session
+from respsim.firmware import (
+    ArrayStimulus,
+    DeviceModel,
+    FirmwareConfig,
+    FirmwareEmulator,
+    encode_session,
+)
 from respsim.pipeline import (
     ACCEL_DTYPE,
     BATTERY_DTYPE,
@@ -57,6 +63,7 @@ from respsim.protocol import (
 from respsim.sensor import (
     AdcConfig,
     DividerConfig,
+    ForceSample,
     FsrModel,
     OcvCurve,
     ParameterError,
@@ -734,9 +741,12 @@ NONE_MISPLACED = {"fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
 # the default schedule's period and batch per kind; a battery reading is a batch of one
 DEFAULT_GRID = {FrameKind.FSR_BATCH: (40, 5), FrameKind.ACCEL_BATCH: (20, 10),
                 FrameKind.BATTERY_STATUS: (2000, 1)}
-# the index of each send of the default schedule's first 110 s, by (instant, kind)
-DEFAULT_SLOTS = {(t, kind): i for i, (t, kind, _) in
-                 enumerate(_schedule(FirmwareConfig(), 0, 110_000)[0])}
+# the index of each send of the default schedule's first 110 s, by (instant, kind):
+# a batch is sent when its last sample is taken, and sends at one instant go
+# in kind-code order
+DEFAULT_SLOTS = {send: i for i, send in enumerate(sorted(
+    (t, kind) for kind, (period, batch) in DEFAULT_GRID.items()
+    for t in range((batch - 1) * period, 110_000, period * batch)))}
 
 
 def on_default_schedule(frame) -> bool:
@@ -934,23 +944,37 @@ def test_well_formed_frames_raise_nothing_but_insufficient_data(frames):
         pass
 
 
-def battery_frames(seqs):
-    """Battery frames with the given seq values, in receive order, 2 s apart."""
-    return [
-        TelemetryFrame(FrameKind.BATTERY_STATUS, seq, 0, BatteryStatusPayload(2000 * i, 3822, 100))
-        for i, seq in enumerate(seqs)
-    ]
+# one sample per frame on every channel each millisecond: 3 frames per ms, so
+# the seq wraps within 22 s
+EVERY_MS = FirmwareConfig(fsr_rate_hz=1000, accel_rate_hz=1000, fsr_batch=1, accel_batch=1,
+                          battery_period_ms=1)
+
+
+@functools.cache
+def every_ms_frames():
+    """The 70,500 frames EVERY_MS sends in 23.5 s, indexed by their slot."""
+    total_ms = 23_500
+    force = [ForceSample(t, 4.0) for t in range(total_ms)]
+    accel = np.array([(t, 0, 0, 1000) for t in range(total_ms)], dtype=ACCEL_DTYPE)
+    return FirmwareEmulator(EVERY_MS).run(ArrayStimulus(force, accel), total_ms / 1000)
+
+
+def seq_gaps_of(slots):
+    """``seq_gaps`` of the frames EVERY_MS sends at ``slots``, received in that order."""
+    series = extract_series([every_ms_frames()[i] for i in slots], firmware=EVERY_MS)
+    assert series.misplaced_frames == NONE_MISPLACED
+    return series.seq_gaps
 
 
 def test_seq_gaps_across_16_bit_wrap():
     # seq 0 was lost while the counter wrapped from 0xFFFF
-    series = extract_series(battery_frames([65533, 65534, 65535, 1, 2]))
-    assert series.seq_gaps == 1
+    assert [f.seq for f in every_ms_frames()[65533:65539]] == [65533, 65534, 65535, 0, 1, 2]
+    assert seq_gaps_of([65533, 65534, 65535, 65537, 65538]) == 1
 
 
 def test_seq_gaps_ignore_reordering_and_duplicates():
-    assert extract_series(battery_frames([10, 12, 11, 12, 14])).seq_gaps == 1
-    assert extract_series(battery_frames([65535, 0, 65534, 1, 1])).seq_gaps == 0
+    assert seq_gaps_of([10, 12, 11, 12, 14]) == 1
+    assert seq_gaps_of([65535, 65536, 65534, 65537, 65537]) == 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -960,8 +984,17 @@ def test_seq_gaps_ignore_reordering_and_duplicates():
 )
 def test_seq_gaps_count_missing_frames_anywhere_in_the_counter(first, kept):
     offsets = sorted(kept)
-    series = extract_series(battery_frames([(first + k) & 0xFFFF for k in offsets]))
-    assert series.seq_gaps == offsets[-1] - offsets[0] + 1 - len(offsets)
+    assert seq_gaps_of([first + k for k in offsets]) == offsets[-1] - offsets[0] + 1 - len(offsets)
+
+
+def test_seq_gaps_count_only_frames_on_the_schedule():
+    # a frame off the schedule carries no seq the schedule sent, so a wild
+    # seq of 40000 once read as 25,535 frames missing
+    frames = run_frames()
+    wild = TelemetryFrame(FrameKind.FSR_BATCH, 40_000, 0, FsrBatchPayload(2**31, (2000,) * 5))
+    series = extract_series(frames + [wild])
+    assert series.misplaced_frames == {**NONE_MISPLACED, "fsr_batch": 1}
+    assert series.seq_gaps == extract_series(frames).seq_gaps == 0
 
 
 def test_session_past_the_16_bit_seq_wrap():

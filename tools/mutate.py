@@ -132,6 +132,22 @@ MUTANTS = [
     ("schedule-grid-is-the-period", FW,
      "(t_ms % (period * batch) == 0)",
      "(t_ms % period == 0)"),
+    # the send order and the activity it implies
+    ("sends-flush-test-dropped", FW,
+     "            if samples % batch:\n",
+     "            if True:\n"),
+    ("sends-in-channel-order", FW,
+     "at = self.slot(k, t)",
+     "at = sum(len(f) for _, f, _ in whole[:k - 1]) + np.arange(len(t))"),
+    ("sends-flush-first-sample", FW,
+     "flush.append((kind, samples - samples % batch))",
+     "flush.append((kind, samples - batch))"),
+    ("activity-flush-adds-airtime", FW,
+     "sent = send_ms[send_ms < total_ms]",
+     "sent = send_ms[send_ms <= total_ms]"),
+    ("activity-first-run-at-0-dropped", FW,
+     "np.diff(sent, prepend=-1)",
+     "np.diff(sent, prepend=0)"),
     # the byte-column export writer
     ("export-near-tie-fallback-dropped", PL,
      "exact &= np.abs(y - np.floor(y) - 0.5) > np.abs(y) * 2.0 ** -52",
