@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the host pipeline over a capture")
     p.add_argument("input", metavar="CAPTURE", help="raw frame byte stream")
     p.add_argument("--out", metavar="PATH", help="export per-sample rows here")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
+    p.add_argument("--format", choices=tuple(pipeline.EXPORTERS), default="csv",
                    help="export format for --out (default csv)")
     p.set_defaults(func=cmd_analyze)
 
@@ -209,13 +209,15 @@ def cmd_analyze(args) -> int:
         print("no decodable frames in input", file=sys.stderr)
         return EXIT_CORRUPT
     del data  # the frame table holds copies of all the analysis reads
-    result = pipeline.analyze_session(frames, cfg.analysis, cfg.device_model(), cfg.firmware)
-    summary = pipeline.summarize(result)
-    for kind, misplaced in summary["misplaced_frames"].items():
-        if 2 * misplaced > summary["frames"][kind]:
+    series = pipeline.extract_series(frames, cfg.device_model(), cfg.firmware)
+    # a capture from another schedule is refused before any detector runs
+    for kind, misplaced in series.misplaced_frames.items():
+        if 2 * misplaced > series.frame_counts[kind]:
             raise ParameterError(
-                f"{misplaced} of {summary['frames'][kind]} {kind} frames are off the firmware "
+                f"{misplaced} of {series.frame_counts[kind]} {kind} frames are off the firmware "
                 f"schedule; analyze with the --config the capture was made with")
+    result = pipeline.analyze_session(series, cfg.analysis, firmware=cfg.firmware)
+    summary = pipeline.summarize(result)
     if summary["battery_percent_mismatches"]:
         print(f"respsim: warning: device and host battery percent differ by more than "
               f"1 point on {summary['battery_percent_mismatches']} of "
@@ -275,6 +277,9 @@ def cmd_power(args) -> int:
           f"which figure you believe.")
 
     if args.out:
+        # JSON has no infinity: a life with no draw to bound it is null
+        lives = {name: r.projected_battery_life_h if math.isfinite(r.projected_battery_life_h)
+                 else None for name, r in reports.items()}
         payload = {
             "duration_s": selected.duration_s,
             "ms_by_state": ms_by_state,
@@ -283,17 +288,18 @@ def cmd_power(args) -> int:
                 name: {
                     "average_power_uw": r.average_power_uw,
                     "energy_mwh": r.energy_mwh,
-                    "projected_battery_life_h": r.projected_battery_life_h,
+                    "projected_battery_life_h": lives[name],
                 }
                 for name, r in reports.items()
             },
             "claims_disagreement": {
                 "low_uw": lo, "high_uw": hi, "ratio": hi / lo,
-                "battery_life_h_low": life_lo, "battery_life_h_high": life_hi,
+                "battery_life_h_low": lives["intro-claim"],
+                "battery_life_h_high": lives["abstract-claim"],
             },
         }
         with open_output(args.out, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, indent=2, sort_keys=True)
+            json.dump(payload, fp, indent=2, sort_keys=True, allow_nan=False)
             fp.write("\n")
     return EXIT_OK
 

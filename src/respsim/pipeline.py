@@ -11,10 +11,11 @@ as delimited rows for downstream tools.  The electrical chain is one
 :class:`~respsim.firmware.DeviceModel`, the same object the firmware
 emulator runs on.
 
-Both export formats go through one writer.  Each record type's line is a
-layout of constant bytes and typed fields (integers, hh:mm:ss.mmm stamps,
-fixed-decimal and JSON reals, and texts picked per row), and a block of
-rows becomes one byte matrix filled field by field from digit tables.  A
+Both export formats go through one writer.  Each record type is listed
+once, with its rows and its fields by CSV column (integers, hh:mm:ss.mmm
+stamps, reals, texts picked per row, and constants), and its CSV and JSON
+line layouts are derived from that entry on import.  A block of rows
+becomes one byte matrix filled field by field from digit tables.  A
 value the numeric rule cannot render exactly, such as a near-tie or a
 non-finite real, is formatted by Python itself, so the bytes are those of
 Python's own formatting.
@@ -31,7 +32,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import namedtuple
 from dataclasses import astuple, dataclass
+from itertools import groupby
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -595,13 +598,14 @@ class SessionAnalysis:
 
 
 def analyze_session(
-    frames: Iterable[TelemetryFrame],
+    frames: Iterable[TelemetryFrame] | ExtractedSeries,
     analysis: AnalysisConfig = AnalysisConfig(),
     model: DeviceModel = DeviceModel(),
     firmware: FirmwareConfig = FirmwareConfig(),
 ) -> SessionAnalysis:
-    """Run the full host pipeline over a decoded frame sequence."""
-    series = extract_series(frames, model, firmware)
+    """Run the full host pipeline over a decoded frame sequence, or over its extracted series."""
+    series = (frames if isinstance(frames, ExtractedSeries)
+              else extract_series(frames, model, firmware))
     # each channel is time-ordered, so its first and last rows bound it; a
     # sample covers one period, a battery reading only its instant
     channels = ((series.fsr, firmware.fsr_period_ms), (series.accel, firmware.accel_period_ms),
@@ -825,13 +829,14 @@ def _decimals(x: np.ndarray, digits: int, json_real: bool, blank_nan: bool) -> n
     return _patch(chars, python, [format_one(v) for v in x[python].tolist()])
 
 
-# Fields render a block of structured rows, those of _records, as characters
+# Fields render a block of structured rows, those of _RECORDS, as characters
 def _int(name: str):
     return lambda rows: _integers(rows[name])
 
 
-def _real(name: str, digits: int, json_real: bool = False, blank_nan: bool = False):
-    return lambda rows: _decimals(rows[name], digits, json_real, blank_nan)
+# A real field to ``digits`` decimals, a JSON real in a JSON line.  With blank_nan
+# a NaN is written as nothing and its JSON key left out; it is never the first key.
+_Real = namedtuple("_Real", "name digits blank_nan", defaults=(False,))
 
 
 def _text(pick, *choices: bytes):
@@ -846,100 +851,85 @@ def _rail(rows: np.ndarray) -> np.ndarray:
     return np.isnan(rows["force_n"]) * np.where(rows["code"] <= 0, 1, 2)
 
 
-def _layout(*items) -> tuple:
-    """A line's items: constant bytes, as uint8 arrays, and fields."""
-    return tuple(np.frombuffer(item, dtype=np.uint8) if isinstance(item, bytes) else item
-                 for item in items)
-
-
 _T_MS, _T_ISO, _END_MS = _int("t_ms"), lambda rows: _stamps(rows["t_ms"]), _int("end_ms")
-_SATURATED = _text(_rail, b"", b"low", b"high")
-
-
-def _csv(record: str, *items) -> tuple:
-    """A CSV line: the record type, t_ms, t_iso, then ``items``.
-
-    Every column of CSV_COLUMNS the record has no field for is left empty.
-    """
-    return _layout(record.encode() + b",", _T_MS, b",", _T_ISO, *items)
-
-
-def _jsonl(*items) -> tuple:
-    """A JSON Lines line: ``items``, which hold the keys before t_iso, then t_iso and t_ms.
-
-    The keys are in ``json.dumps(row, sort_keys=True)``'s order.
-    """
-    return _layout(b"{", *items, b'"t_iso": "', _T_ISO, b'", "t_ms": ', _T_MS, b"}\n")
-
-
-# An FSR force is NaN only at a rail, which the row marks as saturated.
-_CSV_LAYOUTS = {
-    "fsr": _csv("fsr", b",,", _int("code"), b",", _real("force_n", 6, blank_nan=True), b",",
-                _SATURATED, b",,,,,,,,,,,\n"),
-    "accel": _csv("accel", b",,,,,", _int("x_mg"), b",", _int("y_mg"), b",", _int("z_mg"),
-                  b",,,,,,,,\n"),
-    "battery": _csv("battery", b",,", _int("adc_code"), b",,,,,,", _int("device_percent"), b",",
-                    _int("host_percent"), b",", _int("charging"), b",,,,,\n"),
-    "breath": _csv("breath", b",,,,,,,,,,,,,,,\n"),
-    "artifact": _csv("artifact", b",", _END_MS, b",,,,,,,,,,,,,,\n"),
-    "estimate": _csv("estimate", b",", _END_MS, b",,,,,,,,,,", _real("rate_bpm", 3), b",",
-                     _int("breath_count"), b",", _real("confidence", 4), b",",
-                     _real("artifact_fraction", 4), b",\n"),
-    "alert": _csv("alert", b",", _END_MS, b",,,,,,,,,,,,,,apnea\n"),
-}
-_JSONL_LAYOUTS = {
-    "fsr": _jsonl(b'"code": ', _int("code"), _text(_rail, b', "force_n": ', b"", b""),
-                  _real("force_n", 6, json_real=True, blank_nan=True),
-                  b', "record": "fsr", "saturated": "', _SATURATED, b'", '),
-    "accel": _layout(b'{"record": "accel", "t_iso": "', _T_ISO, b'", "t_ms": ', _T_MS,
-                     b', "x_mg": ', _int("x_mg"), b', "y_mg": ', _int("y_mg"),
-                     b', "z_mg": ', _int("z_mg"), b"}\n"),
-    "battery": _jsonl(b'"charging": ', _int("charging"), b', "code": ', _int("adc_code"),
-                      b', "percent_device": ', _int("device_percent"),
-                      b', "percent_host": ', _int("host_percent"), b', "record": "battery", '),
-    "breath": _jsonl(b'"record": "breath", '),
-    "artifact": _jsonl(b'"end_ms": ', _END_MS, b', "record": "artifact", '),
-    "estimate": _jsonl(b'"artifact_fraction": ', _real("artifact_fraction", 4, json_real=True),
-                       b', "breath_count": ', _int("breath_count"),
-                       b', "confidence": ', _real("confidence", 4, json_real=True),
-                       b', "end_ms": ', _END_MS,
-                       b', "rate_bpm": ', _real("rate_bpm", 3, json_real=True),
-                       b', "record": "estimate", '),
-    "alert": _jsonl(b'"end_ms": ', _END_MS, b', "note": "apnea", "record": "alert", '),
-}
-
 _SPAN_DTYPE = np.dtype([("t_ms", np.int64), ("end_ms", np.int64)])
 _ESTIMATE_DTYPE = np.dtype([
     ("t_ms", np.int64), ("end_ms", np.int64), ("rate_bpm", np.float64),
     ("breath_count", np.int64), ("confidence", np.float64), ("artifact_fraction", np.float64),
 ])
 
+# Each record type once, in export order: its name, its structured rows as
+# read from a SessionAnalysis, and its fields by CSV column besides record,
+# t_ms and t_iso, each a renderer, a _Real or constant bytes.  An FSR force
+# is NaN only at a rail, which the row marks as saturated.
+_RECORDS = [
+    ("fsr", lambda result: result.series.fsr,
+     {"code": _int("code"), "force_n": _Real("force_n", 6, blank_nan=True),
+      "saturated": _text(_rail, b"", b"low", b"high")}),
+    ("accel", lambda result: result.series.accel,
+     {"x_mg": _int("x_mg"), "y_mg": _int("y_mg"), "z_mg": _int("z_mg")}),
+    ("battery", lambda result: result.series.battery,
+     {"code": _int("adc_code"), "percent_device": _int("device_percent"),
+      "percent_host": _int("host_percent"), "charging": _int("charging")}),
+    ("breath", lambda result: result.breaths.astype([("t_ms", np.int64)]), {}),
+    ("artifact", lambda result: np.array(list(result.artifacts.intervals), dtype=_SPAN_DTYPE),
+     {"end_ms": _END_MS}),
+    ("estimate", lambda result: np.array([astuple(e) for e in result.estimates],
+                                         dtype=_ESTIMATE_DTYPE),
+     {"end_ms": _END_MS, "rate_bpm": _Real("rate_bpm", 3), "breath_count": _int("breath_count"),
+      "confidence": _Real("confidence", 4), "artifact_fraction": _Real("artifact_fraction", 4)}),
+    ("alert", lambda result: np.array([(a.start_ms, a.end_ms) for a in result.alerts],
+                                      dtype=_SPAN_DTYPE),
+     {"end_ms": _END_MS, "note": b"apnea"}),
+]
+_JSON_STRINGS = {"record", "t_iso", "saturated", "note"}
 
-def _records(result: SessionAnalysis) -> list[tuple[str, np.ndarray]]:
-    """(record type, structured rows) per record type, in export order."""
-    series = result.series
-    return [
-        ("fsr", series.fsr),
-        ("accel", series.accel),
-        ("battery", series.battery),
-        ("breath", np.array([(t,) for t in result.breaths.tolist()], dtype=[("t_ms", np.int64)])),
-        ("artifact", np.array(list(result.artifacts.intervals), dtype=_SPAN_DTYPE)),
-        ("estimate", np.array([astuple(e) for e in result.estimates], dtype=_ESTIMATE_DTYPE)),
-        ("alert", np.array([(a.start_ms, a.end_ms) for a in result.alerts], dtype=_SPAN_DTYPE)),
-    ]
+
+def _line(record: str, fields: dict, json_line: bool) -> tuple:
+    """A record type's line: renderers, and each run of constant bytes as one uint8 array.
+
+    A CSV line holds every column of CSV_COLUMNS in order, empty where the record has
+    no field; a JSON line holds its keys in ``json.dumps(row, sort_keys=True)``'s order.
+    """
+    fields = {"record": record.encode(), "t_ms": _T_MS, "t_iso": _T_ISO, **fields}
+    parts = []
+    if json_line:
+        for i, key in enumerate(sorted(fields)):
+            field, quote = fields[key], b'"' if key in _JSON_STRINGS else b""
+            name = (b", " if i else b"{") + f'"{key}": '.encode()
+            if isinstance(field, _Real) and field.blank_nan:
+                name = _text(lambda rows, column=field.name: np.isnan(rows[column]), name, b"")
+            parts += [name, quote, field, quote]
+        parts.append(b"}\n")
+    else:
+        for i, column in enumerate(CSV_COLUMNS):
+            parts += [b"," if i else b"", fields.get(column, b"")]
+        parts.append(b"\n")
+    items = []
+    for constant, group in groupby(filter(None, parts), lambda part: isinstance(part, bytes)):
+        if constant:
+            items.append(np.frombuffer(b"".join(group), dtype=np.uint8))
+        else:
+            items += [(lambda rows, f=f: _decimals(rows[f.name], f.digits, json_line, f.blank_nan))
+                      if isinstance(f, _Real) else f for f in group]
+    return tuple(items)
 
 
-def _write(result: SessionAnalysis, fp: IO[str], layouts: dict) -> int:
-    """Write every record by its layout, one block at a time; returns the row count."""
+_CSV_LINES, _JSONL_LINES = ([(rows, _line(record, fields, json_line))
+                             for record, rows, fields in _RECORDS] for json_line in (False, True))
+
+
+def _write(result: SessionAnalysis, fp: IO[str], lines: list) -> int:
+    """Write every record by its line, one block at a time; returns the row count."""
     n = 0
-    for record, rows in _records(result):
-        layout = layouts[record]
+    for rows_of, line in lines:
+        rows = rows_of(result)
         for lo in range(0, len(rows), BLOCK_ROWS):
             block = rows[lo:lo + BLOCK_ROWS]
             chars = np.concatenate([
                 np.broadcast_to(item[:, None], (item.size, block.size))
                 if isinstance(item, np.ndarray) else item(block)
-                for item in layout]).T.ravel()
+                for item in line]).T.ravel()
             fp.write(chars[chars != 0].tobytes().decode("ascii"))
         n += len(rows)
     return n
@@ -948,19 +938,22 @@ def _write(result: SessionAnalysis, fp: IO[str], layouts: dict) -> int:
 def export_csv(result: SessionAnalysis, fp: IO[str]) -> int:
     """Write the session as CSV; returns the number of data rows."""
     fp.write(",".join(CSV_COLUMNS) + "\n")
-    return _write(result, fp, _CSV_LAYOUTS)
+    return _write(result, fp, _CSV_LINES)
 
 
 def export_jsonl(result: SessionAnalysis, fp: IO[str]) -> int:
     """Write the session as JSON Lines with the same fields as the CSV."""
-    return _write(result, fp, _JSONL_LAYOUTS)
+    return _write(result, fp, _JSONL_LINES)
+
+
+# The writer of each export format, by name: export() looks it up when called,
+# so a wrapper set on the module's function, such as a mock or a tracer, runs.
+EXPORTERS = {"csv": "export_csv", "jsonl": "export_jsonl"}
 
 
 def export(result: SessionAnalysis, path: str, fmt: str = "csv") -> int:
-    """Export to a file path in ``csv`` or ``jsonl`` format."""
-    if fmt not in ("csv", "jsonl"):
+    """Export to a file path in one of the :data:`EXPORTERS` formats."""
+    if fmt not in EXPORTERS:
         raise ValueError(f"unknown export format {fmt!r}")
     with open_output(path, "w", encoding="utf-8", newline="") as fp:
-        if fmt == "csv":
-            return export_csv(result, fp)
-        return export_jsonl(result, fp)
+        return globals()[EXPORTERS[fmt]](result, fp)

@@ -577,6 +577,18 @@ def test_a_capture_from_another_schedule_is_config_error_naming_config(
         "fsr_batch": 0, "accel_batch": 0, "battery_status": 0}
 
 
+def test_a_capture_from_another_schedule_exits_before_any_detection(tmp_path, capsys, caplog):
+    # none of its FSR frames is on the default schedule, so breath detection
+    # would find no breath and raise a false apnea alert before the exit
+    cfg = tmp_path / "other.yaml"
+    cfg.write_text("duration_s: 60\nfirmware: {fsr_rate_hz: 50, fsr_batch: 10}\n")
+    capture = str(tmp_path / "other.raw")
+    assert run_cli(capsys, "simulate", "--config", str(cfg), "--out", capture)[0] == 0
+    caplog.clear()
+    assert run_cli(capsys, "analyze", capture)[0] == 1
+    assert [r.getMessage() for r in caplog.records if r.name == "respsim.pipeline"] == []
+
+
 # ---------------------------------------------------------------------------
 # stream
 # ---------------------------------------------------------------------------
@@ -784,7 +796,34 @@ def test_power_zero_duration(capsys, tmp_path):
     for report in audit["reports"].values():
         assert report["energy_mwh"] == 0.0
         assert report["average_power_uw"] == 0.0
-        assert report["projected_battery_life_h"] == float("inf")
+        assert report["projected_battery_life_h"] is None
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("duration, power, unbounded", [
+    ("0", "{}", {"abstract-claim", "intro-claim"}),
+    ("60", "{p_idle_uw: 0, p_active_uw: 0, p_radio_uw: 0}", {"custom"}),
+])
+def test_power_audit_is_strict_json(tmp_path, capsys, duration, power, unbounded):
+    # a life with no draw to bound it is null in the file and inf in the table
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"power: {power}\n")
+    out = tmp_path / "audit.json"
+    code, stdout, _ = run_cli(capsys, "power", "--config", str(cfg), "--duration", duration,
+                              "--out", str(out))
+    assert code == 0
+    audit = json.loads(out.read_text(), parse_constant=_not_json)
+    lives = {name: r["projected_battery_life_h"] for name, r in audit["reports"].items()}
+    assert {name for name, life in lives.items() if life is None} == unbounded
+    assert all(life > 0 for life in lives.values() if life is not None)
+    claims = audit["claims_disagreement"]
+    assert (claims["battery_life_h_low"], claims["battery_life_h_high"]) == (
+        lives["intro-claim"], lives["abstract-claim"])
+    table = [row for row in map(str.split, stdout.splitlines()) if row and row[0] in lives]
+    assert {row[0] for row in table if row[3] == "inf"} == unbounded
 
 
 # ---------------------------------------------------------------------------

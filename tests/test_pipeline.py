@@ -1093,6 +1093,13 @@ def test_export_empty_session_is_header_only():
     assert buf.getvalue().count("\n") == 1
 
 
+def test_export_rejects_an_unknown_format(tmp_path):
+    path = tmp_path / "x.xml"
+    with pytest.raises(ValueError, match="unknown export format 'xml'"):
+        pipeline.export(analyze_session([]), str(path), "xml")
+    assert not path.exists()
+
+
 def reference_rows(result):
     """The export rows as dicts, one per row, grouped by record type: the
     reference exporters below write them with csv.DictWriter and json.dumps."""

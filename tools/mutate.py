@@ -10,8 +10,10 @@ Each mutant in ``MUTANTS`` is one small edit of a file under ``src/``: its
 old text, which must occur exactly once in the file, is replaced by its new
 text.  Per mutant the checkout is copied to a fresh scratch directory (under
 ``--work``, a temporary directory by default), the edit is made there, and
-tier-1 runs in the copy with ``pytest -x``.  A mutant is *killed* when a
-test fails and *survives* when every test passes.  One line is printed per
+tier-1 runs in the copy with ``pytest -x``, less ``tests/test_mutate.py``:
+that test checks this table against ``src/``, which every mutant's edit
+fails.  A mutant is *killed* when a test fails and *survives* when every
+test passes.  One line is printed per
 mutant, then the counts.  The standard library is all this needs.
 """
 
@@ -170,6 +172,23 @@ MUTANTS = [
     ("export-json-exponent-fallback-dropped", PL,
      "exact &= (r == 0) | (np.abs(r) >= 10.0 ** (digits - 4))",
      "exact &= (r == 0) | (np.abs(r) >= 0)"),
+    # the lines derived from the one record table
+    ("export-json-keys-unsorted", PL,
+     "for i, key in enumerate(sorted(fields)):",
+     "for i, key in enumerate(fields):"),
+    ("export-json-nan-key-kept", PL,
+     "np.isnan(rows[column]), name, b\"\")",
+     "np.isnan(rows[column]), name, name)"),
+    ("export-csv-columns-out-of-order", PL,
+     "for i, column in enumerate(CSV_COLUMNS):",
+     "for i, column in enumerate(sorted(CSV_COLUMNS)):"),
+    # the schedule check before detection, and the strict audit JSON
+    ("analyze-detects-before-schedule-check", CLI,
+     "series = pipeline.extract_series(frames, cfg.device_model(), cfg.firmware)",
+     "series = pipeline.analyze_session(frames, firmware=cfg.firmware).series"),
+    ("power-json-life-infinity", CLI,
+     "r.projected_battery_life_h if math.isfinite(r.projected_battery_life_h)",
+     "r.projected_battery_life_h if True"),
 ]
 
 
@@ -194,7 +213,8 @@ def run(name: str, path: str, old: str, new: str, work: Path) -> tuple[str, floa
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         start = time.perf_counter()
         code = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--ignore", "tests/test_mutate.py"],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         ).returncode
         elapsed = time.perf_counter() - start
