@@ -22,7 +22,7 @@ from ._output import open_output
 from .config import ConfigError, SessionConfig, apply_overrides, load_config
 from .firmware import schedule_timeline
 from .power import PRESETS, accumulate
-from .protocol import StreamSplitter, encode, split_stream
+from .protocol import StreamSplitter, split_stream
 from .sensor import ParameterError
 from .session import run_session, write_capture
 
@@ -129,18 +129,20 @@ def _stream_connect(args) -> int:
     host, port = _parse_endpoint(args.connect)
     cfg = _load_session_config(args)
     result = run_session(cfg)
-    # each frame goes out at its send instant in FirmwareConfig.sends, which
-    # lists the frames in the order run_session returned them
+    # each frame's bytes go out at its send instant in FirmwareConfig.sends,
+    # which lists the frames in the order run_session returned them
     send_ms, _, _ = cfg.firmware.sends(cfg.firmware.session_ms(cfg.duration_s))
+    data = memoryview(result.data)
     start = time.monotonic()
-    sent = 0
+    sent = offset = 0
     with socket.create_connection((host, port)) as sock:
-        for frame, t_ms in zip(result.frames, send_ms.tolist(), strict=True):
+        for size, t_ms in zip(result.frames.sizes().tolist(), send_ms.tolist(), strict=True):
             due_s = t_ms / 1000.0 / args.speed
             delay = due_s - (time.monotonic() - start)
             if delay > 0:
                 time.sleep(delay)
-            sock.sendall(encode(frame))
+            sock.sendall(data[offset:offset + size])
+            offset += size
             sent += 1
     print(f"streamed {sent} frames ({len(result.data)} bytes) to {host}:{port}")
     return EXIT_OK
@@ -273,8 +275,11 @@ def cmd_power(args) -> int:
     life_hi = reports["abstract-claim"].projected_battery_life_h
     print(f"note: the device's two published power figures disagree by {hi / lo:g}x: "
           f"{lo:.0f} uW (abstract-claim) vs {hi:.0f} uW (intro-claim).")
-    print(f"      battery life spans {life_lo:.0f} h to {life_hi:.0f} h depending on "
-          f"which figure you believe.")
+    if selected.duration_s:
+        print(f"      battery life spans {life_lo:.0f} h to {life_hi:.0f} h depending on "
+              f"which figure you believe.")
+    else:  # no time, no energy: neither figure bounds a life
+        print("      no time was audited, so neither figure gives a battery life.")
 
     if args.out:
         # JSON has no infinity: a life with no draw to bound it is null

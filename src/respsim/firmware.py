@@ -1,53 +1,45 @@
-"""Firmware emulator: millisecond tick scheduler, batching, and framing.
+"""Firmware emulator: the sampling schedule, batching, framing and energy.
 
 The schedule mirrors the device firmware: FSR sampling at 25 Hz, the
 accelerometer at 50 Hz, and a battery measurement every 2 s, all phased so
 every channel takes its first sample at t=0.  :class:`FirmwareConfig` owns
 it: :meth:`FirmwareConfig.session_ms` turns a session's duration into whole
 milliseconds and ticks, and each channel samples at
-``range(0, session_ms, period)``.  The emulator runs that schedule,
-:mod:`respsim.session` synthesizes its stimulus at the same instants, and
-the host places only frames that :meth:`FirmwareConfig.on_schedule` finds on it.
-Samples accumulate into
-fixed-size batches (5 FSR codes, 10 accel triples per frame) and each
-completed batch is framed immediately; partially filled batches are flushed
-with the final-flush flag when a run ends.
+``range(0, session_ms, period)``.  :mod:`respsim.session` synthesizes the
+stimulus at the same instants, and the host places only frames that
+:meth:`FirmwareConfig.on_schedule` finds on it.  Samples go out in
+fixed-size batches (5 FSR codes, 10 accel triples per frame), each sent
+when its last sample is taken.  :meth:`FirmwareConfig.sends` lists them in
+send order: each whole batch at its :meth:`FirmwareConfig.slot`, the closed
+form by which the host checks a frame's seq, and the partial batches last,
+as the final flush.
 
 Energy is accounted per tick from a power profile: a tick is ``radio``
 while frame transmission airtime is pending, ``active`` when any channel
 sampled, and ``idle`` otherwise.  The battery drains continuously, so a
-long enough run walks the reported percent all the way down.  The
-emulator's one activity record is those per-tick state codes, one byte per
-tick, which both :meth:`FirmwareEmulator.tick` and
-:meth:`FirmwareEmulator.run` keep;
-:attr:`FirmwareEmulator.activity_timeline` run-length encodes it with
-:meth:`~respsim.power.Timeline.from_ticks` for
-:func:`~respsim.power.accumulate` to read.  The codes follow from the
-send instants and the airtime per frame alone, so :func:`schedule_timeline`
-builds the same timeline with ``_activity``, without a run, stimulus or
-frames; ``respsim power`` audits that.
+long enough run walks the reported percent all the way down.  Those
+per-tick state codes, one byte per tick, are the emulator's one activity
+record; :attr:`FirmwareEmulator.activity_timeline` run-length encodes them
+for :func:`~respsim.power.accumulate`.  They follow from the send instants
+and the airtime per frame alone, so :func:`schedule_timeline` builds the
+same timeline without a run; ``respsim power`` audits that.
 
-:meth:`FirmwareConfig.sends` lists a session's frames in send order: each
-whole batch at its :meth:`FirmwareConfig.slot`, the closed form by which the
-host checks a frame's seq, and the final flush last.
-
-:meth:`FirmwareEmulator.tick` steps that schedule one tick at a time and is
-the reference.  :meth:`FirmwareEmulator.run` derives the same schedule in
-bulk from an :class:`ArrayStimulus`, whose columns hold exactly each
-channel's instants: frames in the order of :meth:`FirmwareConfig.sends`,
-tick activity from ``_activity``, ADC codes from one array pass of the
-force column through the FSR chain, each batch cut as a slice of those
-arrays, and energy summed per battery period with ``np.cumsum``, which adds
-in the same sequence as the per-tick ``+=``.  Because ``sends`` lists the
-final flush too, ``run`` frames every batch in one loop and ``respsim
-stream`` paces each frame by its send instant.  Both frame every batch
-through one builder.  The tests hold ``run`` and ``sends`` to a tick loop
-frame for frame, float for float.
+:meth:`FirmwareEmulator.run` builds a session's frames as one
+:class:`~respsim.protocol.FrameTable`, with no per-frame object: the ADC
+codes of one array pass of the force column through the FSR chain and the
+accel rows are the sample columns as they are, and each frame's time,
+sample count, seq and flags are arithmetic on the columns of ``sends``.
+Only the battery readings are a loop, because each needs the energy spent
+up to its instant; energy is summed per battery period with ``np.cumsum``,
+which adds in the same sequence as a per-tick ``+=``.
+:func:`encode_session` writes the table as byte columns.  The tests hold
+``run`` to a reference tick loop frame for frame, float for float.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +57,7 @@ from .sensor import (
     ParameterError,
     _round_half_up,
     adc_quantize,
-    divider_voltage,
     fsr_codes,
-    fsr_resistance,
 )
 
 # every t0_ms and t_ms on the wire is a u32, and a session samples up to,
@@ -133,6 +123,13 @@ class FirmwareConfig:
                 (FrameKind.ACCEL_BATCH, self.accel_period_ms, self.accel_batch),
                 (FrameKind.BATTERY_STATUS, self.battery_period_ms, 1))
 
+    def _grid(self) -> np.ndarray:
+        """``(period, batch)`` rows indexed by kind code."""
+        grid = np.ones((2, max(FrameKind) + 1), dtype=np.int64)
+        for k, p, b in self._kinds():
+            grid[:, k] = p, b
+        return grid
+
     def slot(self, kind, send_ms):
         """Each frame's index in the send order: kind k sends at ``(m * b + b - 1) * p``, and
         the sends before a frame's instant, or at it with a lower kind code, precede it."""
@@ -168,10 +165,7 @@ class FirmwareConfig:
         batch, or a smaller final flush, on its kind's grid of ``period * batch``, and
         without the flush flag (whose slot depends on the session's length) a ``seq``
         equal to its slot mod 2**16."""
-        grid = np.ones((2, max(FrameKind) + 1), dtype=np.int64)  # period, batch by kind code
-        for k, p, b in self._kinds():
-            grid[:, k] = p, b
-        period, batch = grid[:, kind]
+        period, batch = self._grid()[:, kind]
         flush = (flags & protocol.FLAG_FINAL_FLUSH) != 0
         slot = self.slot(kind, t_ms + (batch - 1) * period)
         return ((t_ms % (period * batch) == 0) & ((count == batch) | flush & (count < batch))
@@ -248,11 +242,9 @@ class FirmwareEmulator:
     """Deterministic software twin of the sensor firmware.
 
     An emulator is ready when built: the constructor boots it, and
-    :meth:`boot` resets it to that fresh state.  Drive it either tick by
-    tick (supplying samples for any channel due at the current clock) or
-    with :meth:`run` and an :class:`ArrayStimulus`.  All state lives in plain
-    Python scalars; identical configuration and stimulus reproduce
-    identical frame bytes.
+    :meth:`boot` resets it to that fresh state.  :meth:`run` drives it over
+    an :class:`ArrayStimulus`.  Identical configuration and stimulus
+    reproduce identical frames.
     """
 
     def __init__(
@@ -277,11 +269,8 @@ class FirmwareEmulator:
     def boot(self) -> None:
         """Reset all runtime state to that of a freshly built emulator."""
         self._clock_ms = 0
-        self._seq = 0
         self.energy_mwh = 0.0
         self._tx_remaining_ms = 0
-        self._fsr_buf: list[tuple[int, int]] = []
-        self._accel_buf: list[tuple[int, tuple[int, int, int]]] = []
         self._ticks = bytearray()  # the activity state code of every tick
         # one tick's energy in each state, indexed by state code
         self._tick_mwh = (self.power_profile.state_powers_uw()
@@ -305,29 +294,10 @@ class FirmwareEmulator:
     # perfbench's tracer counts a run's intervals through this name
     _timeline = activity_timeline
 
-    # -- internals ----------------------------------------------------------
+    # -- running ------------------------------------------------------------
 
-    def _flags(self, final_flush: bool = False) -> int:
-        flags = protocol.FLAG_CHARGING if self.charging else 0
-        if final_flush:
-            flags |= protocol.FLAG_FINAL_FLUSH
-        return flags
-
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq = (self._seq + 1) & 0xFFFF
-        return seq
-
-    def _batch_frame(
-        self, kind: FrameKind, t0: int, samples: list, final_flush: bool = False
-    ) -> protocol.TelemetryFrame:
-        """Frame one FSR or accel batch whose first sample was taken at ``t0``."""
-        return protocol.TelemetryFrame(
-            kind, self._next_seq(), self._flags(final_flush),
-            protocol.PAYLOAD_TYPES[kind](t0, tuple(samples)),
-        )
-
-    def _battery_frame(self, t_ms: int) -> protocol.TelemetryFrame:
+    def _battery_reading(self, t_ms: int) -> tuple[int, int]:
+        """Measure the battery at ``t_ms``: ``(adc_code, percent)``, logged as a truth row."""
         soc = self.soc
         v = self.model.ocv.voltage(soc)
         sense = v * self.model.sense_ratio  # DeviceModel holds it within v_ref
@@ -335,140 +305,56 @@ class FirmwareEmulator:
         percent = self.model.device_percent(v)
         self.battery_log.append({"t_ms": t_ms, "soc": soc, "v_terminal": v, "sense_v": sense,
                                  "adc_code": code, "percent": percent})
-        return protocol.TelemetryFrame(
-            FrameKind.BATTERY_STATUS, self._next_seq(), self._flags(),
-            protocol.BatteryStatusPayload(t_ms, code, percent),
-        )
+        return code, percent
 
-    # -- stepping -----------------------------------------------------------
-
-    def tick(
-        self,
-        force_n: float | None = None,
-        accel_mg: tuple[int, int, int] | None = None,
-    ) -> list[protocol.TelemetryFrame]:
-        """Advance one tick, sampling whatever the schedule makes due.
-
-        Samples must be supplied for channels due this tick and are ignored
-        otherwise.  Returns frames completed by this tick in the fixed
-        order FSR batch, accel batch, battery status.
-        """
-        cfg = self.config
-        t = self._clock_ms
-        frames: list[protocol.TelemetryFrame] = []
-        fsr_due = t % cfg.fsr_period_ms == 0
-        accel_due = t % cfg.accel_period_ms == 0
-        sampled = fsr_due or accel_due
-
-        # read every due sample before any state changes, so a tick that
-        # raises leaves the emulator as it found it
-        if fsr_due:
-            if force_n is None:
-                raise StimulusError(f"FSR sample due at t={t} ms but no force supplied")
-            code = adc_quantize(
-                divider_voltage(fsr_resistance(force_n, self.model.fsr), self.model.divider),
-                self.model.adc,
-            )
-        if accel_due:
-            if accel_mg is None:
-                raise StimulusError(f"accel sample due at t={t} ms but none supplied")
-            accel = (int(accel_mg[0]), int(accel_mg[1]), int(accel_mg[2]))
-            _check_accel([[a] for a in accel], [t])
-
-        if fsr_due:
-            self._fsr_buf.append((t, code))
-            if len(self._fsr_buf) == cfg.fsr_batch:
-                frames.append(self._batch_frame(FrameKind.FSR_BATCH, *_drain(self._fsr_buf)))
-
-        if accel_due:
-            self._accel_buf.append((t, accel))
-            if len(self._accel_buf) == cfg.accel_batch:
-                frames.append(self._batch_frame(FrameKind.ACCEL_BATCH, *_drain(self._accel_buf)))
-
-        if t % cfg.battery_period_ms == 0:
-            frames.append(self._battery_frame(t))
-            sampled = True
-
-        # energy accounting: pending radio airtime outranks sampling work
-        if self._tx_remaining_ms > 0:
-            state = RADIO
-            self._tx_remaining_ms -= cfg.tick_ms
-        elif sampled:
-            state = ACTIVE
-        else:
-            state = IDLE
-        self._ticks.append(state)
-        self.energy_mwh += self._tick_mwh.item(state)
-        if frames:
-            self._tx_remaining_ms += self.power_profile.tx_ms_per_frame * len(frames)
-
-        self._clock_ms = t + cfg.tick_ms
-        return frames
-
-    def flush(self) -> list[protocol.TelemetryFrame]:
-        """Emit any partially filled batches with the final-flush flag set."""
-        return [self._batch_frame(kind, *_drain(buf), final_flush=True)
-                for kind, buf in ((FrameKind.FSR_BATCH, self._fsr_buf),
-                                  (FrameKind.ACCEL_BATCH, self._accel_buf)) if buf]
-
-    def run(self, stimulus: ArrayStimulus, duration_s: float) -> list[protocol.TelemetryFrame]:
-        """Boot fresh, run the schedule for a duration, and flush.
+    def run(self, stimulus: ArrayStimulus, duration_s: float) -> protocol.FrameTable:
+        """Boot fresh and run the schedule for a duration, final flush included.
 
         :meth:`FirmwareConfig.session_ms` turns ``duration_s`` into the
-        schedule's length.  The returned list is every frame the device would
-        have sent, in transmit order.  Each channel of ``stimulus`` must hold
-        exactly the instants ``range(0, session_ms, period)``, or
-        :class:`StimulusError` is raised.
-
-        The schedule is derived in bulk, not stepped: the force column goes
-        through the FSR chain in one array pass, each batch is a slice of
-        the samples, and activity, energy and battery readings follow from
-        the ticks that emit frames.  One loop frames every send of
-        :meth:`FirmwareConfig.sends`; the sends at the session's end are the
-        final flush and carry its flag.  Frames, battery log, timeline,
-        energy and the state left behind are those of :meth:`boot`, then
-        :meth:`tick` at every tick, then :meth:`flush`.
+        schedule's length.  The returned table is every frame the device
+        would have sent, in transmit order, with the column types of a table
+        :func:`~respsim.protocol.split_stream` reads.  Each channel of
+        ``stimulus`` must hold exactly the instants
+        ``range(0, session_ms, period)``, or :class:`StimulusError` is raised.
+        Activity, energy and battery readings follow from the ticks that
+        emit frames.
         """
         total_ms = self.config.session_ms(duration_s)
         self.boot()
         cfg = self.config
-        fsr_t = range(0, total_ms, cfg.fsr_period_ms)
-        accel_t = range(0, total_ms, cfg.accel_period_ms)
-        for name, t_ms, times in (("force", stimulus.force_t_ms, fsr_t),
-                                  ("accel", stimulus.accel["t_ms"], accel_t)):
-            if not np.array_equal(t_ms, np.arange(0, total_ms, times.step)):
+        for name, t_ms, period in (("force", stimulus.force_t_ms, cfg.fsr_period_ms),
+                                   ("accel", stimulus.accel["t_ms"], cfg.accel_period_ms)):
+            if not np.array_equal(t_ms, np.arange(0, total_ms, period)):
                 raise StimulusError(f"{name} samples must be at exactly the instants "
-                                    f"range(0, {total_ms}, {times.step}) ms")
-        codes = fsr_codes(stimulus.force_n,
-                          self.model.fsr, self.model.divider, self.model.adc).tolist()
-        _check_accel([stimulus.accel[a] for a in ("x_mg", "y_mg", "z_mg")], accel_t)
-        accel = stimulus.accel[["x_mg", "y_mg", "z_mg"]].tolist()
+                                    f"range(0, {total_ms}, {period}) ms")
+        codes = fsr_codes(stimulus.force_n, self.model.fsr, self.model.divider, self.model.adc)
+        axes = [stimulus.accel[a] for a in ("x_mg", "y_mg", "z_mg")]
+        _check_accel(axes, stimulus.accel["t_ms"])
 
-        send_ms, kinds, firsts = cfg.sends(total_ms)
+        send_ms, kind, first = cfg.sends(total_ms)
         states, self._tx_remaining_ms = _activity(
             cfg, self.power_profile.tx_ms_per_frame, send_ms, total_ms)
         self._ticks = bytearray(states)
-
-        # by kind code, the FrameKind member (decode names it), samples, sample
-        # instants and batch size of each batch kind
-        batches = {kind: (kind, *columns) for kind, *columns in (
-            (FrameKind.FSR_BATCH, codes, fsr_t, cfg.fsr_batch),
-            (FrameKind.ACCEL_BATCH, accel, accel_t, cfg.accel_batch))}
-        frames: list[protocol.TelemetryFrame] = []
+        readings = []
         metered = 0
-        for t, code, i in zip(send_ms.tolist(), kinds.tolist(), firsts.tolist()):
-            if code == FrameKind.BATTERY_STATUS:
-                k = t // cfg.tick_ms
-                self._add_energy(self._tick_mwh[states[metered:k]])
-                metered = k
-                frames.append(self._battery_frame(t))
-            else:
-                kind, samples, times, n = batches[code]
-                frames.append(self._batch_frame(kind, times[i], samples[i:i + n],
-                                                final_flush=t == total_ms))
+        for t in send_ms[kind == FrameKind.BATTERY_STATUS].tolist():
+            k = t // cfg.tick_ms
+            self._add_energy(self._tick_mwh[states[metered:k]])
+            metered = k
+            readings.append(self._battery_reading(t))
         self._add_energy(self._tick_mwh[states[metered:]])
         self._clock_ms = total_ms
-        return frames
+
+        period, batch = cfg._grid()[:, kind]
+        samples = -(-total_ms // period)  # in the channel of each frame
+        flags = np.full(kind.size, protocol.FLAG_CHARGING if self.charging else 0, np.uint8)
+        flags[send_ms == total_ms] |= protocol.FLAG_FINAL_FLUSH
+        return protocol.FrameTable(
+            kind.astype(np.uint8), np.arange(kind.size).astype(np.uint16), flags,
+            first * period, np.minimum(batch, samples - first),
+            {FrameKind.FSR_BATCH: codes.astype(np.uint16),
+             FrameKind.ACCEL_BATCH: np.stack(axes, axis=1).astype(np.int16),
+             FrameKind.BATTERY_STATUS: np.array(readings, dtype=np.uint16).reshape(-1, 2)})
 
     def _add_energy(self, tick_mwh: np.ndarray) -> None:
         """Add per-tick energies to the total one after another, as ``+=`` does.
@@ -534,14 +420,18 @@ def _check_accel(axes, times) -> None:
                              f"is beyond ±{FULL_SCALE_MG} mg")
 
 
-def _drain(buf: list) -> tuple[int, list]:
-    """``(t0, samples)`` of a buffer of ``(t, sample)`` pairs, which is emptied."""
-    t0 = buf[0][0]
-    samples = [sample for _, sample in buf]
-    buf.clear()
-    return t0, samples
+def encode_session(frames: Sequence[protocol.TelemetryFrame]) -> bytes:
+    """The wire bytes of a frame sequence, ``b"".join(map(protocol.encode, frames))``.
 
-
-def encode_session(frames: list[protocol.TelemetryFrame]) -> bytes:
-    """Concatenate the wire bytes for a frame sequence."""
-    return b"".join(protocol.encode(f) for f in frames)
+    A :class:`~respsim.protocol.FrameTable` is written as it is, and any
+    other sequence as its table, by :func:`~respsim.protocol.write_table`.
+    Whatever ``encode`` rejects raises the error ``encode`` raises for the
+    first frame it rejects.
+    """
+    try:
+        table = protocol.FrameTable.from_frames(frames)
+    except protocol.ProtocolError:
+        for frame in frames:
+            protocol.encode(frame)  # raises at the first frame it rejects
+        raise
+    return protocol.write_table(table)

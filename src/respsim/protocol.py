@@ -24,6 +24,7 @@ The frames of the column-wise pass come back as a :class:`FrameTable`,
 columns of kind, seq, flags, time and samples copied out of the bytes,
 which the host pipeline reads without a per-frame object.  It is still a
 sequence of :class:`TelemetryFrame` records for every other reader.
+:func:`write_table` is the way back to bytes, in columns too.
 
 :class:`TelemetryFrame` and its payloads are plain records, checked at the
 two borders of the program instead of when built: :func:`encode` for
@@ -40,6 +41,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, starmap
+from operator import index
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,6 +108,7 @@ def _crc8_table(poly: int) -> bytes:
 
 
 _CRC8_07 = _crc8_table(0x07)
+_CRC8_COLUMN = np.frombuffer(_CRC8_07, dtype=np.uint8)
 
 
 def crc8(data: bytes) -> int:
@@ -370,31 +373,41 @@ class FrameTable(Sequence):
     def from_frames(cls, frames: Iterable[TelemetryFrame]) -> "FrameTable":
         """The table of any frame records; a table is returned as it is.
 
-        Only the pairing of kind and payload type is checked, as
-        :func:`encode` checks it (:class:`UnknownKind`, :class:`BadLength`).
+        Checked here, as :func:`encode` checks them: the pairing of kind and
+        payload type (:class:`UnknownKind`, :class:`BadLength`), and that
+        every field is a whole number and every accel sample a triple
+        (:class:`BadLength`).  The value ranges are :func:`write_table`'s.
         """
         if isinstance(frames, FrameTable):
             return frames
         head, batches = [], {kind: [] for kind in FrameKind}
-        for f in frames:
-            kind, p = _kind(f.kind), f.payload
-            if type(p) is not PAYLOAD_TYPES[kind]:
-                raise BadLength(f"kind {kind.name} requires {PAYLOAD_TYPES[kind].__name__}, "
-                                f"got {type(p).__name__}")
-            if kind is FrameKind.BATTERY_STATUS:
-                t_ms, values = p.t_ms, ((p.adc_code, p.percent),)
-            else:
-                t_ms, values = p.t0_ms, p.codes if kind is FrameKind.FSR_BATCH else p.samples
-            head += kind, f.seq, f.flags, t_ms, len(values)
-            batches[kind].append(values)
-        columns = np.fromiter(head, dtype=np.int64, count=len(head)).reshape(-1, 5).T
-        samples = {}
-        for kind, width in _WIDTH.items():
-            values = chain.from_iterable(batches[kind])
-            if width > 1:
-                values = chain.from_iterable(values)
-            column = np.fromiter(values, dtype=np.int64)
-            samples[kind] = column if width == 1 else column.reshape(-1, width)
+        try:
+            for f in frames:
+                kind, p = _kind(f.kind), f.payload
+                if type(p) is not PAYLOAD_TYPES[kind]:
+                    raise BadLength(f"kind {kind.name} requires "
+                                    f"{PAYLOAD_TYPES[kind].__name__}, got {type(p).__name__}")
+                if kind is FrameKind.BATTERY_STATUS:
+                    t_ms, values = p.t_ms, ((p.adc_code, p.percent),)
+                else:
+                    t_ms, values = p.t0_ms, p.codes if kind is FrameKind.FSR_BATCH else p.samples
+                if kind is FrameKind.ACCEL_BATCH and any(len(s) != 3 for s in values):
+                    raise BadLength("every accel sample must be an (x, y, z) triple")
+                head += kind, f.seq, f.flags, t_ms, len(values)
+                batches[kind].append(values)
+            # operator.index takes whole numbers only, where fromiter would cut
+            # a float or parse a string
+            columns = np.fromiter(map(index, head), dtype=np.int64,
+                                  count=len(head)).reshape(-1, 5).T
+            samples = {}
+            for kind, width in _WIDTH.items():
+                values = chain.from_iterable(batches[kind])
+                if width > 1:
+                    values = chain.from_iterable(values)
+                column = np.fromiter(map(index, values), dtype=np.int64)
+                samples[kind] = column if width == 1 else column.reshape(-1, width)
+        except (TypeError, OverflowError) as e:
+            raise BadLength(f"frame does not fit the wire layout: {e}") from None
         return cls(*columns, samples)
 
     def __len__(self) -> int:
@@ -418,6 +431,12 @@ class FrameTable(Sequence):
 
     def _columns(self) -> list:
         return [self.kind, self.seq, self.flags, self.t_ms, self.count]
+
+    def sizes(self) -> np.ndarray:
+        """Each frame's length in bytes on the wire."""
+        sample = np.where(self.kind == FrameKind.FSR_BATCH, 2, _XYZ.size)
+        return FRAME_OVERHEAD + np.where(self.kind == FrameKind.BATTERY_STATUS, _BATTERY.size,
+                                         _BATCH_HEAD.size + sample * self.count)
 
     def __eq__(self, other):
         """Whether ``other`` holds frames of the same kinds, seq, flags, times
@@ -484,6 +503,69 @@ def _table(b: np.ndarray, starts: list[int]) -> FrameTable:
                       _uint(b, at + HEADER_LEN, 4), count, samples)
 
 
+# the (lowest, highest) sample value each kind's wire fields carry: 12-bit
+# codes, i16 axes, and a battery reading's 12-bit code and percent
+_BOUNDS = {FrameKind.FSR_BATCH: (0, MAX_CODE),
+           FrameKind.ACCEL_BATCH: (-2 ** 15, 2 ** 15 - 1),
+           FrameKind.BATTERY_STATUS: ((0, 0), (MAX_CODE, 100))}
+
+
+def _le(values: np.ndarray, nbytes: int) -> np.ndarray:
+    """The little-endian bytes of each row of ``values``, as byte columns."""
+    return values.astype(f"<u{nbytes}").reshape(len(values), -1).view(np.uint8).T
+
+
+def write_table(table: FrameTable) -> bytes:
+    """The wire bytes of every frame in ``table``, equal to ``encode`` of each.
+
+    The inverse of :func:`_table`.  The rows that :func:`encode` rejects (a
+    header field past its width, no sample, a payload past the MTU budget, a
+    sample outside :data:`_BOUNDS`) are found in columns, and the first goes
+    to ``encode``, which raises its error.  The frames of one kind and sample
+    count are one byte matrix, a column per byte: the CRC-8 is one table
+    gather per column (Sarwate's method across frames, as in :func:`_scan`),
+    and each column is written at its frames' offsets in the output.
+    """
+    size = table.sizes()
+    ok = ((table.seq >= 0) & (table.seq <= 0xFFFF) & (table.flags >= 0) & (table.flags <= 0xFF)
+          & (table.t_ms >= 0) & (table.t_ms < 2 ** 32) & (table.count >= 1)
+          & (size <= FRAME_OVERHEAD + MAX_PAYLOAD))
+    for k, (lo, hi) in _BOUNDS.items():
+        outside = (table.samples[k] < lo) | (table.samples[k] > hi)
+        outside = outside.any(axis=1) if outside.ndim > 1 else outside
+        of_kind = table.kind == k
+        ok[np.repeat(np.flatnonzero(of_kind), table.count[of_kind])[outside]] = False
+    if not ok.all():
+        encode(table[int(np.argmin(ok))])  # raises
+    starts = np.cumsum(size) - size
+    out = np.empty(int(size.sum()), dtype=np.uint8)
+    for k in FrameKind:
+        of_kind = np.flatnonzero(table.kind == k)
+        for n in np.flatnonzero(np.bincount(table.count[of_kind])).tolist():
+            rows = of_kind[table.count[of_kind] == n]
+            columns = np.empty((int(size[rows[0]]), rows.size), dtype=np.uint8)
+            columns[:3] = np.array([[MAGIC], [VERSION], [k]])
+            columns[3:5] = _le(table.seq[rows], 2)
+            columns[5] = table.flags[rows]
+            columns[6] = len(columns) - FRAME_OVERHEAD
+            columns[7:11] = _le(table.t_ms[rows], 4)
+            values = table.samples[k][table.offset[rows, None] + np.arange(n)]
+            if k is FrameKind.BATTERY_STATUS:
+                columns[11:13] = _le(values[:, 0, 0], 2)
+                columns[13] = values[:, 0, 1]
+            else:
+                columns[11] = n
+                columns[12:-1] = _le(values, 2)
+            crc = np.zeros(rows.size, dtype=np.uint8)
+            for column in columns[1:-1]:  # version .. payload
+                crc = _CRC8_COLUMN.take(crc ^ column)
+            columns[-1] = crc
+            at = starts[rows]
+            for j, column in enumerate(columns):
+                out[at + j] = column
+    return out.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # stream splitting
 # ---------------------------------------------------------------------------
@@ -495,8 +577,6 @@ BULK_MIN_CANDIDATES = 64
 
 # the verdicts on a candidate that is no whole valid frame
 _HELD, _REJECTED = 0, -1
-
-_CRC8_COLUMN = np.frombuffer(_CRC8_07, dtype=np.uint8)
 
 
 def _declared_len(buf, pos: int) -> int:

@@ -13,7 +13,11 @@ The stimulus is synthesized at the emulator's own sampling instants:
 :meth:`~respsim.firmware.FirmwareConfig.session_ms`.  Those columns go to
 :meth:`~respsim.firmware.FirmwareEmulator.run` as an
 :class:`~respsim.firmware.ArrayStimulus`, which must hold exactly those
-instants and nothing else.
+instants and nothing else.  The run's frames come back as one
+:class:`~respsim.protocol.FrameTable`, built from those columns and the
+schedule's send columns, and :func:`~respsim.firmware.encode_session`
+writes the table's bytes as byte columns, one matrix per kind and batch
+size; no frame is an object on the way from the stimulus to the capture.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from ._output import open_output
 from .config import ScenarioConfig, SessionConfig
 from .firmware import ArrayStimulus, FirmwareEmulator, encode_session
 from .power import accumulate
+from .protocol import FrameTable
 from .sensor import (
     ACCEL_DTYPE,
     FULL_SCALE_MG,
@@ -141,7 +146,7 @@ def synthesize_accel(cfg: SessionConfig) -> np.ndarray:
 
 @dataclass
 class SessionResult:
-    frames: list
+    frames: FrameTable
     data: bytes
     truth: dict
     emulator: FirmwareEmulator

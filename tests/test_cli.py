@@ -799,6 +799,14 @@ def test_power_zero_duration(capsys, tmp_path):
         assert report["projected_battery_life_h"] is None
 
 
+def test_power_zero_duration_prints_no_battery_life_range(capsys):
+    code, stdout, _ = run_cli(capsys, "power", "--duration", "0")
+    assert code == 0
+    assert "no time was audited" in stdout
+    assert "battery life spans" not in stdout and "inf h" not in stdout
+    assert "battery life spans" in run_cli(capsys, "power", "--duration", "0.001")[1]
+
+
 def _not_json(constant):
     raise ValueError(f"{constant} is not JSON (RFC 8259)")
 

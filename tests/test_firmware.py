@@ -16,8 +16,9 @@ from respsim.firmware import (
     schedule_timeline,
 )
 from respsim.power import PowerProfile, accumulate, uniform_profile
-from respsim.protocol import FLAG_FINAL_FLUSH, FrameKind, FrameTable
+from respsim.protocol import FLAG_FINAL_FLUSH, FrameKind, FrameTable, encode, split_stream
 from respsim.sensor import ACCEL_DTYPE, ForceSample, OcvCurve, ParameterError
+from tick_emulator import TickEmulator
 
 
 class ConstantStimulus:
@@ -53,7 +54,7 @@ def kind_counts(frames):
 
 
 def test_boot_reports_full_charge():
-    emu = FirmwareEmulator()
+    emu = TickEmulator()
     assert emu.boot() is None
     assert emu._clock_ms == 0
     assert emu._seq == 0
@@ -181,7 +182,7 @@ def test_sense_ratio_outside_the_open_unit_interval_rejected(ratio):
 
 
 def test_missing_due_sample_raises():
-    emu = FirmwareEmulator()
+    emu = TickEmulator()
     emu.boot()
     with pytest.raises(StimulusError):
         emu.tick(force_n=None, accel_mg=(0, 0, 1000))
@@ -191,13 +192,13 @@ def test_missing_due_sample_raises():
                                     FirmwareConfig(accel_batch=1)],
                          ids=["default", "fsr-batch-1", "accel-batch-1"])
 def test_a_tick_missing_a_sample_changes_no_state(config):
-    clean = FirmwareEmulator(config)
+    clean = TickEmulator(config)
     clean.boot()
     expected = observed(clean, clean.tick(4.0, (0, 0, 1000)))
     # a missing sample, and one past the accelerometer's full scale
     for accel, error in ((None, StimulusError), ((40000, 0, 1000), ParameterError),
                          ((0, -2001, 1000), ParameterError)):
-        emu = FirmwareEmulator(config)
+        emu = TickEmulator(config)
         emu.boot()
         with pytest.raises(error):
             emu.tick(4.0, accel)
@@ -395,8 +396,8 @@ def observed(emu, frames):
 def test_run_equals_tick_loop(setup):
     kwargs, duration_s, forces = setup
     stimulus = VaryingStimulus(forces)
-    bulk = FirmwareEmulator(**kwargs)
-    stepped = FirmwareEmulator(**kwargs)
+    bulk = TickEmulator(**kwargs)
+    stepped = TickEmulator(**kwargs)
     expected = observed(stepped, tick_loop(stepped, stimulus, duration_s))
     got = observed(bulk, run_on_grid(bulk, stimulus, duration_s))
     assert got == expected
@@ -413,7 +414,7 @@ def test_schedule_lists_the_instant_each_frame_is_sent(setup):
     # stream --connect paces each frame by its send instant
     kwargs, duration_s, forces = setup
     stimulus = VaryingStimulus(forces)
-    emu = FirmwareEmulator(**kwargs)
+    emu = TickEmulator(**kwargs)
     session_ms = emu.config.session_ms(duration_s)
     sent = []
     while emu._clock_ms < session_ms:
@@ -436,8 +437,8 @@ def test_ticking_on_after_run_equals_tick_loop(setup, ticks):
     # the activity record run() leaves must take the ticks that follow
     kwargs, duration_s, forces = setup
     stimulus = VaryingStimulus(forces)
-    bulk = FirmwareEmulator(**kwargs)
-    stepped = FirmwareEmulator(**kwargs)
+    bulk = TickEmulator(**kwargs)
+    stepped = TickEmulator(**kwargs)
     frames = run_on_grid(bulk, stimulus, duration_s)
     bulk.activity_timeline  # reading the timeline must leave the record appendable
     frames += tick_on(bulk, stimulus, ticks)
@@ -450,24 +451,51 @@ def test_ticking_on_after_run_equals_tick_loop(setup, ticks):
 def test_an_emulator_is_ready_when_built(setup, ticks):
     kwargs, _, forces = setup
     stimulus = VaryingStimulus(forces)
-    built = FirmwareEmulator(**kwargs)
-    booted = FirmwareEmulator(**kwargs)
+    built = TickEmulator(**kwargs)
+    booted = TickEmulator(**kwargs)
     booted.boot()
     assert (observed(built, tick_on(built, stimulus, ticks))
             == observed(booted, tick_on(booted, stimulus, ticks)))
     # boot() after any ticks is a reset to the state the constructor left
     built.boot()
-    assert observed(built, []) == observed(FirmwareEmulator(**kwargs), [])
+    assert observed(built, []) == observed(TickEmulator(**kwargs), [])
     assert (built._clock_ms, built._seq, built.energy_mwh) == (0, 0, 0.0)
     assert len(built.activity_timeline) == 0
     assert built.soc == built.initial_soc
+
+
+@st.composite
+def wire_setups(draw):
+    """Configs up to the MTU's batches, on a 1 or 2 ms tick, charging or not, and
+    sessions from none through a few partial final batches."""
+    tick = draw(st.sampled_from([1, 2]))
+    config = FirmwareConfig(fsr_batch=draw(st.integers(1, 119)),
+                            accel_batch=draw(st.integers(1, 39)),
+                            battery_period_ms=tick * draw(st.integers(1, 2000 // tick)),
+                            tick_ms=tick)
+    duration_s = tick * draw(st.integers(0, 7000 // tick)) / 1000
+    return config, draw(st.booleans()), duration_s
+
+
+@example((FirmwareConfig(fsr_batch=119, accel_batch=39, tick_ms=2), True, 6.998), [4.0, 150.0])
+@settings(max_examples=60, deadline=None)
+@given(wire_setups(), st.lists(st.floats(0.0, 300.0), min_size=1, max_size=20))
+def test_run_table_round_trips_through_the_wire(setup, forces):
+    config, charging, duration_s = setup
+    stimulus = VaryingStimulus(forces)
+    table = run_on_grid(FirmwareEmulator(config, charging=charging), stimulus, duration_s)
+    assert table == tick_loop(TickEmulator(config, charging=charging), stimulus, duration_s)
+    data = encode_session(table)
+    assert data == b"".join(encode(f) for f in table)
+    frames, resyncs, pending = split_stream(data)
+    assert (frames, resyncs, pending) == (table, [], 0)
 
 
 @pytest.mark.parametrize("force, accel", [
     (-1.0, (0, 0, 1000)), (math.nan, (0, 0, 1000)), (4.0, (0, 2001, 1000)),
 ], ids=["-1.0", "nan", "accel-past-full-scale"])
 def test_run_rejects_invalid_force_like_tick(force, accel):
-    emu = FirmwareEmulator()
+    emu = TickEmulator()
     emu.boot()
     with pytest.raises(ParameterError):
         emu.tick(force, accel)

@@ -5,6 +5,7 @@ vs the package's bitwise loop) anchored by the classic "123456789" check
 value, so a shared mistake can't hide.
 """
 
+import dataclasses
 import random
 import struct
 from unittest import mock
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from respsim import protocol
-from respsim.firmware import FirmwareEmulator
+from respsim.firmware import FirmwareEmulator, encode_session
 from respsim.protocol import (
     _HELD,
     MAGIC,
@@ -835,3 +836,99 @@ def test_a_table_compares_and_joins_with_any_frame_sequence():
                                                BatteryStatusPayload(0, 1, 2))])
     with pytest.raises(UnknownKind):
         FrameTable.from_frames([TelemetryFrame(9, 0, 0, FsrBatchPayload(0, (1,)))])
+
+
+def test_a_table_takes_no_field_that_encode_rejects():
+    # np.fromiter would cut a float and parse a string; encode raises for both
+    f = TelemetryFrame(FrameKind.FSR_BATCH, 1, 0, FsrBatchPayload(40, (7, 8)))
+    for g in (dataclasses.replace(f, seq=1.5), dataclasses.replace(f, flags="0"),
+              dataclasses.replace(f, payload=FsrBatchPayload(40.0, (7, 8))),
+              dataclasses.replace(f, payload=FsrBatchPayload(40, (7, "8")))):
+        with pytest.raises(BadLength):
+            encode(g)
+        with pytest.raises(BadLength):
+            FrameTable.from_frames([g])
+        assert FrameTable.from_frames([f]) != [g]
+    # an accel sample of two axes would shift every axis after it
+    pair = TelemetryFrame(FrameKind.ACCEL_BATCH, 0, 0, AccelBatchPayload(0, ((1, 2), (3, 4, 5, 6))))
+    with pytest.raises(BadLength):
+        FrameTable.from_frames([pair])
+
+
+# what breaks a dirty frame: one field, its count, one sample, or its kind
+_BREAKS = ["t", "seq", "flags", "count", "sample", "kind"]
+
+
+@st.composite
+def _any_frames(draw):
+    """Frame records of any kind, a quarter of them dirty: broken in one of
+    the ways :func:`encode` rejects, by a value one past either end of its
+    field, far past the wire's widths, a float, a string, or True (which is
+    1 and fine), a count of 0, one past the MTU or past a u8, an accel pair,
+    or a kind that does not carry the payload."""
+    frames = []
+    for _ in range(draw(st.integers(0, 5))):
+        broken = draw(st.sampled_from([None] * 3 * len(_BREAKS) + _BREAKS))
+
+        def field(lo, hi, name):
+            if broken != name:
+                return draw(st.integers(lo, hi))
+            return draw(st.sampled_from([lo - 1, hi + 1, 2 ** 70, 1.5, float(lo), "1", True]))
+
+        kind = draw(st.sampled_from(list(FrameKind)))
+        t = field(0, 2 ** 32 - 1, "t")
+        if kind is FrameKind.BATTERY_STATUS:
+            which = draw(st.booleans())
+            payload = BatteryStatusPayload(t, field(0, 0xFFF, which and "sample"),
+                                           field(0, 100, not which and "sample"))
+        else:
+            # the MTU's most samples; one more is oversize, 256 overflows the u8 count
+            most = (MAX_PAYLOAD - 5) // (2 if kind is FrameKind.FSR_BATCH else 6)
+            n = draw(st.sampled_from([0, most + 1, 256]) if broken == "count"
+                     else st.one_of(st.integers(1, 6), st.just(most)))
+            at = draw(st.integers(0, max(n - 1, 0)))  # the sample a "sample" break breaks
+            if kind is FrameKind.FSR_BATCH:
+                payload = FsrBatchPayload(t, tuple(field(0, 0xFFF, i == at and "sample")
+                                                   for i in range(n)))
+            else:
+                rows = [tuple(field(-2 ** 15, 2 ** 15 - 1, i == at and axis == 2 and "sample")
+                              for axis in range(3)) for i in range(n)]
+                if broken == "sample" and n and draw(st.booleans()):
+                    rows[at] = rows[at][:2]
+                payload = AccelBatchPayload(t, tuple(rows))
+        if broken == "kind":
+            kind = draw(st.sampled_from([k for k in FrameKind if k != kind] + [9]))
+        frames.append(TelemetryFrame(kind, field(0, 0xFFFF, "seq"), field(0, 0xFF, "flags"),
+                                     payload))
+    return frames
+
+
+_OK = TelemetryFrame(FrameKind.FSR_BATCH, 0, 0, FsrBatchPayload(0, (1, 2)))
+
+
+# the first bad frame's error wins over a later frame's, in either order
+@example([_OK, TelemetryFrame(FrameKind.FSR_BATCH, 1, 0, FsrBatchPayload(0, (1,) * 120)),
+          TelemetryFrame(9, 2, 0, FsrBatchPayload(0, (1,)))])
+@example([_OK, TelemetryFrame(9, 2, 0, FsrBatchPayload(0, (1,))),
+          TelemetryFrame(FrameKind.ACCEL_BATCH, 1, 0, AccelBatchPayload(0, ((1, 2, 3),) * 40))])
+@example([_OK, TelemetryFrame(FrameKind.BATTERY_STATUS, 1, 0, BatteryStatusPayload(0, 7, 101))])
+@example([_OK, TelemetryFrame(FrameKind.FSR_BATCH, 1, 0, FsrBatchPayload(0, (4, 0x1000)))])
+@example([_OK, TelemetryFrame(FrameKind.ACCEL_BATCH, 1, 0, AccelBatchPayload(0, ()))])
+@example([_OK, dataclasses.replace(_OK, seq=1.5)])
+@settings(max_examples=300, deadline=None)
+@given(_any_frames())
+def test_encode_session_raises_exactly_where_encode_does(frames):
+    expected = []
+    for f in frames:
+        try:
+            expected.append(encode(f))
+        except ProtocolError as e:
+            expected = type(e)
+            break
+    if isinstance(expected, list):
+        assert encode_session(frames) == b"".join(expected)
+        assert encode_session(FrameTable.from_frames(frames)) == b"".join(expected)
+    else:
+        with pytest.raises(ProtocolError) as raised:
+            encode_session(frames)
+        assert type(raised.value) is expected

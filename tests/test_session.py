@@ -8,7 +8,7 @@ import pytest
 
 from respsim.config import SessionConfig, from_dict
 from respsim.pipeline import analyze_session
-from respsim.protocol import FrameKind, split_stream
+from respsim.protocol import FrameKind, encode, split_stream
 from respsim.session import (
     read_truth,
     run_session,
@@ -18,7 +18,6 @@ from respsim.session import (
     truth_path,
     write_capture,
 )
-from tests.test_firmware import ConstantStimulus, tick_on
 
 
 def cfg_with(**top):
@@ -189,9 +188,27 @@ def test_battery_rows_match_the_battery_frames():
 def test_later_ticks_leave_the_truth_alone():
     result = run_session(cfg_with(duration_s=2))
     rows = list(result.truth["battery"])
-    tick_on(result.emulator, ConstantStimulus(), result.emulator.config.battery_period_ms)
+    # the reading a tick loop would take at the next battery instant
+    result.emulator._battery_reading(result.emulator.config.battery_period_ms)
     assert len(result.emulator.battery_log) == len(rows) + 1
     assert result.truth["battery"] == rows
+
+
+def test_a_session_long_enough_to_wrap_seq():
+    # 6300 s sends 66,150 frames, so seq passes 0xFFFF and starts again at 0
+    result = run_session(cfg_with(duration_s=6300))
+    table = result.frames
+    assert len(table) == 66150
+    wrap = 0x10000
+    assert table.seq[wrap - 1:wrap + 1].tolist() == [0xFFFF, 0]
+    assert (table.seq == np.arange(len(table)) % wrap).all()
+    assert result.data == b"".join(encode(f) for f in table)
+    # read back, the table is the one run() built, column types included
+    frames, resyncs, pending = split_stream(result.data)
+    assert (frames, resyncs, pending) == (table, [], 0)
+    for got, sent in zip(frames._columns() + list(frames.samples.values()),
+                         table._columns() + list(table.samples.values())):
+        assert got.dtype == sent.dtype
 
 
 def test_detected_breaths_match_truth_timing(tmp_path):

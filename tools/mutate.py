@@ -150,6 +150,28 @@ MUTANTS = [
     ("activity-first-run-at-0-dropped", FW,
      "np.diff(sent, prepend=-1)",
      "np.diff(sent, prepend=0)"),
+    # the frame table run() builds and the column writer of encode_session
+    ("run-seq-unwrapped", FW,
+     "np.arange(kind.size).astype(np.uint16)",
+     "np.arange(kind.size)"),
+    ("run-final-flush-flag-on-every-frame", FW,
+     "flags[send_ms == total_ms] |= protocol.FLAG_FINAL_FLUSH",
+     "flags |= protocol.FLAG_FINAL_FLUSH"),
+    ("write-crc-from-kind-byte", P,
+     "for column in columns[1:-1]:  # version .. payload",
+     "for column in columns[2:-1]:  # version .. payload"),
+    ("write-percent-101-encodes", P,
+     "FrameKind.BATTERY_STATUS: ((0, 0), (MAX_CODE, 100))}",
+     "FrameKind.BATTERY_STATUS: ((0, 0), (MAX_CODE, 101))}"),
+    ("write-fsr-code-past-max-encodes", P,
+     "_BOUNDS = {FrameKind.FSR_BATCH: (0, MAX_CODE),",
+     "_BOUNDS = {FrameKind.FSR_BATCH: (0, MAX_CODE + 1),"),
+    ("write-zero-count-encodes", P,
+     "& (table.count >= 1)",
+     "& (table.count >= 0)"),
+    ("from-frames-takes-floats", P,
+     "np.fromiter(map(index, head), dtype=np.int64,",
+     "np.fromiter(head, dtype=np.int64,"),
     # the byte-column export writer
     ("export-near-tie-fallback-dropped", PL,
      "exact &= np.abs(y - np.floor(y) - 0.5) > np.abs(y) * 2.0 ** -52",
